@@ -29,7 +29,6 @@ from .kac_rice import (
     QuadratureBudgetError,
     QuadratureResult,
     breakdown_at,
-    density_at,
     expected_count_deterministic,
     expected_count_stratified,
 )

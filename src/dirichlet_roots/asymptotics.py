@@ -111,11 +111,6 @@ def zeta_zero_count(T: float) -> float:
     return x * math.log(x) - x
 
 
-def zeta_zero_count_error_scale(T: float) -> float:
-    """The omitted error term's scale, O(log T), for reporting."""
-    return math.log(T)
-
-
 def model_vs_zeta_ratio(T: float, k: int, ek_value: float) -> float:
     """Expected-zero count relative to the zeta-zero count growth over [T, 2T].
 

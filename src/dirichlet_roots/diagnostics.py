@@ -23,7 +23,7 @@ import numpy as np
 from .asymptotics import stieltjes_constant
 from .core import Interval, Part, PolynomialSpec
 from .dirichlet_eval import WeightTable, make_weight_table, oscillating_sums
-from .kac_rice import NODES_PER_PANEL, breakdown_grid, panel_width
+from .kac_rice import NODES_PER_PANEL, _gauss_legendre, _moment_sums, breakdown_grid, panel_width
 
 __all__ = [
     "StepReport",
@@ -70,19 +70,14 @@ def proof_step_integrals(spec: PolynomialSpec,
     table = make_weight_table(spec)
     interval = Interval(spec.T, 2.0 * spec.T)
     n_panels = max(1, math.ceil(interval.length / panel_width(spec)))
-    h = interval.length / n_panels
-    xi, wgt = np.polynomial.legendre.leggauss(nodes_per_panel)
 
-    integrals = np.zeros(9)
-    for i in range(nodes_per_panel):
-        start = interval.lo + (xi[i] + 1.0) * 0.5 * h
-        br = breakdown_grid(spec, table, start, h, n_panels)
+    def pieces(start, step, count):
+        br = breakdown_grid(spec, table, start, step, count)
         x, y, z = br["x"], br["y"], br["z"]
-        pieces = (x, y, x * y, z, x * x, np.abs(y) * x * x, x**4,
-                  x * x * y * y, y * y * x**4)
-        w = wgt[i] * 0.5 * h
-        for j, p in enumerate(pieces):
-            integrals[j] += w * float(np.sum(p))
+        return np.vstack([x, y, x * y, z, x * x, np.abs(y) * x * x, x**4,
+                          x * x * y * y, y * y * x**4])
+
+    integrals = _gauss_legendre(pieces, interval, n_panels, nodes_per_panel)
 
     L = math.log(spec.T)
     gamma = stieltjes_constant(0)
@@ -115,21 +110,15 @@ def l2_mean_value_check(coefficients, T: float,
     if T <= 0:
         raise ValueError("T must be positive")
     logs = np.log(np.arange(1, n + 1, dtype=np.float64))
-    re_a, im_a = np.real(a).copy(), np.imag(a).copy()
-
+    rows = np.vstack([a.real, a.imag])
     width = math.pi / (4.0 * math.log(max(n, 2)))
-    n_panels = max(1, math.ceil(T / width))
-    h = T / n_panels
-    xi, wgt = np.polynomial.legendre.leggauss(nodes_per_panel)
-    rows = np.vstack([re_a, im_a])
-    lhs = 0.0
-    for i in range(nodes_per_panel):
-        start = (xi[i] + 1.0) * 0.5 * h
-        c_rows, s_rows = oscillating_sums(logs, rows, rows, start, h, n_panels)
-        re_part = c_rows[0] - s_rows[1]
-        im_part = s_rows[0] + c_rows[1]
-        lhs += wgt[i] * 0.5 * h * float(np.sum(re_part**2 + im_part**2))
 
+    def modulus_squared(start, step, count):
+        c_rows, s_rows = oscillating_sums(logs, rows, rows, start, step, count)
+        return (c_rows[0] - s_rows[1])**2 + (s_rows[0] + c_rows[1])**2
+
+    lhs = float(_gauss_legendre(modulus_squared, Interval(0.0, T),
+                               max(1, math.ceil(T / width)), nodes_per_panel))
     main = T * math.fsum(np.abs(a) ** 2)
     budget = math.fsum(np.arange(1, n + 1) * np.abs(a) ** 2)
     return lhs, main, budget
@@ -150,15 +139,11 @@ def u_sup_monitor(spec: PolynomialSpec, interval: Interval,
         raise ValueError("use at least 1000 grid points for a meaningful supremum")
     if table is None:
         table = make_weight_table(spec)
-    sq, logs = table.squared_weights, table.logs
     step = interval.length / (gridpoints - 1)
-    cos_rows = np.vstack([sq, sq * logs * logs])
-    sin_rows = (sq * logs)[None, :]
-    c_rows, s_rows = oscillating_sums(logs, cos_rows, sin_rows,
-                                      2.0 * interval.lo, 2.0 * step, gridpoints)
-    sup_u = float(np.max(np.abs(c_rows[0] - sq[0])))
-    sup_u1 = float(np.max(np.abs(s_rows[0])))
-    sup_u2 = float(np.max(np.abs(c_rows[1])))
+    p0, p1s, p2 = _moment_sums(table, 2.0 * interval.lo, 2.0 * step, gridpoints)
+    sup_u = float(np.max(np.abs(p0 - table.squared_weights[0])))
+    sup_u1 = float(np.max(np.abs(p1s)))
+    sup_u2 = float(np.max(np.abs(p2)))
     L = math.log(spec.T)
     ratios = (sup_u / L ** (2.0 / 3.0), sup_u1 / L ** (4.0 / 3.0), sup_u2 / L**2)
     return USupReport(sup_u=sup_u, sup_u1=sup_u1, sup_u2=sup_u2,

@@ -80,27 +80,17 @@ def _count_sign_pattern(values: np.ndarray, zero_tol: float) -> tuple[int, list[
 
     Returns (count, events); each event is (index, is_grid_zero): a grid zero
     at index i, or a sign-change bracket starting at index i.  A grid-exact
-    zero counts once and belongs to the interval on its left: the baseline
-    sign resets after it, so the flip to its right is not double counted.
+    zero counts once and belongs to the interval on its left: a flip counts
+    only between adjacent non-zero grid values, so the -, 0, + pattern is not
+    double counted.  Events are in grid order.
     """
-    zero_mask = np.abs(values) < zero_tol
-    if not zero_mask.any():
-        signs = values > 0
-        flips = np.nonzero(signs[1:] != signs[:-1])[0]
-        return len(flips), [(int(i), False) for i in flips]
-    events: list[tuple[int, bool]] = []
-    prev_sign = 0
-    prev_idx = -1
-    for i, v in enumerate(values):
-        if zero_mask[i]:
-            events.append((i, True))
-            prev_sign = 0
-            continue
-        s = 1 if v > 0 else -1
-        if prev_sign != 0 and s != prev_sign:
-            events.append((prev_idx, False))
-        prev_sign = s
-        prev_idx = i
+    zero = np.abs(values) < zero_tol
+    pos = values > 0
+    flips = np.nonzero((pos[1:] != pos[:-1]) & ~zero[1:] & ~zero[:-1])[0]
+    events = ([(int(i), True) for i in np.nonzero(zero)[0]]
+              + [(int(i), False) for i in flips])
+    # a bracket starting at i is found on reaching i + 1
+    events.sort(key=lambda e: e[0] + (not e[1]))
     return len(events), events
 
 

@@ -92,3 +92,23 @@ def direct_power_sum(T: float, m: int, two_sigma: float) -> float:
     """sum_{n<=T} (log n)^m / n^{two_sigma}, plain fsum (independent route)."""
     return math.fsum(math.log(n) ** m / n ** two_sigma
                      for n in range(1, int(math.floor(T)) + 1))
+
+
+def sign_pattern_events(values, zero_tol: float) -> list[tuple[int, bool]]:
+    """Root events of a grid sign pattern, one grid value at a time.
+
+    (i, True) is a grid zero at i; (i, False) a sign change between the
+    non-zero values at i and i + 1.  A zero resets the running sign, so the
+    -, 0, + pattern counts once.
+    """
+    events, prev_sign, prev_idx = [], 0, -1
+    for i, v in enumerate(values):
+        if abs(v) < zero_tol:
+            events.append((i, True))
+            prev_sign = 0
+            continue
+        sign = 1 if v > 0 else -1
+        if prev_sign != 0 and sign != prev_sign:
+            events.append((prev_idx, False))
+        prev_sign, prev_idx = sign, i
+    return events

@@ -7,7 +7,6 @@ from dirichlet_roots import (
     Interval,
     QuadratureBudgetError,
     breakdown_at,
-    density_at,
     expected_count_deterministic,
     expected_count_stratified,
     make_spec,
@@ -17,6 +16,9 @@ from dirichlet_roots.core import experiment_interval
 from dirichlet_roots.dirichlet_eval import WeightTable
 from dirichlet_roots.kac_rice import (
     DEFAULT_NODE_CAP,
+    STRATIFIED_REPLICATES,
+    _gauss_legendre,
+    _shifted_grids,
     breakdown_grid,
     deterministic_node_count,
 )
@@ -43,7 +45,7 @@ def _two_term_density(t, sigma=0.5):
 def test_single_term_density_zero():
     spec = make_spec(1.5, 0, 0.5, "cosine")
     for t in (0.0, 3.7, 151.0):
-        assert density_at(spec, t).density == 0.0
+        assert breakdown_at(spec, t).density == 0.0
     q = expected_count_deterministic(spec, experiment_interval(spec))
     assert q.value == 0.0
 
@@ -51,7 +53,7 @@ def test_single_term_density_zero():
 def test_degenerate_spec_rejected():
     spec = make_spec(1.5, 0, 0.5, "sine")
     with pytest.raises(ValueError):
-        density_at(spec, 1.0)
+        breakdown_at(spec, 1.0)
     with pytest.raises(ValueError):
         expected_count_deterministic(spec, Interval(1.5, 3.0))
 
@@ -69,8 +71,8 @@ def test_two_term_density_periodic():
     period = math.pi / math.log(2.0)
     spec = make_spec(2.5, 0, 0.3, "cosine")
     for t in (0.21, 5.5, 80.0):
-        d0 = density_at(spec, t).density
-        d1 = density_at(spec, t + period).density
+        d0 = breakdown_at(spec, t).density
+        d1 = breakdown_at(spec, t + period).density
         assert d0 == pytest.approx(d1, rel=1e-10, abs=1e-12)
 
 
@@ -80,7 +82,7 @@ def test_two_term_sine_density_vanishes():
     # (up to sqrt-of-roundoff noise)
     spec = make_spec(2.5, 0, 0.5, "sine")
     for t in (0.21, 5.5, 80.0):
-        assert density_at(spec, t).density < 1e-6
+        assert breakdown_at(spec, t).density < 1e-6
 
 
 def test_two_term_integral_vs_brute_force():
@@ -130,6 +132,41 @@ def test_breakdown_grid_matches_pointwise():
         b = breakdown_at(spec, t, table)
         for name in ("A", "B", "C", "x", "y", "z", "w", "density"):
             assert br[name][i] == pytest.approx(getattr(b, name), rel=1e-9, abs=1e-12)
+
+
+def test_gauss_legendre_rows_closed_form():
+    omegas = np.array([0.0, 0.5, 2.0, 7.3])
+    iv = Interval(0.3, 7.1)
+
+    def cosines(start, step, count):
+        return np.cos(np.outer(omegas, start + step * np.arange(count)))
+
+    got = _gauss_legendre(cosines, iv, n_panels=40)
+    exact = [iv.length] + [(math.sin(w * iv.hi) - math.sin(w * iv.lo)) / w
+                           for w in omegas[1:]]
+    assert got.shape == (4,)
+    assert np.max(np.abs(got - exact)) < 1e-12
+
+
+@pytest.mark.parametrize("T,k,part", [(300.0, 0, "cosine"), (300.0, 2, "sine"),
+                                      (14_000.0, 0, "cosine")])
+def test_shifted_grids_match_pointwise(T, k, part):
+    # the shift folded into the coefficient rows reproduces the direct
+    # moment sums at every stratified node (at T = 14000 the sub-grids are
+    # split over several kernel calls); each replicate puts exactly one node
+    # in each of its equal cells
+    spec = make_spec(T, k, 0.5, part)
+    table = make_weight_table(spec)
+    iv = experiment_interval(spec)
+    br = _shifted_grids(spec, table, iv, 400, seed=7)
+    reps, m = br["t"].shape
+    assert (reps, m) == (STRATIFIED_REPLICATES, 16)
+    cells = np.sort(np.floor((br["t"] - iv.lo) / (iv.length / m)), axis=1)
+    assert np.array_equal(cells, np.broadcast_to(np.arange(m), (reps, m)))
+    for r, i in ((0, 0), (3, 9), (24, 15), (11, 4)):
+        b = breakdown_at(spec, float(br["t"][r, i]), table)
+        for name in ("A", "B", "C", "density"):
+            assert br[name][r, i] == pytest.approx(getattr(b, name), rel=1e-9, abs=1e-12)
 
 
 def test_weight_scale_invariance():
@@ -197,6 +234,19 @@ def test_stratified_requires_enough_strata():
     spec = make_spec(100.0)
     with pytest.raises(ValueError):
         expected_count_stratified(spec, experiment_interval(spec), 50, seed=0)
+
+
+def test_stratified_stderr_is_honest():
+    # the stderr comes from independent replicates, so the z-scores against
+    # the deterministic value have rms ~1 (t with 24 degrees of freedom)
+    spec = make_spec(500.0, 2, 0.5, "sine")
+    iv = experiment_interval(spec)
+    table = make_weight_table(spec)
+    det = expected_count_deterministic(spec, iv, table=table).value
+    z = [(q.value - det) / q.stderr
+         for q in (expected_count_stratified(spec, iv, 1000, seed=300 + s, table=table)
+                   for s in range(40))]
+    assert 0.7 <= math.sqrt(np.mean(np.square(z))) <= 1.4
 
 
 def test_stratified_stderr_scaling():

@@ -14,7 +14,13 @@ from dirichlet_roots import (
     sigma_sweep,
 )
 from dirichlet_roots.core import CoefficientSample, experiment_interval
-from dirichlet_roots.monte_carlo import default_grid_step, mean_zero_spacing
+from dirichlet_roots.monte_carlo import (
+    _count_sign_pattern,
+    default_grid_step,
+    mean_zero_spacing,
+)
+
+from oracles import sign_pattern_events
 
 
 def _fixed_sample(spec, values):
@@ -78,6 +84,22 @@ def test_grid_zero_tie_breaks_left():
     res = count_roots(sample, Interval(-1.0, 1.0), step=0.25, keep_roots=True)
     assert res.count == 1
     assert res.roots[0] == 0.0
+
+
+def test_sign_pattern_adjacent_and_end_zeros():
+    # grid zeros at both ends and two adjacent ones in the middle; a flip
+    # counts only between adjacent non-zero values
+    values = np.array([0.0, 2.0, -1.0, 1e-20, -0.0, 3.0, 1.5, -2.0, -2.5,
+                       1e-20, 4.0, 0.0])
+    count, events = _count_sign_pattern(values, 1e-12)
+    assert count == 7
+    assert events == [(0, True), (1, False), (3, True), (4, True), (6, False),
+                      (9, True), (11, True)]
+    assert events == sign_pattern_events(values, 1e-12)
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        values = rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5], size=rng.integers(1, 16))
+        assert _count_sign_pattern(values, 1.0)[1] == sign_pattern_events(values, 1.0)
 
 
 def test_near_grid_zero_still_counts_once(cos_lattice):
