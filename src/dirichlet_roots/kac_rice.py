@@ -51,7 +51,6 @@ __all__ = [
     "DEFAULT_NODE_CAP",
     "NODES_PER_PANEL",
     "STRATIFIED_REPLICATES",
-    "STRATIFIED_SUBGRIDS",
 ]
 
 # Cauchy-Schwarz slack: A/B - C^2 may round to a tiny negative.
@@ -61,11 +60,9 @@ NODES_PER_PANEL = 8
 DEFAULT_NODE_CAP = 4_000_000
 
 # Stratified EK: independent randomly shifted grids (their spread gives the
-# stderr), each split into interleaved sub-grids to halve the kernel's block
-# memory.  The shifts are folded into coefficient rows (see _shifted_grids);
+# stderr).  The shifts are folded into coefficient rows (see _shifted_grids);
 # _FOLD_ELEMS caps those rows (rows x terms, per trig half) per kernel call.
 STRATIFIED_REPLICATES = 25
-STRATIFIED_SUBGRIDS = 2
 _FOLD_ELEMS = 2_000_000
 
 
@@ -166,8 +163,8 @@ def breakdown_grid(spec: PolynomialSpec, table: WeightTable, start: float,
                    step: float, count: int) -> dict[str, np.ndarray]:
     """Breakdown fields as arrays along the uniform grid t_i = start + i*step.
 
-    Uses the phase-recurrence kernel on the doubled grid tau_i = 2 t_i, so the
-    whole grid costs O(1) trig calls per term.
+    Evaluates the moment sums with one grid-kernel call on the doubled grid
+    tau_i = 2 t_i.
     """
     _check_spec(spec)
     sums = _moment_sums(table, 2.0 * start, 2.0 * step, count)
@@ -179,21 +176,19 @@ def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
     """Breakdown fields on the stratified estimator's randomly shifted grids.
 
     Replicate r is the grid t = lo + h (i + u_r), i < m, with h = length/m and
-    u_r uniform on [0, 1); it is evaluated as STRATIFIED_SUBGRIDS interleaved
-    sub-grids of step STRATIFIED_SUBGRIDS * h.  Row r of every field holds
-    replicate r.  Each sub-grid's shift s (doubled) is folded into its
-    coefficient rows by angle addition,
+    u_r uniform on [0, 1); row r of every field holds replicate r.  Each
+    replicate's shift s = h u_r (doubled) is folded into its coefficient rows
+    by angle addition,
         cos((tau + s) l) = cos(tau l) cos(s l) - sin(tau l) sin(s l),
         sin((tau + s) l) = sin(tau l) cos(s l) + cos(tau l) sin(s l),
-    so all sub-grids share one kernel sweep over tau_i = 2 (lo + i subs h),
-    subs = STRATIFIED_SUBGRIDS (one sweep per _FOLD_ELEMS coefficients when
-    there are many terms).
+    so all replicates share one kernel call over tau_i = 2 (lo + i h) (one
+    call per _FOLD_ELEMS coefficients when there are many terms).
     """
-    reps, subs = STRATIFIED_REPLICATES, STRATIFIED_SUBGRIDS
-    per_sub = -(-strata // (reps * subs))
-    h = interval.length / (subs * per_sub)
+    reps = STRATIFIED_REPLICATES
+    m = -(-strata // reps)
+    h = interval.length / m
     rng = np.random.Generator(np.random.PCG64(seed))
-    shifts = (h * (rng.random(reps)[:, None] + np.arange(subs))).ravel()
+    shifts = h * rng.random(reps)
     sq, logs = table.squared_weights, table.logs
     w0, w1, w2 = sq, sq * logs, sq * logs * logs
     parts = []
@@ -203,11 +198,11 @@ def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
         c_rows, s_rows = oscillating_sums(
             logs, np.concatenate([w0 * cs, w1 * sn, w2 * cs]),
             np.concatenate([-w0 * sn, w1 * cs, -w2 * sn]),
-            2.0 * interval.lo, 2.0 * subs * h, per_sub)
-        parts.append((c_rows + s_rows).reshape(3, group.size, per_sub))
+            2.0 * interval.lo, 2.0 * h, m)
+        parts.append((c_rows + s_rows).reshape(3, group.size, m))
     fields = _assemble(spec, table, *np.concatenate(parts, axis=1))
-    fields["t"] = interval.lo + shifts[:, None] + subs * h * np.arange(per_sub)
-    return {name: arr.reshape(reps, -1) for name, arr in fields.items()}
+    fields["t"] = interval.lo + shifts[:, None] + h * np.arange(m)
+    return fields
 
 
 def panel_width(spec: PolynomialSpec) -> float:
@@ -230,8 +225,8 @@ def _gauss_legendre(integrand, interval: Interval, n_panels: int,
     the uniform grid start + i*step, i < count; the result has one integral
     per row.  For a fixed in-panel offset the node abscissas across panels
     form such a grid, so each of the nodes_per_panel node streams is one
-    phase-recurrence sweep.  Per-stream sums use numpy pairwise reduction in
-    panel order, fixed independently of any parallelism.
+    integrand call on the grid kernel.  Per-stream sums use numpy pairwise
+    reduction in panel order, fixed independently of any parallelism.
 
     EK, the proof steps and the L2 identity all use this rule.  Romberg on
     nested uniform grids at quarter-panel spacing missed the references of
@@ -290,7 +285,7 @@ def expected_count_stratified(spec: PolynomialSpec, interval: Interval,
     _shifted_grids).  The value is their mean and stderr their standard
     deviation over sqrt(25): an honest estimate with 24 degrees of freedom,
     not an upper bound.  nodes_used is strata rounded up to a multiple of
-    50; abs_error_estimate repeats stderr.
+    25; abs_error_estimate repeats stderr.
     """
     _check_spec(spec)
     if strata < 100:

@@ -14,6 +14,7 @@ from dirichlet_roots import (
     u_moment,
 )
 from dirichlet_roots.core import CoefficientSample
+from dirichlet_roots.dirichlet_eval import oscillating_sums
 
 from oracles import direct_power_sum
 
@@ -101,7 +102,7 @@ def test_grid_matches_direct_random():
 
 
 def test_grid_long_run_accuracy():
-    # drift across many renormalization blocks stays inside the contract
+    # the last of > 9000 grid points stays inside the contract
     spec = make_spec(200.0, 1, 0.5, "sine")
     table = make_weight_table(spec)
     sample = sample_coefficients(spec, 4, 2)
@@ -110,6 +111,59 @@ def test_grid_long_run_accuracy():
     mass = math.fsum(np.abs(sample.values) * table.weights)
     i = len(ge.grid) - 1
     assert abs(ge.values[i] - eval_polynomial(sample, table, ge.grid[i])) < 1e-9 * mass
+
+
+@pytest.mark.parametrize("T,start,step,count,n_rows,points", [
+    (500.0, 500.0, 3.0, 64, 2, None),         # step * log N > 2 pi: points wrap
+    (300.0, 300.0, 0.05, 1, 2, None),
+    (300.0, 300.0, 0.05, 2, 2, None),
+    (300.0, 300.0, 0.05, 7, 2, None),         # fewer modes than the kernel width
+    (300.0, -450.0, 0.02, 500, 2, (0, 1, 249, 250, 499)),
+    (4000.0, 8000.0, 40.0, 200, 300, (0, 101, 199)),  # stratified EK's shape
+])
+def test_kernel_matches_fsum(T, start, step, count, n_rows, points):
+    # every row of both halves against the fsum evaluator
+    cos_spec, sin_spec = make_spec(T, 0, 0.5, "cosine"), make_spec(T, 0, 0.5, "sine")
+    cos_table, sin_table = make_weight_table(cos_spec), make_weight_table(sin_spec)
+    X = np.array([sample_coefficients(cos_spec, 5, r).values for r in range(n_rows)])
+    rows = X * cos_table.weights
+    C, S = oscillating_sums(cos_table.logs, rows, rows, start, step, count)
+    assert C.shape == S.shape == (n_rows, count)
+    mass = np.abs(rows).sum(axis=1)
+    for i in range(count) if points is None else points:
+        t = start + i * step
+        for r in range(n_rows):
+            c = eval_polynomial(_fixed_sample(cos_spec, X[r]), cos_table, t)
+            s = eval_polynomial(_fixed_sample(sin_spec, X[r]), sin_table, t)
+            assert abs(C[r, i] - c) < 1e-12 * mass[r]
+            assert abs(S[r, i] - s) < 1e-12 * mass[r]
+
+
+def test_kernel_half_empty_against_u_moment():
+    table = make_weight_table(make_spec(700.0, 1, 0.5))
+    sq, logs = table.squared_weights, table.logs
+    rows = np.vstack([sq, sq * logs, sq * logs * logs])
+    empty = np.empty((0, table.n_terms))
+    start, step = 1400.0, 0.3
+    C, S_none = oscillating_sums(logs, rows, empty, start, step, 100)
+    C_none, S = oscillating_sums(logs, empty, rows, start, step, 100)
+    assert S_none.shape == C_none.shape == (0, 100)
+    for i in (0, 37, 99):
+        for j in range(3):
+            mass = math.fsum(rows[j])
+            t = start + i * step
+            assert abs(C[j, i] - u_moment(table, j, t, "cos")) < 1e-12 * mass
+            assert abs(S[j, i] - u_moment(table, j, t, "sin")) < 1e-12 * mass
+
+
+def test_kernel_exact_constant_and_zero_rows():
+    # the log n = 0 term is added exactly, and zero rows give exact zeros
+    C, S = oscillating_sums(np.zeros(1), [[2.5], [-1.0]], [[1.5]], 3.0, 0.7, 40)
+    assert np.all(C == np.array([[2.5], [-1.0]])) and np.all(S == 0.0)
+    logs = np.log(np.arange(1, 301, dtype=np.float64))
+    C, S = oscillating_sums(logs, np.zeros((2, 300)), np.zeros((1, 300)), -5.0, 0.1, 33)
+    assert C.shape == (2, 33) and S.shape == (1, 33)
+    assert np.all(C == 0.0) and np.all(S == 0.0)
 
 
 def test_grid_snapping_and_errors(two_term):

@@ -149,12 +149,12 @@ def test_gauss_legendre_rows_closed_form():
 
 
 @pytest.mark.parametrize("T,k,part", [(300.0, 0, "cosine"), (300.0, 2, "sine"),
-                                      (14_000.0, 0, "cosine")])
+                                      (14_000.0, 0, "cosine"), (30_000.0, 0, "cosine")])
 def test_shifted_grids_match_pointwise(T, k, part):
     # the shift folded into the coefficient rows reproduces the direct
-    # moment sums at every stratified node (at T = 14000 the sub-grids are
-    # split over several kernel calls); each replicate puts exactly one node
-    # in each of its equal cells
+    # moment sums at every stratified node (at T = 30000 the replicates are
+    # split over two kernel calls); each replicate puts exactly one node in
+    # each of its equal cells
     spec = make_spec(T, k, 0.5, part)
     table = make_weight_table(spec)
     iv = experiment_interval(spec)

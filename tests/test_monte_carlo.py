@@ -6,6 +6,7 @@ import pytest
 from dirichlet_roots import (
     Interval,
     count_roots,
+    eval_grid,
     eval_polynomial,
     make_spec,
     make_weight_table,
@@ -151,6 +152,19 @@ def test_count_monotone_under_nested_refinement():
         gained += c2 - c1
     # near-tangent pairs below spacing/8 exist but are a sub-1% effect
     assert gained <= 0.01 * base
+
+
+def test_grid_signs_match_direct_evaluation():
+    # the counts rest on the grid signs: every one of them, on 20 trials,
+    # agrees with the fsum evaluator at the same grid point
+    spec = make_spec(200.0)
+    table = make_weight_table(spec)
+    iv = experiment_interval(spec)
+    for i in range(20):
+        sample = sample_coefficients(spec, 7, i)
+        ge = eval_grid(sample, table, iv, default_grid_step(spec))
+        direct = [eval_polynomial(sample, table, t) for t in ge.grid]
+        assert np.array_equal(np.sign(ge.values), np.sign(direct))
 
 
 def test_run_trials_deterministic_and_thread_invariant():
