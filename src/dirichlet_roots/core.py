@@ -54,7 +54,8 @@ class PolynomialSpec:
     """The family (T, k, sigma, part) defining one random polynomial.
 
     ``degenerate`` is True exactly when the polynomial is identically zero:
-    the sine part with T < 2 keeps only the n = 1 term, and sin(t log 1) = 0.
+    with T < 2 only the n = 1 term is kept, and it vanishes for the sine
+    part (sin(t log 1) = 0) and for k >= 1 (w_1 = (log 1)^k = 0).
     """
 
     T: float
@@ -106,7 +107,8 @@ def make_spec(T: float, k: int = 0, sigma: float = 0.5,
     """Validate and build a PolynomialSpec.
 
     Rejects T <= 1 (empty or trivial sum), negative k, negative sigma.
-    Flags the identically-zero case (sine part with T < 2) as degenerate.
+    Flags the identically-zero cases (T < 2 with the sine part or k >= 1)
+    as degenerate.
     """
     part = Part(part)
     if not (T > 1.0):
@@ -117,7 +119,7 @@ def make_spec(T: float, k: int = 0, sigma: float = 0.5,
         raise ValueError(f"derivative order k must be a nonnegative integer, got {k}")
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    degenerate = part is Part.SINE and T < 2.0
+    degenerate = T < 2.0 and (part is Part.SINE or k >= 1)
     return PolynomialSpec(T=float(T), k=int(k), sigma=float(sigma), part=part,
                           degenerate=degenerate)
 

@@ -184,11 +184,15 @@ def oscillating_sums(logs: np.ndarray,
     np.take(coeffs, terms, axis=1, out=strengths[:rows])
     np.multiply(strengths[:rows], np.sin(phase), out=strengths[rows:])
     strengths[:rows] *= np.cos(phase)
-    spectrum = np.fft.ifft(_spread(strengths, cell[terms], frac[terms], nf),
-                           norm="forward")
-    modes = np.concatenate([spectrum[:, nf - half:], spectrum[:, :count - half]],
-                           axis=1)
-    return modes[:n_cos].real / scale + constant, modes[n_cos:].imag / scale
+    fine = _spread(strengths, cell[terms], frac[terms], nf)
+    np.fft.ifft(fine, norm="forward", out=fine)
+    out_c, out_s = np.empty((n_cos, count)), np.empty((rows - n_cos, count))
+    for out, part in ((out_c, fine[:n_cos].real), (out_s, fine[n_cos:].imag)):
+        out[:, :half] = part[:, nf - half:]
+        out[:, half:] = part[:, :count - half]
+        out /= scale
+    out_c += constant
+    return out_c, out_s
 
 
 @lru_cache(maxsize=8)
@@ -234,12 +238,25 @@ def eval_grid(sample: CoefficientSample, table: WeightTable,
     the root counter relies on for its monotonicity guarantee.
     """
     _check_same_spec(sample, table)
+    actual, values = _grid_values(table, (sample.values * table.weights)[None, :],
+                                  interval, step)
+    grid = interval.lo + actual * np.arange(values.shape[1])
+    return GridEvaluation(grid=grid, values=values[0], step=actual)
+
+
+def _grid_values(table: WeightTable, coeffs: np.ndarray, interval: Interval,
+                 step: float) -> tuple[float, np.ndarray]:
+    """Rows of S on eval_grid's snapped grid, from one grid-kernel call.
+
+    coeffs holds one row of X_n w_n per realization.  Returns the snapped
+    step and the (rows, points) values; the kernel's tile width depends on
+    the row count, so callers that need values independent of how rows are
+    grouped keep that count fixed.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
     m = max(1, math.ceil(interval.length / step - 1e-12))
     actual = interval.length / m
-    grid = interval.lo + actual * np.arange(m + 1)
-    coeffs = (sample.values * table.weights)[None, :]
     empty = np.empty((0, table.n_terms))
     if table.spec.part is Part.COSINE:
         values, _ = oscillating_sums(table.logs, coeffs, empty,
@@ -247,7 +264,7 @@ def eval_grid(sample: CoefficientSample, table: WeightTable,
     else:
         _, values = oscillating_sums(table.logs, empty, coeffs,
                                      interval.lo, actual, m + 1)
-    return GridEvaluation(grid=grid, values=values[0], step=actual)
+    return actual, values
 
 
 def u_moment(table: WeightTable, j: int, t: float, part: Part | str = Part.COSINE) -> float:

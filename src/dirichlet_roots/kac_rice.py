@@ -57,7 +57,7 @@ __all__ = [
 _NEGATIVE_TOL = 1e-12
 
 NODES_PER_PANEL = 8
-DEFAULT_NODE_CAP = 4_000_000
+DEFAULT_NODE_CAP = 8_000_000
 
 # Stratified EK: independent randomly shifted grids (their spread gives the
 # stderr).  The shifts are folded into coefficient rows (see _shifted_grids);
@@ -104,6 +104,20 @@ class QuadratureResult:
 def _check_spec(spec: PolynomialSpec) -> None:
     if spec.degenerate:
         raise ValueError("identically-zero (degenerate) spec has no zero density")
+
+
+def _check_integrable(spec: PolynomialSpec) -> None:
+    """_check_spec, and reject a lone oscillating term for the EK integrals.
+
+    Sine with 2 <= T < 3, or cosine with k >= 1 there, keeps only the n = 2
+    term: every realization vanishes on one fixed lattice, which the
+    Kac-Rice density (zero between lattice points) does not count.
+    """
+    _check_spec(spec)
+    if spec.n_terms == 2 and (spec.part is Part.SINE or spec.k >= 1):
+        lattice = "j pi" if spec.part is Part.SINE else "(j + 1/2) pi"
+        raise ValueError(f"only the n = 2 term oscillates: every realization "
+                         f"vanishes on the fixed lattice t = {lattice} / log 2")
 
 
 def _assemble(spec: PolynomialSpec, table: WeightTable, p0, p1s, p2):
@@ -256,7 +270,7 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
     |I_h - I_{h/2}| from one panel-width halving, and the finer value is
     reported.
     """
-    _check_spec(spec)
+    _check_integrable(spec)
     width = panel_width(spec) if max_panel_width is None else max_panel_width
     n_panels = max(1, math.ceil(interval.length / width))
     nodes = 3 * n_panels * nodes_per_panel
@@ -287,7 +301,7 @@ def expected_count_stratified(spec: PolynomialSpec, interval: Interval,
     not an upper bound.  nodes_used is strata rounded up to a multiple of
     25; abs_error_estimate repeats stderr.
     """
-    _check_spec(spec)
+    _check_integrable(spec)
     if strata < 100:
         raise ValueError("use at least 100 strata")
     if table is None:

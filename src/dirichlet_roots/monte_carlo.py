@@ -1,11 +1,16 @@
 """Simulation ground truth: count real zeros of sampled realizations.
 
 A trial evaluates one coefficient sample on a uniform grid over the target
-interval, counts sign changes (the Gaussian law puts zero probability on
-tangential zeros), and optionally refines each bracketed root by bisection.
-Trials are pure functions of (spec, master_seed, trial_index, interval,
-step), so parallel execution over any worker count reproduces the
-sequential result exactly.
+interval and counts sign changes (the Gaussian law puts zero probability on
+tangential zeros); count_roots can also refine each bracketed root by
+bisection.  run_trials runs trials in fixed blocks of 8 consecutive trial
+indices, [0, 8), [8, 16), ...: a block samples its 8 coefficient rows,
+evaluates them with one grid-kernel call and counts every row's sign
+changes at once.  A short last block is padded with zero rows, so every
+kernel call has the same shape and a trial's count is a pure function of
+(spec, master_seed, trial_index, interval, step): the block size depends on
+neither the trial count nor the worker count, and any number of workers
+reproduces the sequential result exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .core import (
     make_spec,
     sample_coefficients,
 )
-from .dirichlet_eval import WeightTable, eval_grid, eval_polynomial, make_weight_table
+from .dirichlet_eval import WeightTable, _grid_values, eval_grid, eval_polynomial, make_weight_table
 
 __all__ = [
     "RootCountResult",
@@ -40,6 +45,12 @@ __all__ = [
 
 # Grid values below this fraction of the coefficient L1 mass count as exact zeros.
 _GRID_ZERO_REL = 1e-13
+
+# Trials per run_trials block, one kernel call of this many rows.  Fixed: the
+# kernel's tile width, so the last bits of a row's values, depends on the row
+# count.  16 rows ran the mc_trials benchmark 7-11% faster, but their fine
+# grids put its peak RSS 5.4-6.0% above one call per trial (8 rows: 3.8%).
+_BLOCK_TRIALS = 8
 
 
 @dataclass(frozen=True)
@@ -75,23 +86,22 @@ def default_grid_step(spec: PolynomialSpec) -> float:
     return mean_zero_spacing(spec) / 8.0
 
 
-def _count_sign_pattern(values: np.ndarray, zero_tol: float) -> tuple[int, list[tuple[int, bool]]]:
-    """Count roots from the grid sign pattern.
+def _sign_events(values: np.ndarray,
+                 zero_tol: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots from the grid sign pattern along the last axis of values.
 
-    Returns (count, events); each event is (index, is_grid_zero): a grid zero
-    at index i, or a sign-change bracket starting at index i.  A grid-exact
-    zero counts once and belongs to the interval on its left: a flip counts
-    only between adjacent non-zero grid values, so the -, 0, + pattern is not
-    double counted.  Events are in grid order.
+    Returns (counts, zero, flips): zero marks the grid zeros (|value| below
+    zero_tol, which broadcasts against values), flips[..., i] a sign-change
+    bracket between grid values i and i + 1, and counts the number of both.
+    A grid-exact zero counts once and belongs to the interval on its left: a
+    flip counts only between adjacent non-zero grid values, so the -, 0, +
+    pattern is not double counted.
     """
     zero = np.abs(values) < zero_tol
     pos = values > 0
-    flips = np.nonzero((pos[1:] != pos[:-1]) & ~zero[1:] & ~zero[:-1])[0]
-    events = ([(int(i), True) for i in np.nonzero(zero)[0]]
-              + [(int(i), False) for i in flips])
-    # a bracket starting at i is found on reaching i + 1
-    events.sort(key=lambda e: e[0] + (not e[1]))
-    return len(events), events
+    flips = (pos[..., 1:] != pos[..., :-1]) & ~zero[..., 1:] & ~zero[..., :-1]
+    counts = np.count_nonzero(zero, axis=-1) + np.count_nonzero(flips, axis=-1)
+    return counts, zero, flips
 
 
 def _bisect_root(sample: CoefficientSample, table: WeightTable,
@@ -133,19 +143,15 @@ def count_roots(sample: CoefficientSample, interval: Interval,
         table = _table_for(spec)
     ge = eval_grid(sample, table, interval, step)
     mass = math.fsum(np.abs(sample.values) * table.weights)
-    count, events = _count_sign_pattern(ge.values, _GRID_ZERO_REL * mass)
+    count, zero, flips = _sign_events(ge.values, _GRID_ZERO_REL * mass)
     roots = None
     if keep_roots:
-        located = []
-        for idx, is_zero in events:
-            if is_zero:
-                located.append(ge.grid[idx])
-            else:
-                located.append(_bisect_root(sample, table, ge.grid[idx],
-                                            ge.grid[idx + 1], ge.values[idx],
-                                            refine_tol))
-        roots = np.asarray(sorted(located))
-    return RootCountResult(trial_index=sample.trial_index, count=count,
+        located = [*ge.grid[zero]] + [
+            _bisect_root(sample, table, ge.grid[i], ge.grid[i + 1],
+                         ge.values[i], refine_tol)
+            for i in np.flatnonzero(flips)]
+        roots = np.sort(np.asarray(located, dtype=np.float64))
+    return RootCountResult(trial_index=sample.trial_index, count=int(count),
                            roots=roots, grid_step=ge.step,
                            step_warning=step_warning)
 
@@ -155,10 +161,18 @@ def _table_for(spec: PolynomialSpec) -> WeightTable:
     return make_weight_table(spec)
 
 
-def _one_trial(args) -> int:
-    spec, master_seed, index, interval, step = args
-    sample = sample_coefficients(spec, master_seed, index)
-    return count_roots(sample, interval, step=step, table=_table_for(spec)).count
+def _count_block(args) -> np.ndarray:
+    """Root counts of trials first .. stop - 1 from one grid-kernel call of
+    _BLOCK_TRIALS rows (zero past stop), each counted as count_roots would."""
+    spec, master_seed, first, stop, interval, step = args
+    table = _table_for(spec)
+    x = np.zeros((_BLOCK_TRIALS, spec.n_terms))
+    for row, index in enumerate(range(first, stop)):
+        x[row] = sample_coefficients(spec, master_seed, index).values
+    _, values = _grid_values(table, x * table.weights, interval, step)
+    mass = np.array([math.fsum(row) for row in np.abs(x) * table.weights])
+    counts, _, _ = _sign_events(values, _GRID_ZERO_REL * mass[:, None])
+    return counts[:stop - first]
 
 
 def run_trials(spec: PolynomialSpec, interval: Interval, trials: int,
@@ -167,21 +181,26 @@ def run_trials(spec: PolynomialSpec, interval: Interval, trials: int,
     """Independent trials with per-trial counter-based seeding.
 
     The result is a pure function of (spec, interval, trials, master_seed,
-    step): trial i always draws stream mix(master_seed, i) and aggregation
-    runs in trial order, so any worker count gives identical output.
+    step): trial i always draws stream mix(master_seed, i), runs in the
+    fixed block of trials 8 * (i // 8) onward, and aggregation runs in
+    trial order, so any worker count gives identical output.  The pool has
+    at most one worker per block; a single block runs in-process.
     """
+    if spec.degenerate:
+        raise ValueError("cannot count roots of the identically-zero polynomial")
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
     if step is None:
         step = default_grid_step(spec)
-    work = [(spec, master_seed, i, interval, step) for i in range(trials)]
-    if threads <= 1:
-        counts = [_one_trial(w) for w in work]
+    blocks = [(spec, master_seed, first, min(first + _BLOCK_TRIALS, trials),
+               interval, step) for first in range(0, trials, _BLOCK_TRIALS)]
+    processes = min(threads, len(blocks))
+    if processes <= 1:
+        counts = [_count_block(b) for b in blocks]
     else:
-        chunk = max(1, trials // (4 * threads))
-        with get_context("fork").Pool(processes=threads) as pool:
-            counts = pool.map(_one_trial, work, chunksize=chunk)
-    arr = np.asarray(counts, dtype=np.int64)
+        with get_context("fork").Pool(processes=processes) as pool:
+            counts = pool.map(_count_block, blocks, chunksize=1)
+    arr = np.concatenate(counts).astype(np.int64)
     mean = float(np.mean(arr))
     stderr = float(np.std(arr, ddof=1) / math.sqrt(trials))
     return TrialAggregate(trials=trials, mean=mean, stderr=stderr,

@@ -28,11 +28,14 @@ def test_expected_json(capsys):
 
 
 def test_expected_degenerate_is_zero(capsys):
-    code, out, _ = run_cli(["expected", "--T", "1.5", "--part", "sine"], capsys)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["ek_value"] == 0.0
-    assert payload["method"] == "degenerate"
+    # T < 2 keeps only n = 1: zero for the sine part and, as w_1 = 0, for k >= 1
+    for flags in (["--part", "sine"], ["--k", "1"]):
+        code, out, _ = run_cli(["expected", "--T", "1.5", *flags], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ek_value"] == 0.0
+        assert payload["method"] == "degenerate"
+        assert payload["spec"]["degenerate"]
 
 
 def test_expected_budget_exit_code(capsys):
@@ -77,6 +80,18 @@ def test_simulate_csv_deterministic(tmp_path, capsys):
     p1, p2 = json.loads(js1), json.loads(js2)
     for key in ("mean", "stderr", "min", "max", "grid_step"):
         assert p1[key] == p2[key]
+
+
+def test_simulate_csv_same_for_any_threads(tmp_path, capsys):
+    # 37 trials make five blocks, the last of 5 trials: one, two and three
+    # workers must write the same bytes
+    paths = [tmp_path / f"t{threads}.csv" for threads in (1, 2, 3)]
+    for threads, path in zip((1, 2, 3), paths):
+        code, _, _ = run_cli(["simulate", "--T", "200", "--trials", "37", "--seed", "5",
+                              "--threads", str(threads), "--out", str(path)], capsys)
+        assert code == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+    assert len(paths[0].read_text().splitlines()) == 39
 
 
 def test_simulate_mean_matches_expected(capsys):

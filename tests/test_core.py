@@ -23,6 +23,13 @@ def test_make_spec_degenerate_sine():
     assert not make_spec(1.5, 0, 0.5, "cosine").degenerate
 
 
+def test_make_spec_degenerate_weightless_term():
+    # with T < 2 the only term is n = 1, whose weight (log 1)^k is 0 for k >= 1
+    assert make_spec(1.5, 1, 0.5, "cosine").degenerate
+    assert make_spec(1.9, 3, 0.0, "cosine").degenerate
+    assert not make_spec(2.0, 1, 0.5, "cosine").degenerate
+
+
 @pytest.mark.parametrize("bad", [
     dict(T=0.5), dict(T=1.0), dict(T=-3.0),
     dict(T=10.0, k=-1), dict(T=10.0, sigma=-0.1),

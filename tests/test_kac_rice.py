@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,21 @@ def test_two_term_sine_density_vanishes():
     spec = make_spec(2.5, 0, 0.5, "sine")
     for t in (0.21, 5.5, 80.0):
         assert breakdown_at(spec, t).density < 1e-6
+
+
+def test_single_oscillating_term_rejected():
+    # sine with 2 <= T < 3, or cosine with k >= 1 there, is a multiple of
+    # sin(t log 2) or cos(t log 2): every realization has the same lattice
+    # of zeros, which the Kac-Rice integral does not count
+    for T, k, part, lattice in ((2.5, 0, "sine", "j pi"), (2.9, 2, "sine", "j pi"),
+                                (2.0, 1, "cosine", "(j + 1/2) pi")):
+        spec = make_spec(T, k, 0.5, part)
+        iv = experiment_interval(spec)
+        with pytest.raises(ValueError, match=re.escape(lattice) + " / log 2"):
+            expected_count_deterministic(spec, iv)
+        with pytest.raises(ValueError, match="lattice"):
+            expected_count_stratified(spec, iv, 150, seed=1)
+        assert breakdown_at(spec, 1.0).density >= 0.0
 
 
 def test_two_term_integral_vs_brute_force():

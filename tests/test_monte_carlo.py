@@ -14,9 +14,11 @@ from dirichlet_roots import (
     sample_coefficients,
     sigma_sweep,
 )
+from dirichlet_roots import monte_carlo
 from dirichlet_roots.core import CoefficientSample, experiment_interval
+from dirichlet_roots.dirichlet_eval import _grid_values
 from dirichlet_roots.monte_carlo import (
-    _count_sign_pattern,
+    _sign_events,
     default_grid_step,
     mean_zero_spacing,
 )
@@ -87,20 +89,33 @@ def test_grid_zero_tie_breaks_left():
     assert res.roots[0] == 0.0
 
 
+def _events(values, zero_tol):
+    _, zero, flips = _sign_events(values, zero_tol)
+    return sorted([(int(i), True) for i in np.flatnonzero(zero)]
+                  + [(int(i), False) for i in np.flatnonzero(flips)],
+                  key=lambda e: e[0] + (not e[1]))
+
+
 def test_sign_pattern_adjacent_and_end_zeros():
     # grid zeros at both ends and two adjacent ones in the middle; a flip
     # counts only between adjacent non-zero values
     values = np.array([0.0, 2.0, -1.0, 1e-20, -0.0, 3.0, 1.5, -2.0, -2.5,
                        1e-20, 4.0, 0.0])
-    count, events = _count_sign_pattern(values, 1e-12)
-    assert count == 7
-    assert events == [(0, True), (1, False), (3, True), (4, True), (6, False),
-                      (9, True), (11, True)]
-    assert events == sign_pattern_events(values, 1e-12)
+    assert _sign_events(values, 1e-12)[0] == 7
+    assert _events(values, 1e-12) == [(0, True), (1, False), (3, True), (4, True),
+                                      (6, False), (9, True), (11, True)]
+    assert _events(values, 1e-12) == sign_pattern_events(values, 1e-12)
     rng = np.random.default_rng(4)
     for _ in range(300):
         values = rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5], size=rng.integers(1, 16))
-        assert _count_sign_pattern(values, 1.0)[1] == sign_pattern_events(values, 1.0)
+        expected = sign_pattern_events(values, 1.0)
+        assert _events(values, 1.0) == expected
+        assert _sign_events(values, 1.0)[0] == len(expected)
+    # rows of one array, each with its own tolerance, count as they do alone
+    rows = rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5], size=(40, 15))
+    tols = rng.choice([0.25, 1.0], size=40)
+    counts = _sign_events(rows, tols[:, None])[0]
+    assert counts.tolist() == [len(sign_pattern_events(r, t)) for r, t in zip(rows, tols)]
 
 
 def test_near_grid_zero_still_counts_once(cos_lattice):
@@ -119,6 +134,9 @@ def test_degenerate_and_bad_args():
     s = sample_coefficients(sine, 0, 0)
     with pytest.raises(ValueError):
         count_roots(s, Interval(1.5, 3.0))
+    for degenerate in (sine, make_spec(1.5, 1, 0.5, "cosine")):
+        with pytest.raises(ValueError):
+            run_trials(degenerate, Interval(1.5, 3.0), trials=4, master_seed=0)
     spec = make_spec(10.0)
     smp = sample_coefficients(spec, 0, 0)
     with pytest.raises(ValueError):
@@ -175,6 +193,43 @@ def test_run_trials_deterministic_and_thread_invariant():
     c = run_trials(spec, iv, trials=12, master_seed=5, threads=4)
     assert np.array_equal(a.per_trial_counts, b.per_trial_counts)
     assert np.array_equal(a.per_trial_counts, c.per_trial_counts)
+
+
+def test_run_trials_blocks_do_not_depend_on_trial_count(monkeypatch):
+    # trials run in fixed blocks of 8 indices with a short last block padded
+    # by zero rows; at 8x the default step the kernel's tile width depends on
+    # the row count, so an unpadded block would round differently
+    shapes = []
+
+    def recorded(table, coeffs, interval, step):
+        shapes.append(coeffs.shape)
+        return _grid_values(table, coeffs, interval, step)
+
+    monkeypatch.setattr(monte_carlo, "_grid_values", recorded)
+    spec = make_spec(200.0)
+    table = make_weight_table(spec)
+    iv = experiment_interval(spec)
+    rows = np.array([sample_coefficients(spec, 13, i).values
+                     for i in range(32, 40)]) * table.weights
+    padded = np.where(np.arange(8)[:, None] < 5, rows, 0.0)
+    for step in (default_grid_step(spec), 8.0 * default_grid_step(spec)):
+        short = run_trials(spec, iv, trials=37, master_seed=13, step=step)
+        full = run_trials(spec, iv, trials=64, master_seed=13, step=step)
+        assert np.array_equal(short.per_trial_counts, full.per_trial_counts[:37])
+        assert shapes == [(8, 200)] * 13
+        shapes.clear()
+        assert np.array_equal(_grid_values(table, padded, iv, step)[1][:5],
+                              _grid_values(table, rows, iv, step)[1][:5])
+
+
+@pytest.mark.parametrize("T", [200.0, 500.0])
+def test_run_trials_counts_match_count_roots(T):
+    spec = make_spec(T)
+    iv = experiment_interval(spec)
+    agg = run_trials(spec, iv, trials=40, master_seed=21)
+    direct = [count_roots(sample_coefficients(spec, 21, i), iv).count
+              for i in range(40)]
+    assert agg.per_trial_counts.tolist() == direct
 
 
 def test_run_trials_aggregate_consistency():
