@@ -26,6 +26,7 @@ from .dirichlet_eval import (
 )
 from .kac_rice import (
     DensityBreakdown,
+    NumericalError,
     QuadratureBudgetError,
     QuadratureResult,
     breakdown_at,

@@ -4,7 +4,8 @@ Single results are printed as JSON on stdout; sweeps additionally write CSV
 via --out (plot-ready, stable headers).  Every payload embeds the spec, the
 seed, grid/node parameters and per-phase wall times, so a result is
 reproducible from the artifact alone.  Exit codes: 0 ok, 2 usage error,
-3 deterministic quadrature budget exceeded.
+3 deterministic quadrature budget exceeded, 4 numerical error (the model is
+degenerate at some t).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import experiment_interval, make_spec
 from .diagnostics import l2_mean_value_check, proof_step_integrals, u_sup_monitor
 from .kac_rice import (
     DEFAULT_NODE_CAP,
+    NumericalError,
     QuadratureBudgetError,
     deterministic_node_count,
     expected_count_deterministic,
@@ -36,12 +38,17 @@ SCHEMA_VERSION = "1"
 
 _EXIT_USAGE = 2
 _EXIT_BUDGET = 3
+_EXIT_NUMERICAL = 4
 
 _SIGMA_SUITE = (0.0, 0.25, 0.5, 0.6, 0.75, 1.0)
 
 
-def _default_threads() -> int:
-    return int(os.environ.get("DIRICHLET_ROOTS_THREADS", "1"))
+def _thread_count(text: str) -> int:
+    """Type of --threads and of its default, DIRICHLET_ROOTS_THREADS."""
+    if not (text.strip().isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError("threads (--threads or DIRICHLET_ROOTS_THREADS) "
+                                         f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _spec_payload(spec) -> dict:
@@ -259,9 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Expected real zeros of random Dirichlet polynomials: "
                     "exact Kac-Rice quadrature, asymptotics, Monte Carlo.",
         epilog="Exit codes: 0 ok, 2 usage error, 3 quadrature budget exceeded "
-               "(retry with --method stratified).")
+               "(retry with --method stratified), 4 numerical error (the model "
+               "is degenerate at some t).")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # a string default goes through _thread_count only when --threads is absent
+    threads = os.environ.get("DIRICHLET_ROOTS_THREADS", "1")
 
     def add_spec_flags(p, with_part=True):
         p.add_argument("--T", type=float, required=True, help="cutoff T > 1")
@@ -286,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step", type=float, default=None,
                    help="grid step (default: mean zero spacing / 8)")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_thread_count, default=threads)
     p.add_argument("--out", help="write per-trial CSV here")
     p.set_defaults(func=cmd_simulate)
 
@@ -300,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--strata", type=int, default=10_000)
     p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_thread_count, default=threads)
     p.add_argument("--out", help="write the comparison CSV here")
     p.set_defaults(func=cmd_compare)
 
@@ -309,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_flags(p, with_part=False)
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_thread_count, default=threads)
     p.add_argument("--out", help="write the suite CSV here")
     p.set_defaults(func=cmd_diagnostics)
 
@@ -324,6 +334,9 @@ def main(argv=None) -> int:
     except QuadratureBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BUDGET
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

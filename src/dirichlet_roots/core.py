@@ -106,7 +106,8 @@ def make_spec(T: float, k: int = 0, sigma: float = 0.5,
               part: Part | str = Part.COSINE) -> PolynomialSpec:
     """Validate and build a PolynomialSpec.
 
-    Rejects T <= 1 (empty or trivial sum), negative k, negative sigma.
+    Rejects T <= 1 (empty or trivial sum), non-finite T, negative k, and
+    negative or non-finite sigma.
     Flags the identically-zero cases (T < 2 with the sine part or k >= 1)
     as degenerate.
     """
@@ -117,8 +118,8 @@ def make_spec(T: float, k: int = 0, sigma: float = 0.5,
         raise ValueError("T must be finite")
     if k < 0 or int(k) != k:
         raise ValueError(f"derivative order k must be a nonnegative integer, got {k}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     degenerate = T < 2.0 and (part is Part.SINE or k >= 1)
     return PolynomialSpec(T=float(T), k=int(k), sigma=float(sigma), part=part,
                           degenerate=degenerate)

@@ -146,7 +146,8 @@ def oscillating_sums(logs: np.ndarray,
                      sin_coeffs: np.ndarray,
                      start: float,
                      step: float,
-                     count: int) -> tuple[np.ndarray, np.ndarray]:
+                     count: int,
+                     shifts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate rows of cosine/sine sums along the uniform grid t_i = start + i*step.
 
     Returns (C, S) with
@@ -160,6 +161,14 @@ def oscillating_sums(logs: np.ndarray,
     onto a fine periodic grid, transformed by one FFT per row and divided by
     the kernel's own transform; terms with logs[n] = 0 are constant and are
     added exactly.  The error stays below about 3e-13 of each row's L1 mass.
+
+    With a 1-D array of S shifts, every coefficient row is evaluated on the
+    S grids t_i = start + shifts[g] + i*step, and row r*S + g of C (of S)
+    holds coefficient row r on grid g.  The grids share one point set, so
+    one sort, one kernel-weight table and one spreading pass serve them all.
+    Each shift enters by angle addition, as the strength factor
+    exp(i mid logs[n]) * exp(i shifts[g] logs[n]); forming fl(start + shift)
+    instead would add its rounding, times logs[n], to every phase alike.
     """
     if count <= 0:
         raise ValueError("count must be positive")
@@ -180,10 +189,15 @@ def oscillating_sums(logs: np.ndarray,
     terms = np.flatnonzero(logs != 0.0)
     terms = terms[np.argsort(cell[terms], kind="stable")]
     phase = (start + half * step) * logs[terms]
-    strengths = np.empty((2 * rows, terms.size))
-    np.take(coeffs, terms, axis=1, out=strengths[:rows])
-    np.multiply(strengths[:rows], np.sin(phase), out=strengths[rows:])
-    strengths[:rows] *= np.cos(phase)
+    if shifts is None:
+        strengths = np.empty((2 * rows, terms.size))
+        np.take(coeffs, terms, axis=1, out=strengths[:rows])
+        np.multiply(strengths[:rows], np.sin(phase), out=strengths[rows:])
+        strengths[:rows] *= np.cos(phase)
+    else:
+        strengths = _shifted_strengths(coeffs[:, terms], phase, shifts, logs[terms])
+        constant = np.repeat(constant, len(shifts), axis=0)
+        rows, n_cos = rows * len(shifts), n_cos * len(shifts)
     fine = _spread(strengths, cell[terms], frac[terms], nf)
     np.fft.ifft(fine, norm="forward", out=fine)
     out_c, out_s = np.empty((n_cos, count)), np.empty((rows - n_cos, count))
@@ -193,6 +207,22 @@ def oscillating_sums(logs: np.ndarray,
         out /= scale
     out_c += constant
     return out_c, out_s
+
+
+def _shifted_strengths(coeffs: np.ndarray, phase: np.ndarray, shifts: np.ndarray,
+                       logs: np.ndarray) -> np.ndarray:
+    """Real parts over imaginary parts of coeffs[r] * exp(i (phase + shifts[g] logs)).
+
+    Row r*S + g of each half holds coefficient row r and shift g.  The
+    shift's factor multiplies exp(i phase) by angle addition.
+    """
+    cp, sp = np.cos(phase), np.sin(phase)
+    angles = np.outer(shifts, logs)
+    cs, sn = np.cos(angles), np.sin(angles)
+    strengths = np.empty((2, coeffs.shape[0]) + angles.shape)
+    np.multiply(coeffs[:, None], cp * cs - sp * sn, out=strengths[0])
+    np.multiply(coeffs[:, None], sp * cs + cp * sn, out=strengths[1])
+    return strengths.reshape(2 * coeffs.shape[0] * len(angles), logs.size)
 
 
 @lru_cache(maxsize=8)
@@ -253,8 +283,8 @@ def _grid_values(table: WeightTable, coeffs: np.ndarray, interval: Interval,
     the row count, so callers that need values independent of how rows are
     grouped keep that count fixed.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     m = max(1, math.ceil(interval.length / step - 1e-12))
     actual = interval.length / m
     empty = np.empty((0, table.n_terms))

@@ -42,6 +42,7 @@ __all__ = [
     "DensityBreakdown",
     "QuadratureResult",
     "QuadratureBudgetError",
+    "NumericalError",
     "breakdown_at",
     "breakdown_grid",
     "expected_count_deterministic",
@@ -60,10 +61,11 @@ NODES_PER_PANEL = 8
 DEFAULT_NODE_CAP = 8_000_000
 
 # Stratified EK: independent randomly shifted grids (their spread gives the
-# stderr).  The shifts are folded into coefficient rows (see _shifted_grids);
-# _FOLD_ELEMS caps those rows (rows x terms, per trig half) per kernel call.
+# stderr), evaluated as shifts of one grid (see _shifted_grids).
+# _GROUP_ELEMS caps the coefficients per kernel call (moment rows x shifted
+# grids x terms), which bounds the kernel's strength and spreading memory.
 STRATIFIED_REPLICATES = 25
-_FOLD_ELEMS = 2_000_000
+_GROUP_ELEMS = 2_000_000
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -75,6 +77,19 @@ class QuadratureBudgetError(RuntimeError):
             f"use the stratified method for this T")
         self.nodes_required = nodes_required
         self.cap = cap
+
+
+class NumericalError(ValueError):
+    """The model is numerically degenerate: spec at t (None: at no single t).
+
+    A ValueError, so callers that catch those keep catching it; the CLI
+    reports it with its own exit code.
+    """
+
+    def __init__(self, message: str, spec: PolynomialSpec, t: float | None = None):
+        super().__init__(message if t is None else f"{message} at t = {t!r}")
+        self.spec = spec
+        self.t = t
 
 
 @dataclass(frozen=True)
@@ -116,12 +131,15 @@ def _check_integrable(spec: PolynomialSpec) -> None:
     _check_spec(spec)
     if spec.n_terms == 2 and (spec.part is Part.SINE or spec.k >= 1):
         lattice = "j pi" if spec.part is Part.SINE else "(j + 1/2) pi"
-        raise ValueError(f"only the n = 2 term oscillates: every realization "
-                         f"vanishes on the fixed lattice t = {lattice} / log 2")
+        raise NumericalError(f"only the n = 2 term oscillates: every realization "
+                             f"vanishes on the fixed lattice t = {lattice} / log 2", spec)
 
 
-def _assemble(spec: PolynomialSpec, table: WeightTable, p0, p1s, p2):
-    """Breakdown fields, by name, from the three moment sums at tau = 2t."""
+def _assemble(spec: PolynomialSpec, table: WeightTable, t, p0, p1s, p2):
+    """Breakdown fields, by name, from t and the three moment sums at tau = 2t.
+
+    t has the shape of the sums; a NumericalError names the first bad t.
+    """
     s = 1.0 if spec.part is Part.COSINE else -1.0
     L = math.log(spec.T)
     k1, k3 = 2 * spec.k + 1, 2 * spec.k + 3
@@ -132,7 +150,8 @@ def _assemble(spec: PolynomialSpec, table: WeightTable, p0, p1s, p2):
     if np.any(B <= 0):
         # Possible only for the sine part at isolated points where every
         # sin(t log n) vanishes simultaneously.
-        raise ValueError("covariance B <= 0; density undefined at this t")
+        raise NumericalError("covariance B <= 0 (density undefined)",
+                             spec, float(np.asarray(t)[B <= 0][0]))
     C = -s * p1s / (2.0 * B)
     ratio = A / B - C * C
     # Cauchy-Schwarz floor, scaled by the cancellation in A and B: near a
@@ -140,14 +159,16 @@ def _assemble(spec: PolynomialSpec, table: WeightTable, p0, p1s, p2):
     # A/B and C^2 blow up and roundoff in the difference grows with
     # (M_2 + M_0 (A/B + C^2)) / (2B), not with an absolute epsilon.
     err_scale = (table.m2 + table.m0 * (np.abs(A) / B + C * C)) / (2.0 * B) + 1.0
-    if np.any(ratio < -_NEGATIVE_TOL * err_scale):
-        raise AssertionError("A/B - C^2 fell below the Cauchy-Schwarz roundoff floor")
+    below = ratio < -_NEGATIVE_TOL * err_scale
+    if np.any(below):
+        raise NumericalError("A/B - C^2 fell below the Cauchy-Schwarz roundoff floor",
+                             spec, float(np.asarray(t)[below][0]))
     density = np.sqrt(np.maximum(ratio, 0.0)) / math.pi
     x = k1 * (g0 + s * (p0 - dc)) / L**k1
     y = k3 * (g2 - s * p2) / L**k3
     z = k3 * (C * C) / (k1 * L * L)
     w = (1.0 + y) / (1.0 + x) - z - 1.0
-    return {"A": A, "B": B, "C": C, "x": x, "y": y, "z": z, "w": w,
+    return {"t": t, "A": A, "B": B, "C": C, "x": x, "y": y, "z": z, "w": w,
             "density": density}
 
 
@@ -160,17 +181,24 @@ def breakdown_at(spec: PolynomialSpec, t: float,
     p0 = u_moment(table, 0, 2.0 * t, Part.COSINE)
     p1s = u_moment(table, 1, 2.0 * t, Part.SINE)
     p2 = u_moment(table, 2, 2.0 * t, Part.COSINE)
-    fields = _assemble(spec, table, p0, p1s, p2)
-    return DensityBreakdown(t=float(t), **{k: float(v) for k, v in fields.items()})
+    fields = _assemble(spec, table, t, p0, p1s, p2)
+    return DensityBreakdown(**{k: float(v) for k, v in fields.items()})
 
 
-def _moment_sums(table: WeightTable, start: float, step: float,
-                 count: int) -> tuple[np.ndarray, ...]:
-    """P_0, Pt_1, P_2 along the uniform grid tau_i = start + i*step."""
+def _moment_sums(table: WeightTable, start: float, step: float, count: int,
+                 shifts: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """P_0, Pt_1, P_2 along the uniform grid tau_i = start + i*step.
+
+    With shifts, along each grid tau_i = start + shifts[g] + i*step: every
+    sum is then a (shifts, count) array, from one kernel call of three
+    coefficient rows on all the shifted grids.
+    """
     sq, logs = table.squared_weights, table.logs
     c_rows, s_rows = oscillating_sums(logs, np.vstack([sq, sq * logs * logs]),
-                                      (sq * logs)[None, :], start, step, count)
-    return c_rows[0], s_rows[0], c_rows[1]
+                                      (sq * logs)[None, :], start, step, count, shifts)
+    shape = (count,) if shifts is None else (len(shifts), count)
+    p0, p2 = c_rows.reshape(2, *shape)
+    return p0, s_rows.reshape(shape), p2
 
 
 def breakdown_grid(spec: PolynomialSpec, table: WeightTable, start: float,
@@ -182,7 +210,7 @@ def breakdown_grid(spec: PolynomialSpec, table: WeightTable, start: float,
     """
     _check_spec(spec)
     sums = _moment_sums(table, 2.0 * start, 2.0 * step, count)
-    return {"t": start + step * np.arange(count), **_assemble(spec, table, *sums)}
+    return _assemble(spec, table, start + step * np.arange(count), *sums)
 
 
 def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
@@ -190,33 +218,23 @@ def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
     """Breakdown fields on the stratified estimator's randomly shifted grids.
 
     Replicate r is the grid t = lo + h (i + u_r), i < m, with h = length/m and
-    u_r uniform on [0, 1); row r of every field holds replicate r.  Each
-    replicate's shift s = h u_r (doubled) is folded into its coefficient rows
-    by angle addition,
-        cos((tau + s) l) = cos(tau l) cos(s l) - sin(tau l) sin(s l),
-        sin((tau + s) l) = sin(tau l) cos(s l) + cos(tau l) sin(s l),
-    so all replicates share one kernel call over tau_i = 2 (lo + i h) (one
-    call per _FOLD_ELEMS coefficients when there are many terms).
+    u_r uniform on [0, 1); row r of every field holds replicate r.  The
+    replicates' doubled shifts 2 h u_r go to the grid kernel as shifts of
+    the one grid tau_i = 2 (lo + i h): three moment rows per replicate, all
+    from one kernel call (one call per group of replicates when the
+    three rows of every replicate would hold more than _GROUP_ELEMS
+    coefficients, that is above 26,666 terms).
     """
     reps = STRATIFIED_REPLICATES
     m = -(-strata // reps)
     h = interval.length / m
     rng = np.random.Generator(np.random.PCG64(seed))
     shifts = h * rng.random(reps)
-    sq, logs = table.squared_weights, table.logs
-    w0, w1, w2 = sq, sq * logs, sq * logs * logs
-    parts = []
-    for group in np.array_split(shifts, -(-3 * shifts.size * logs.size // _FOLD_ELEMS)):
-        angles = np.outer(2.0 * group, logs)
-        cs, sn = np.cos(angles), np.sin(angles)
-        c_rows, s_rows = oscillating_sums(
-            logs, np.concatenate([w0 * cs, w1 * sn, w2 * cs]),
-            np.concatenate([-w0 * sn, w1 * cs, -w2 * sn]),
-            2.0 * interval.lo, 2.0 * h, m)
-        parts.append((c_rows + s_rows).reshape(3, group.size, m))
-    fields = _assemble(spec, table, *np.concatenate(parts, axis=1))
-    fields["t"] = interval.lo + shifts[:, None] + h * np.arange(m)
-    return fields
+    groups = np.array_split(shifts, -(-3 * reps * table.n_terms // _GROUP_ELEMS))
+    sums = [_moment_sums(table, 2.0 * interval.lo, 2.0 * h, m, 2.0 * group)
+            for group in groups]
+    return _assemble(spec, table, interval.lo + shifts[:, None] + h * np.arange(m),
+                     *(np.concatenate(rows) for rows in zip(*sums)))
 
 
 def panel_width(spec: PolynomialSpec) -> float:

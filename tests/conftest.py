@@ -1,10 +1,23 @@
 from __future__ import annotations
 
+import os
 import time
+from pathlib import Path
 
 import pytest
 
+import dirichlet_roots
 from dirichlet_roots import expected_count_deterministic, experiment_interval, make_spec
+
+
+@pytest.fixture(scope="session", autouse=True)
+def package_on_subprocess_path():
+    """Let `python -m dirichlet_roots.cli` subprocesses import the package
+    under test, also from a checkout where it is not installed."""
+    src = str(Path(dirichlet_roots.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 class EkCache:

@@ -65,6 +65,35 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+def test_bad_numeric_inputs_exit_two(capsys, monkeypatch):
+    for args, name in ((["expected", "--T", "100", "--sigma", "nan"], "sigma"),
+                       (["simulate", "--T", "100", "--trials", "4", "--sigma", "nan"], "sigma"),
+                       (["simulate", "--T", "100", "--trials", "4", "--step", "inf"], "step"),
+                       (["simulate", "--T", "100", "--trials", "4", "--step", "nan"], "step")):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == "" and name in err
+    for threads in ("0", "-2", "1.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--T", "100", "--threads", threads])
+        assert exc.value.code == 2
+    # a bad DIRICHLET_ROOTS_THREADS stops only the commands that take --threads
+    monkeypatch.setenv("DIRICHLET_ROOTS_THREADS", "four")
+    assert run_cli(["expected", "--T", "100"], capsys)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--T", "100"])
+    assert exc.value.code == 2
+    assert "DIRICHLET_ROOTS_THREADS" in capsys.readouterr().err
+
+
+def test_numerical_error_exit_four(capsys):
+    # only the n = 2 term oscillates: every realization vanishes on j pi / log 2
+    code, out, err = run_cli(["expected", "--T", "2.5", "--part", "sine"], capsys)
+    assert code == 4 and out == "" and "lattice" in err
+    from dirichlet_roots.cli import build_parser
+
+    assert "4 numerical error" in build_parser().epilog
+
+
 def test_simulate_csv_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

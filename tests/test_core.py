@@ -33,6 +33,7 @@ def test_make_spec_degenerate_weightless_term():
 @pytest.mark.parametrize("bad", [
     dict(T=0.5), dict(T=1.0), dict(T=-3.0),
     dict(T=10.0, k=-1), dict(T=10.0, sigma=-0.1),
+    dict(T=float("nan")), dict(T=10.0, sigma=float("nan")), dict(T=10.0, sigma=float("inf")),
 ])
 def test_make_spec_rejects(bad):
     with pytest.raises(ValueError):

@@ -166,6 +166,77 @@ def test_kernel_exact_constant_and_zero_rows():
     assert np.all(C == 0.0) and np.all(S == 0.0)
 
 
+def test_kernel_zero_shift_is_unshifted_bitwise():
+    spec = make_spec(500.0, 0, 0.5)
+    table = make_weight_table(spec)
+    X = np.array([sample_coefficients(spec, 9, r).values for r in range(5)]) * table.weights
+    for start in (500.0, 60000.0):
+        plain = oscillating_sums(table.logs, X[:3], X[3:], start, 0.1, 300)
+        shifted = oscillating_sums(table.logs, X[:3], X[3:], start, 0.1, 300, np.array([0.0]))
+        assert all(np.array_equal(a, b) for a, b in zip(plain, shifted))
+
+
+@pytest.mark.parametrize("T,start,step,count,shifts,nodes", [
+    (300.0, -450.0, 0.5, 40, (0.0, 0.125, -3.25, 17.0), None),
+    (4000.0, 8000.0, 40.0, 50, (0.0, 7.5, 39.875), (0, 24, 49)),
+    # stratified T = 30000's doubled grid tau = 2 lo + 2 h (i + u), h = 1875
+    (30000.0, 60000.0, 3750.0, 16, (0.0, 7.0, 1234.5625, 3749.875), (0, 9, 15)),
+])
+def test_kernel_shifted_rows_match_fsum(T, start, step, count, shifts, nodes):
+    # row r*S + g holds coefficient row r on the grid start + shifts[g] +
+    # i*step (every checked t is exact in binary).  Both the kernel and the
+    # fsum oracles round each phase t log n, which bounds their agreement at
+    # large |t| by about eps |t| ||c_n log n||_2 (measured 0.6-0.9 of it
+    # at all three starts); at moderate |t| the 1e-12 L1-mass term dominates
+    spec, sin_spec = make_spec(T, 0, 0.5, "cosine"), make_spec(T, 0, 0.5, "sine")
+    table, sin_table = make_weight_table(spec), make_weight_table(sin_spec)
+    X = sample_coefficients(spec, 5, 0).values
+    sq, logs = table.squared_weights, table.logs
+    rows = np.vstack([X * table.weights, sq, sq * logs, sq * logs * logs])
+    C, S = oscillating_sums(logs, rows, rows, start, step, count, np.array(shifts))
+    assert C.shape == S.shape == (4 * len(shifts), count)
+
+    def direct(r, t):
+        if r == 0:
+            return (eval_polynomial(_fixed_sample(spec, X), table, t),
+                    eval_polynomial(_fixed_sample(sin_spec, X), sin_table, t))
+        return u_moment(table, r - 1, t, "cos"), u_moment(table, r - 1, t, "sin")
+
+    eps = np.finfo(np.float64).eps
+    for r, row in enumerate(rows):
+        mass, spread = math.fsum(np.abs(row)), float(np.linalg.norm(row * logs))
+        for g, shift in enumerate(shifts):
+            for i in range(count) if nodes is None else nodes:
+                t = start + shift + i * step
+                c, s = direct(r, t)
+                bound = 1e-12 * mass + 2.0 * eps * abs(t) * spread
+                assert abs(C[r * len(shifts) + g, i] - c) < bound
+                assert abs(S[r * len(shifts) + g, i] - s) < bound
+
+
+def test_kernel_shifted_half_empty_and_exact_constant():
+    table = make_weight_table(make_spec(700.0, 1, 0.5))
+    sq, logs = table.squared_weights, table.logs
+    rows = np.vstack([sq, sq * logs])
+    empty = np.empty((0, table.n_terms))
+    start, step, shifts = 1400.0, 0.3, np.array([0.0, 0.5, -2.25])
+    C, S_none = oscillating_sums(logs, rows, empty, start, step, 100, shifts)
+    C_none, S = oscillating_sums(logs, empty, rows, start, step, 100, shifts)
+    assert S_none.shape == C_none.shape == (0, 100)
+    assert C.shape == S.shape == (6, 100)
+    for j in range(2):
+        mass = math.fsum(rows[j])
+        for g, shift in enumerate(shifts):
+            for i in (0, 63, 99):
+                t = start + shift + i * step
+                assert abs(C[3 * j + g, i] - u_moment(table, j, t, "cos")) < 1e-12 * mass
+                assert abs(S[3 * j + g, i] - u_moment(table, j, t, "sin")) < 1e-12 * mass
+    # the n = 1 term (log n = 0) is exact on every shifted cosine row
+    C, S = oscillating_sums(np.zeros(1), [[2.5], [-1.0]], [[1.5]], 6e4, 0.7, 40,
+                            np.array([0.0, 0.3, -7.5, 1e4]))
+    assert np.all(C == np.repeat([[2.5], [-1.0]], 4, axis=0)) and np.all(S == 0.0)
+
+
 def test_grid_snapping_and_errors(two_term):
     spec, table = two_term
     sample = _fixed_sample(spec, [1.0, 1.0])

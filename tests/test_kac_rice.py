@@ -17,6 +17,7 @@ from dirichlet_roots.core import experiment_interval
 from dirichlet_roots.dirichlet_eval import WeightTable
 from dirichlet_roots.kac_rice import (
     DEFAULT_NODE_CAP,
+    NumericalError,
     STRATIFIED_REPLICATES,
     _gauss_legendre,
     _shifted_grids,
@@ -101,6 +102,29 @@ def test_single_oscillating_term_rejected():
         assert breakdown_at(spec, 1.0).density >= 0.0
 
 
+def test_numerical_errors_are_classified():
+    # a sine model whose every term vanishes at t: B = 0 there
+    spec = make_spec(2.5, 0, 0.5, "sine")
+    t = math.pi / math.log(2.0)
+    with pytest.raises(NumericalError, match="B <= 0") as exc:
+        breakdown_at(spec, t)
+    assert (exc.value.spec, exc.value.t) == (spec, t)
+    # the lone n = 2 term: no single t applies
+    with pytest.raises(NumericalError, match="lattice") as exc:
+        expected_count_deterministic(spec, experiment_interval(spec))
+    assert (exc.value.spec, exc.value.t) == (spec, None)
+    # a negative squared weight breaks Cauchy-Schwarz: A < 0 < B
+    spec = make_spec(2.5, 0, 0.5, "cosine")
+    bad = WeightTable(spec=spec, logs=np.log([1.0, 2.0]), weights=np.ones(2),
+                      squared_weights=np.array([1.0, -0.5]))
+    with pytest.raises(NumericalError, match="Cauchy-Schwarz") as exc:
+        breakdown_at(spec, 1.0, bad)
+    assert exc.value.t == 1.0 and isinstance(exc.value, ValueError)
+    with pytest.raises(NumericalError, match="Cauchy-Schwarz") as exc:
+        breakdown_grid(spec, bad, 0.0, 0.25, 20)
+    assert exc.value.t == 0.25  # t = 0 has sin(t log 2) = 0, so A = 0 there
+
+
 def test_two_term_integral_vs_brute_force():
     # one full period against a 1e6-node trapezoid reference; the density has
     # a corner (|sin|) at each lattice zero, so the default panel rule is
@@ -167,8 +191,8 @@ def test_gauss_legendre_rows_closed_form():
 @pytest.mark.parametrize("T,k,part", [(300.0, 0, "cosine"), (300.0, 2, "sine"),
                                       (14_000.0, 0, "cosine"), (30_000.0, 0, "cosine")])
 def test_shifted_grids_match_pointwise(T, k, part):
-    # the shift folded into the coefficient rows reproduces the direct
-    # moment sums at every stratified node (at T = 30000 the replicates are
+    # the replicates' shifts, applied inside the grid kernel, reproduce the
+    # direct moment sums at every stratified node (at T = 30000 the replicates are
     # split over two kernel calls); each replicate puts exactly one node in
     # each of its equal cells
     spec = make_spec(T, k, 0.5, part)
