@@ -147,7 +147,8 @@ def oscillating_sums(logs: np.ndarray,
                      start: float,
                      step: float,
                      count: int,
-                     shifts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                     shifts: np.ndarray | tuple[float, ...] = (0.0,),
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate rows of cosine/sine sums along the uniform grid t_i = start + i*step.
 
     Returns (C, S) with
@@ -162,13 +163,15 @@ def oscillating_sums(logs: np.ndarray,
     the kernel's own transform; terms with logs[n] = 0 are constant and are
     added exactly.  The error stays below about 3e-13 of each row's L1 mass.
 
-    With a 1-D array of S shifts, every coefficient row is evaluated on the
-    S grids t_i = start + shifts[g] + i*step, and row r*S + g of C (of S)
-    holds coefficient row r on grid g.  The grids share one point set, so
-    one sort, one kernel-weight table and one spreading pass serve them all.
-    Each shift enters by angle addition, as the strength factor
+    shifts, a 1-D array of S offsets, evaluates every coefficient row on
+    the S grids t_i = start + shifts[g] + i*step; row r*S + g of C (of S)
+    holds coefficient row r on grid g.  The default, one zero shift, is the
+    plain grid.  The grids share one point set, so one sort, one
+    kernel-weight table and one spreading pass serve them all.  Each shift
+    enters by angle addition, as the strength factor
     exp(i mid logs[n]) * exp(i shifts[g] logs[n]); forming fl(start + shift)
     instead would add its rounding, times logs[n], to every phase alike.
+    A zero shift's factor is exactly 1, so it leaves the strengths unchanged.
     """
     if count <= 0:
         raise ValueError("count must be positive")
@@ -189,15 +192,10 @@ def oscillating_sums(logs: np.ndarray,
     terms = np.flatnonzero(logs != 0.0)
     terms = terms[np.argsort(cell[terms], kind="stable")]
     phase = (start + half * step) * logs[terms]
-    if shifts is None:
-        strengths = np.empty((2 * rows, terms.size))
-        np.take(coeffs, terms, axis=1, out=strengths[:rows])
-        np.multiply(strengths[:rows], np.sin(phase), out=strengths[rows:])
-        strengths[:rows] *= np.cos(phase)
-    else:
-        strengths = _shifted_strengths(coeffs[:, terms], phase, shifts, logs[terms])
-        constant = np.repeat(constant, len(shifts), axis=0)
-        rows, n_cos = rows * len(shifts), n_cos * len(shifts)
+    shifts = np.asarray(shifts, dtype=np.float64)
+    strengths = _shifted_strengths(coeffs[:, terms], phase, shifts, logs[terms])
+    constant = np.repeat(constant, shifts.size, axis=0)
+    rows, n_cos = rows * shifts.size, n_cos * shifts.size
     fine = _spread(strengths, cell[terms], frac[terms], nf)
     np.fft.ifft(fine, norm="forward", out=fine)
     out_c, out_s = np.empty((n_cos, count)), np.empty((rows - n_cos, count))

@@ -186,19 +186,19 @@ def breakdown_at(spec: PolynomialSpec, t: float,
 
 
 def _moment_sums(table: WeightTable, start: float, step: float, count: int,
-                 shifts: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """P_0, Pt_1, P_2 along the uniform grid tau_i = start + i*step.
+                 shifts: np.ndarray | tuple[float, ...] = (0.0,),
+                 terms: slice | np.ndarray = slice(None)) -> tuple[np.ndarray, ...]:
+    """P_0, Pt_1, P_2 along the grids tau_i = start + shifts[g] + i*step.
 
-    With shifts, along each grid tau_i = start + shifts[g] + i*step: every
-    sum is then a (shifts, count) array, from one kernel call of three
-    coefficient rows on all the shifted grids.
+    Every sum is a (shifts, count) array, from one kernel call of three
+    coefficient rows on all the shifted grids; terms selects the n that
+    enter the sums (all by default).
     """
-    sq, logs = table.squared_weights, table.logs
+    sq, logs = table.squared_weights[terms], table.logs[terms]
     c_rows, s_rows = oscillating_sums(logs, np.vstack([sq, sq * logs * logs]),
                                       (sq * logs)[None, :], start, step, count, shifts)
-    shape = (count,) if shifts is None else (len(shifts), count)
-    p0, p2 = c_rows.reshape(2, *shape)
-    return p0, s_rows.reshape(shape), p2
+    p0, p2 = c_rows.reshape(2, -1, count)
+    return p0, s_rows, p2
 
 
 def breakdown_grid(spec: PolynomialSpec, table: WeightTable, start: float,
@@ -210,7 +210,8 @@ def breakdown_grid(spec: PolynomialSpec, table: WeightTable, start: float,
     """
     _check_spec(spec)
     sums = _moment_sums(table, 2.0 * start, 2.0 * step, count)
-    return _assemble(spec, table, start + step * np.arange(count), *sums)
+    return _assemble(spec, table, start + step * np.arange(count),
+                     *(rows[0] for rows in sums))
 
 
 def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
@@ -221,20 +222,21 @@ def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
     u_r uniform on [0, 1); row r of every field holds replicate r.  The
     replicates' doubled shifts 2 h u_r go to the grid kernel as shifts of
     the one grid tau_i = 2 (lo + i h): three moment rows per replicate, all
-    from one kernel call (one call per group of replicates when the
-    three rows of every replicate would hold more than _GROUP_ELEMS
-    coefficients, that is above 26,666 terms).
+    from one kernel call.  Above 26,666 terms the three rows of all 25
+    replicates would hold more than _GROUP_ELEMS coefficients; the terms
+    are then split into blocks of at most that many coefficients, one call
+    per block, and the blocks' sums are added.
     """
     reps = STRATIFIED_REPLICATES
     m = -(-strata // reps)
     h = interval.length / m
     rng = np.random.Generator(np.random.PCG64(seed))
     shifts = h * rng.random(reps)
-    groups = np.array_split(shifts, -(-3 * reps * table.n_terms // _GROUP_ELEMS))
-    sums = [_moment_sums(table, 2.0 * interval.lo, 2.0 * h, m, 2.0 * group)
-            for group in groups]
-    return _assemble(spec, table, interval.lo + shifts[:, None] + h * np.arange(m),
-                     *(np.concatenate(rows) for rows in zip(*sums)))
+    n = table.n_terms
+    blocks = np.array_split(np.arange(n), -(-3 * reps * n // _GROUP_ELEMS))
+    sums = sum(np.stack(_moment_sums(table, 2.0 * interval.lo, 2.0 * h, m,
+                                     2.0 * shifts, block)) for block in blocks)
+    return _assemble(spec, table, interval.lo + shifts[:, None] + h * np.arange(m), *sums)
 
 
 def panel_width(spec: PolynomialSpec) -> float:

@@ -6,18 +6,18 @@ from pathlib import Path
 
 import pytest
 
-import dirichlet_roots
 from dirichlet_roots import expected_count_deterministic, experiment_interval, make_spec
 
 
-@pytest.fixture(scope="session", autouse=True)
-def package_on_subprocess_path():
-    """Let `python -m dirichlet_roots.cli` subprocesses import the package
-    under test, also from a checkout where it is not installed."""
-    src = str(Path(dirichlet_roots.__file__).resolve().parents[1])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
-        yield
+@pytest.fixture(scope="session")
+def cli_env() -> dict[str, str]:
+    """Environment for `python -m dirichlet_roots.cli` subprocesses: this
+    checkout's src/ leads PYTHONPATH, so they import the code under test
+    also where the package is not installed."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 class EkCache:

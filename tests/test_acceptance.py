@@ -73,11 +73,11 @@ def test_criterion_02_mc_vs_ek(ek_cache):
             all(p <= 4.0 for p in pulls) and elapsed < 600.0, detail)
 
 
-def test_criterion_03_headline_constant():
+def test_criterion_03_headline_constant(cli_env):
     cmd = [sys.executable, "-m", "dirichlet_roots.cli", "compare",
            "--T-list", "1000,2000,4000", "--trials", "4", "--seed", "9",
            "--method", "stratified", "--strata", "40000"]
-    proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, capture_output=True, text=True, check=True, env=cli_env)
     rows = json.loads(proc.stdout)["rows"]
     off = {r["T"]: abs(r["ratio"] - TWO_OVER_SQRT3) / TWO_OVER_SQRT3 for r in rows}
     ok = off[2000.0] <= 0.05 and off[4000.0] < off[1000.0]
@@ -155,7 +155,7 @@ def test_criterion_08_sigma_transition():
     _report(8, "sigma transition trends", spread < 0.15 and decreasing, detail)
 
 
-def test_criterion_09_determinism(tmp_path):
+def test_criterion_09_determinism(tmp_path, cli_env):
     base = [sys.executable, "-m", "dirichlet_roots.cli", "simulate",
             "--T", "200", "--trials", "64", "--seed", "7"]
     paths = [tmp_path / f"run{i}.csv" for i in range(3)]
@@ -163,7 +163,7 @@ def test_criterion_09_determinism(tmp_path):
             base + ["--threads", "1", "--out", str(paths[1])],
             base + ["--threads", "8", "--out", str(paths[2])]]
     for cmd in runs:
-        subprocess.run(cmd, capture_output=True, check=True)
+        subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
     b = [p.read_bytes() for p in paths]
     ok = b[0] == b[1] == b[2]
     _report(9, "byte-identical CSV across runs and 1 vs 8 threads", ok,

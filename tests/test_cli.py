@@ -184,9 +184,9 @@ def test_diagnostics_sigma_suite(tmp_path, capsys):
     assert out.read_text().splitlines()[1] == "sigma,mean,stderr,normalized"
 
 
-def test_console_script_entrypoint():
+def test_console_script_entrypoint(cli_env):
     proc = subprocess.run([sys.executable, "-m", "dirichlet_roots.cli",
-                           "--version"], capture_output=True, text=True)
+                           "--version"], capture_output=True, text=True, env=cli_env)
     assert proc.returncode == 0
 
 

@@ -14,7 +14,7 @@ from dirichlet_roots import (
     u_moment,
 )
 from dirichlet_roots.core import CoefficientSample
-from dirichlet_roots.dirichlet_eval import oscillating_sums
+from dirichlet_roots.dirichlet_eval import _shifted_strengths, oscillating_sums
 
 from oracles import direct_power_sum
 
@@ -167,10 +167,15 @@ def test_kernel_exact_constant_and_zero_rows():
 
 
 def test_kernel_zero_shift_is_unshifted_bitwise():
+    # the plain grid is one zero shift, whose angle-addition factor is exactly
+    # 1: the strengths are the unshifted coeffs * exp(i phase), bit for bit
     spec = make_spec(500.0, 0, 0.5)
     table = make_weight_table(spec)
     X = np.array([sample_coefficients(spec, 9, r).values for r in range(5)]) * table.weights
     for start in (500.0, 60000.0):
+        phase = start * table.logs
+        got = _shifted_strengths(X, phase, np.zeros(1), table.logs)
+        assert np.array_equal(got, np.vstack([X * np.cos(phase), X * np.sin(phase)]))
         plain = oscillating_sums(table.logs, X[:3], X[3:], start, 0.1, 300)
         shifted = oscillating_sums(table.logs, X[:3], X[3:], start, 0.1, 300, np.array([0.0]))
         assert all(np.array_equal(a, b) for a, b in zip(plain, shifted))

@@ -13,6 +13,7 @@ from dirichlet_roots import (
     make_spec,
     make_weight_table,
 )
+from dirichlet_roots import kac_rice
 from dirichlet_roots.core import experiment_interval
 from dirichlet_roots.dirichlet_eval import WeightTable
 from dirichlet_roots.kac_rice import (
@@ -192,7 +193,7 @@ def test_gauss_legendre_rows_closed_form():
                                       (14_000.0, 0, "cosine"), (30_000.0, 0, "cosine")])
 def test_shifted_grids_match_pointwise(T, k, part):
     # the replicates' shifts, applied inside the grid kernel, reproduce the
-    # direct moment sums at every stratified node (at T = 30000 the replicates are
+    # direct moment sums at every stratified node (at T = 30000 the terms are
     # split over two kernel calls); each replicate puts exactly one node in
     # each of its equal cells
     spec = make_spec(T, k, 0.5, part)
@@ -207,6 +208,20 @@ def test_shifted_grids_match_pointwise(T, k, part):
         b = breakdown_at(spec, float(br["t"][r, i]), table)
         for name in ("A", "B", "C", "density"):
             assert br[name][r, i] == pytest.approx(getattr(b, name), rel=1e-9, abs=1e-12)
+
+
+def test_shifted_grids_term_blocks(monkeypatch):
+    # with a small per-call budget the terms split into more blocks than
+    # there are replicates; the blocks' sums add up to the one-call values
+    spec = make_spec(300.0, 0, 0.5, "cosine")
+    table = make_weight_table(spec)
+    iv = experiment_interval(spec)
+    whole = _shifted_grids(spec, table, iv, 400, seed=7)
+    monkeypatch.setattr(kac_rice, "_GROUP_ELEMS", 3 * STRATIFIED_REPLICATES * 7)
+    split = _shifted_grids(spec, table, iv, 400, seed=7)
+    assert np.array_equal(split["t"], whole["t"])
+    for name in ("A", "B", "C", "density"):
+        assert np.allclose(split[name], whole[name], rtol=1e-12, atol=1e-12)
 
 
 def test_weight_scale_invariance():
