@@ -16,9 +16,7 @@ from .core import (
     sample_coefficients,
 )
 from .dirichlet_eval import (
-    GridEvaluation,
     WeightTable,
-    eval_grid,
     eval_polynomial,
     log_moment_sum,
     make_weight_table,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .asymptotics import stieltjes_constant
 from .core import Interval, Part, PolynomialSpec
-from .dirichlet_eval import WeightTable, make_weight_table, oscillating_sums
+from .dirichlet_eval import make_weight_table, oscillating_sums
 from .kac_rice import NODES_PER_PANEL, _gauss_legendre, _moment_sums, breakdown_grid, panel_width
 
 __all__ = [
@@ -107,8 +107,8 @@ def l2_mean_value_check(coefficients, T: float,
         raise ValueError("need at least one coefficient")
     if n > 1_000:
         raise ValueError("quadrature cost is budgeted for at most 1000 coefficients")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
     logs = np.log(np.arange(1, n + 1, dtype=np.float64))
     rows = np.vstack([a.real, a.imag])
     width = math.pi / (4.0 * math.log(max(n, 2)))
@@ -125,8 +125,7 @@ def l2_mean_value_check(coefficients, T: float,
 
 
 def u_sup_monitor(spec: PolynomialSpec, interval: Interval,
-                  gridpoints: int = 10_000,
-                  table: WeightTable | None = None) -> USupReport:
+                  gridpoints: int = 10_000) -> USupReport:
     """Grid suprema of |u(2t)|, |u'(2t)|, |u''(2t)| over the interval.
 
     u(t) = sum_n w_n^2 cos(t log n) with the spec's weights, minus its
@@ -137,8 +136,7 @@ def u_sup_monitor(spec: PolynomialSpec, interval: Interval,
     """
     if gridpoints < 1_000:
         raise ValueError("use at least 1000 grid points for a meaningful supremum")
-    if table is None:
-        table = make_weight_table(spec)
+    table = make_weight_table(spec)
     step = interval.length / (gridpoints - 1)
     p0, p1s, p2 = _moment_sums(table, 2.0 * interval.lo, 2.0 * step, gridpoints)
     sup_u = float(np.max(np.abs(p0 - table.squared_weights[0])))

@@ -1,14 +1,14 @@
 """Fast, numerically careful evaluation of weighted cosine/sine Dirichlet sums.
 
-Two evaluation paths are provided and cross-checked in the tests:
+Two evaluators, cross-checked in the tests:
 
 * direct: one point at a time, exact trig arguments, compensated (Shewchuk)
-  summation via math.fsum.  Reference-quality, used for single points and for
-  bisection refinement.
-* grid kernel: values on a uniform t-grid, as a type-1 nonuniform FFT
-  (exponential-of-semicircle spreading onto a fine grid, one FFT, kernel
-  deconvolution), O(terms + grid log grid) per row.  Error below about
-  3e-13 of the row's coefficient L1 mass.
+  summation via math.fsum.  Reference-quality, used for single points, for
+  bisection refinement and as the grid kernel's test oracle.
+* grid kernel (oscillating_sums): rows of values on a uniform t-grid, as a
+  type-1 nonuniform FFT (exponential-of-semicircle spreading onto a fine
+  grid, one FFT, kernel deconvolution), O(terms + grid log grid) per row.
+  Error below about 3e-13 of the row's coefficient L1 mass.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ from .core import CoefficientSample, Interval, Part, PolynomialSpec
 
 __all__ = [
     "WeightTable",
-    "GridEvaluation",
     "make_weight_table",
     "eval_polynomial",
-    "eval_grid",
     "u_moment",
     "log_moment_sum",
     "oscillating_sums",
@@ -53,8 +51,8 @@ class WeightTable:
     """Per-spec amplitude tables, precomputed once and shared read-only.
 
     weights[n-1] = (log n)^k / n^sigma; squared_weights are their squares.
-    The m0/m1/m2 scalars are the t = 0 moment sums sum w_n^2 (log n)^j,
-    accumulated with math.fsum.
+    The m0/m2 scalars are the t = 0 moment sums sum w_n^2 (log n)^j, j = 0
+    and 2, accumulated with math.fsum.
     """
 
     spec: PolynomialSpec
@@ -62,18 +60,14 @@ class WeightTable:
     weights: np.ndarray
     squared_weights: np.ndarray
     m0: float = field(init=False)
-    m1: float = field(init=False)
     m2: float = field(init=False)
-    abs_weight_mass: float = field(init=False)
 
     def __post_init__(self) -> None:
         for arr in (self.logs, self.weights, self.squared_weights):
             arr.setflags(write=False)
         sq = self.squared_weights
         object.__setattr__(self, "m0", math.fsum(sq))
-        object.__setattr__(self, "m1", math.fsum(sq * self.logs))
         object.__setattr__(self, "m2", math.fsum(sq * self.logs**2))
-        object.__setattr__(self, "abs_weight_mass", math.fsum(np.abs(self.weights)))
 
     @property
     def n_terms(self) -> int:
@@ -88,14 +82,10 @@ def make_weight_table(spec: PolynomialSpec) -> WeightTable:
                        squared_weights=weights * weights)
 
 
-def _check_same_spec(sample: CoefficientSample, table: WeightTable) -> None:
-    if sample.spec != table.spec:
-        raise ValueError("sample and weight table were built for different specs")
-
-
 def eval_polynomial(sample: CoefficientSample, table: WeightTable, t: float) -> float:
     """S(t) = sum_n X_n w_n cos(t log n) (sin for the sine part), fsum-accumulated."""
-    _check_same_spec(sample, table)
+    if sample.spec != table.spec:
+        raise ValueError("sample and weight table were built for different specs")
     phases = t * table.logs
     osc = np.cos(phases) if table.spec.part is Part.COSINE else np.sin(phases)
     return math.fsum(sample.values * table.weights * osc)
@@ -243,43 +233,17 @@ def _fine_grid(count: int) -> tuple[int, np.ndarray]:
     return nf, scale
 
 
-@dataclass(frozen=True)
-class GridEvaluation:
-    """Values of one sample's polynomial on a uniform grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    step: float
-
-    def __post_init__(self) -> None:
-        self.grid.setflags(write=False)
-        self.values.setflags(write=False)
-
-
-def eval_grid(sample: CoefficientSample, table: WeightTable,
-              interval: Interval, step: float) -> GridEvaluation:
-    """Evaluate S on a uniform grid covering the interval exactly.
-
-    The requested step is an upper bound: it is snapped down to
-    length / ceil(length / step) so the grid ends exactly at interval.hi.
-    Halving the effective step therefore yields a nested refinement, which
-    the root counter relies on for its monotonicity guarantee.
-    """
-    _check_same_spec(sample, table)
-    actual, values = _grid_values(table, (sample.values * table.weights)[None, :],
-                                  interval, step)
-    grid = interval.lo + actual * np.arange(values.shape[1])
-    return GridEvaluation(grid=grid, values=values[0], step=actual)
-
-
 def _grid_values(table: WeightTable, coeffs: np.ndarray, interval: Interval,
                  step: float) -> tuple[float, np.ndarray]:
-    """Rows of S on eval_grid's snapped grid, from one grid-kernel call.
+    """Rows of S on a uniform grid covering the interval, from one kernel call.
 
-    coeffs holds one row of X_n w_n per realization.  Returns the snapped
-    step and the (rows, points) values; the kernel's tile width depends on
-    the row count, so callers that need values independent of how rows are
-    grouped keep that count fixed.
+    coeffs holds one row of X_n w_n per realization.  The step is snapped
+    down to length / ceil(length / step), so the grid lo + i * step ends
+    exactly at interval.hi and halving the snapped step gives a nested grid
+    (the root counts' monotonicity under refinement rests on it).  Returns
+    the snapped step and the (rows, points) values; the kernel's tile width
+    depends on the row count, so callers that need values independent of
+    how rows are grouped keep that count fixed.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")

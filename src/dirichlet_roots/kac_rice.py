@@ -62,9 +62,9 @@ DEFAULT_NODE_CAP = 8_000_000
 
 # Stratified EK: independent randomly shifted grids (their spread gives the
 # stderr), evaluated as shifts of one grid (see _shifted_grids).
-# _GROUP_ELEMS caps the coefficients per kernel call (moment rows x shifted
-# grids x terms), which bounds the kernel's strength and spreading memory.
 STRATIFIED_REPLICATES = 25
+# Coefficients per kernel call in _moment_sums (moment rows x shifted grids
+# x terms), which bounds the kernel's strength and spreading memory.
 _GROUP_ELEMS = 2_000_000
 
 
@@ -186,19 +186,26 @@ def breakdown_at(spec: PolynomialSpec, t: float,
 
 
 def _moment_sums(table: WeightTable, start: float, step: float, count: int,
-                 shifts: np.ndarray | tuple[float, ...] = (0.0,),
-                 terms: slice | np.ndarray = slice(None)) -> tuple[np.ndarray, ...]:
+                 shifts: np.ndarray | tuple[float, ...] = (0.0,)) -> tuple[np.ndarray, ...]:
     """P_0, Pt_1, P_2 along the grids tau_i = start + shifts[g] + i*step.
 
     Every sum is a (shifts, count) array, from one kernel call of three
-    coefficient rows on all the shifted grids; terms selects the n that
-    enter the sums (all by default).
+    coefficient rows on all the shifted grids.  Where those rows would hold
+    more than _GROUP_ELEMS coefficients (from 666,667 terms on one grid,
+    26,667 on stratified EK's 25), the terms are split into blocks of at
+    most that many, one call per block, and the blocks' sums are added in
+    term order.
     """
-    sq, logs = table.squared_weights[terms], table.logs[terms]
-    c_rows, s_rows = oscillating_sums(logs, np.vstack([sq, sq * logs * logs]),
-                                      (sq * logs)[None, :], start, step, count, shifts)
-    p0, p2 = c_rows.reshape(2, -1, count)
-    return p0, s_rows, p2
+    n = table.n_terms
+    total = None
+    for terms in np.array_split(np.arange(n), -(-3 * len(shifts) * n // _GROUP_ELEMS)):
+        sq, logs = table.squared_weights[terms], table.logs[terms]
+        c_rows, s_rows = oscillating_sums(logs, np.vstack([sq, sq * logs * logs]),
+                                          (sq * logs)[None, :], start, step, count, shifts)
+        p0, p2 = c_rows.reshape(2, -1, count)
+        sums = (p0, s_rows, p2)
+        total = sums if total is None else tuple(a + b for a, b in zip(total, sums))
+    return total
 
 
 def breakdown_grid(spec: PolynomialSpec, table: WeightTable, start: float,
@@ -221,21 +228,13 @@ def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
     Replicate r is the grid t = lo + h (i + u_r), i < m, with h = length/m and
     u_r uniform on [0, 1); row r of every field holds replicate r.  The
     replicates' doubled shifts 2 h u_r go to the grid kernel as shifts of
-    the one grid tau_i = 2 (lo + i h): three moment rows per replicate, all
-    from one kernel call.  Above 26,666 terms the three rows of all 25
-    replicates would hold more than _GROUP_ELEMS coefficients; the terms
-    are then split into blocks of at most that many coefficients, one call
-    per block, and the blocks' sums are added.
+    the one grid tau_i = 2 (lo + i h), through _moment_sums.
     """
-    reps = STRATIFIED_REPLICATES
-    m = -(-strata // reps)
+    m = -(-strata // STRATIFIED_REPLICATES)
     h = interval.length / m
     rng = np.random.Generator(np.random.PCG64(seed))
-    shifts = h * rng.random(reps)
-    n = table.n_terms
-    blocks = np.array_split(np.arange(n), -(-3 * reps * n // _GROUP_ELEMS))
-    sums = sum(np.stack(_moment_sums(table, 2.0 * interval.lo, 2.0 * h, m,
-                                     2.0 * shifts, block)) for block in blocks)
+    shifts = h * rng.random(STRATIFIED_REPLICATES)
+    sums = _moment_sums(table, 2.0 * interval.lo, 2.0 * h, m, 2.0 * shifts)
     return _assemble(spec, table, interval.lo + shifts[:, None] + h * np.arange(m), *sums)
 
 
@@ -280,7 +279,6 @@ def _gauss_legendre(integrand, interval: Interval, n_panels: int,
 def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
                                  nodes_per_panel: int = NODES_PER_PANEL,
                                  node_cap: int = DEFAULT_NODE_CAP,
-                                 table: WeightTable | None = None,
                                  max_panel_width: float | None = None) -> QuadratureResult:
     """Expected zero count on the interval by composite Gauss-Legendre panels.
 
@@ -296,8 +294,7 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
     nodes = 3 * n_panels * nodes_per_panel
     if nodes > node_cap:
         raise QuadratureBudgetError(nodes, node_cap)
-    if table is None:
-        table = make_weight_table(spec)
+    table = make_weight_table(spec)
 
     def density(start, step, count):
         return breakdown_grid(spec, table, start, step, count)["density"]
@@ -309,8 +306,7 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
 
 
 def expected_count_stratified(spec: PolynomialSpec, interval: Interval,
-                              strata: int, seed: int,
-                              table: WeightTable | None = None) -> QuadratureResult:
+                              strata: int, seed: int) -> QuadratureResult:
     """Unbiased estimate from randomly shifted uniform grids (Cranley-Patterson).
 
     STRATIFIED_REPLICATES independent grids of about strata / 25 points, each
@@ -324,8 +320,7 @@ def expected_count_stratified(spec: PolynomialSpec, interval: Interval,
     _check_integrable(spec)
     if strata < 100:
         raise ValueError("use at least 100 strata")
-    if table is None:
-        table = make_weight_table(spec)
+    table = make_weight_table(spec)
     density = _shifted_grids(spec, table, interval, strata, seed)["density"]
     replicates = interval.length * np.mean(density, axis=1)
     value = float(np.mean(replicates))

@@ -2,15 +2,15 @@
 
 A trial evaluates one coefficient sample on a uniform grid over the target
 interval and counts sign changes (the Gaussian law puts zero probability on
-tangential zeros); count_roots can also refine each bracketed root by
-bisection.  run_trials runs trials in fixed blocks of 8 consecutive trial
-indices, [0, 8), [8, 16), ...: a block samples its 8 coefficient rows,
-evaluates them with one grid-kernel call and counts every row's sign
-changes at once.  A short last block is padded with zero rows, so every
-kernel call has the same shape and a trial's count is a pure function of
-(spec, master_seed, trial_index, interval, step): the block size depends on
-neither the trial count nor the worker count, and any number of workers
-reproduces the sequential result exactly.
+tangential zeros).  Both entry points count through _count_rows, one
+grid-kernel call on rows of coefficients: count_roots passes one row and can
+refine each bracketed root by bisection; run_trials passes fixed blocks of 8
+consecutive trial indices, [0, 8), [8, 16), ....  A short last block is
+padded with zero rows, so every kernel call has the same shape and a
+trial's count is a pure function of (spec, master_seed, trial_index,
+interval, step): the block size depends on neither the trial count nor the
+worker count, and any number of workers reproduces the sequential result
+exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .core import (
     make_spec,
     sample_coefficients,
 )
-from .dirichlet_eval import WeightTable, _grid_values, eval_grid, eval_polynomial, make_weight_table
+from .dirichlet_eval import WeightTable, _grid_values, eval_polynomial, make_weight_table
 
 __all__ = [
     "RootCountResult",
@@ -119,10 +119,21 @@ def _bisect_root(sample: CoefficientSample, table: WeightTable,
     return 0.5 * (lo + hi)
 
 
+def _count_rows(table: WeightTable, x: np.ndarray, interval: Interval,
+                step: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of the coefficient rows x, from one _grid_values call on x * w.
+
+    Returns the snapped step, the (rows, points) values and _sign_events'
+    (counts, zero, flips) at each row's _GRID_ZERO_REL L1-mass tolerance.
+    """
+    actual, values = _grid_values(table, x * table.weights, interval, step)
+    mass = np.array([math.fsum(row) for row in np.abs(x) * table.weights])
+    return actual, values, *_sign_events(values, _GRID_ZERO_REL * mass[:, None])
+
+
 def count_roots(sample: CoefficientSample, interval: Interval,
                 step: float | None = None, refine_tol: float = 1e-9,
-                keep_roots: bool = False,
-                table: WeightTable | None = None) -> RootCountResult:
+                keep_roots: bool = False) -> RootCountResult:
     """Count zeros of one realization on the interval.
 
     Sign changes between adjacent grid values are counted as one root each;
@@ -134,26 +145,23 @@ def count_roots(sample: CoefficientSample, interval: Interval,
     spec = sample.spec
     if spec.degenerate:
         raise ValueError("cannot count roots of the identically-zero polynomial")
+    if not 0 < refine_tol < math.inf:
+        raise ValueError(f"refine_tol must be positive and finite, got {refine_tol}")
     if step is None:
         step = default_grid_step(spec)
-    if step <= 0 or refine_tol <= 0:
-        raise ValueError("step and refine_tol must be positive")
-    step_warning = step > 0.5 * mean_zero_spacing(spec)
-    if table is None:
-        table = _table_for(spec)
-    ge = eval_grid(sample, table, interval, step)
-    mass = math.fsum(np.abs(sample.values) * table.weights)
-    count, zero, flips = _sign_events(ge.values, _GRID_ZERO_REL * mass)
+    table = _table_for(spec)
+    actual, values, counts, zero, flips = _count_rows(table, sample.values[None, :],
+                                                      interval, step)
     roots = None
     if keep_roots:
-        located = [*ge.grid[zero]] + [
-            _bisect_root(sample, table, ge.grid[i], ge.grid[i + 1],
-                         ge.values[i], refine_tol)
-            for i in np.flatnonzero(flips)]
+        grid = interval.lo + actual * np.arange(values.shape[1])
+        located = [*grid[zero[0]]] + [
+            _bisect_root(sample, table, grid[i], grid[i + 1], values[0, i], refine_tol)
+            for i in np.flatnonzero(flips[0])]
         roots = np.sort(np.asarray(located, dtype=np.float64))
-    return RootCountResult(trial_index=sample.trial_index, count=int(count),
-                           roots=roots, grid_step=ge.step,
-                           step_warning=step_warning)
+    return RootCountResult(trial_index=sample.trial_index, count=int(counts[0]),
+                           roots=roots, grid_step=actual,
+                           step_warning=step > 0.5 * mean_zero_spacing(spec))
 
 
 @lru_cache(maxsize=8)
@@ -162,17 +170,13 @@ def _table_for(spec: PolynomialSpec) -> WeightTable:
 
 
 def _count_block(args) -> np.ndarray:
-    """Root counts of trials first .. stop - 1 from one grid-kernel call of
-    _BLOCK_TRIALS rows (zero past stop), each counted as count_roots would."""
+    """Root counts of trials first .. stop - 1 from one _count_rows call of
+    _BLOCK_TRIALS rows (zero past stop)."""
     spec, master_seed, first, stop, interval, step = args
-    table = _table_for(spec)
     x = np.zeros((_BLOCK_TRIALS, spec.n_terms))
     for row, index in enumerate(range(first, stop)):
         x[row] = sample_coefficients(spec, master_seed, index).values
-    _, values = _grid_values(table, x * table.weights, interval, step)
-    mass = np.array([math.fsum(row) for row in np.abs(x) * table.weights])
-    counts, _, _ = _sign_events(values, _GRID_ZERO_REL * mass[:, None])
-    return counts[:stop - first]
+    return _count_rows(_table_for(spec), x, interval, step)[2][:stop - first]
 
 
 def run_trials(spec: PolynomialSpec, interval: Interval, trials: int,

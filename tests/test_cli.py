@@ -69,7 +69,9 @@ def test_bad_numeric_inputs_exit_two(capsys, monkeypatch):
     for args, name in ((["expected", "--T", "100", "--sigma", "nan"], "sigma"),
                        (["simulate", "--T", "100", "--trials", "4", "--sigma", "nan"], "sigma"),
                        (["simulate", "--T", "100", "--trials", "4", "--step", "inf"], "step"),
-                       (["simulate", "--T", "100", "--trials", "4", "--step", "nan"], "step")):
+                       (["simulate", "--T", "100", "--trials", "4", "--step", "nan"], "step"),
+                       (["diagnostics", "--suite", "l2", "--T", "inf"], "T must be"),
+                       (["diagnostics", "--suite", "l2", "--T", "nan"], "T must be")):
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == "" and name in err
     for threads in ("0", "-2", "1.5"):

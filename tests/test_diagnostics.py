@@ -92,8 +92,9 @@ def test_l2_rejects():
         l2_mean_value_check([], 10.0)
     with pytest.raises(ValueError):
         l2_mean_value_check(np.ones(1001), 10.0)
-    with pytest.raises(ValueError):
-        l2_mean_value_check([1.0], 0.0)
+    for T in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="T must be"):
+            l2_mean_value_check([1.0], T)
 
 
 def test_u_sup_single_term_zero():

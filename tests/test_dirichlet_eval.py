@@ -5,7 +5,6 @@ import pytest
 
 from dirichlet_roots import (
     Interval,
-    eval_grid,
     eval_polynomial,
     log_moment_sum,
     make_spec,
@@ -14,7 +13,7 @@ from dirichlet_roots import (
     u_moment,
 )
 from dirichlet_roots.core import CoefficientSample
-from dirichlet_roots.dirichlet_eval import _shifted_strengths, oscillating_sums
+from dirichlet_roots.dirichlet_eval import _grid_values, _shifted_strengths, oscillating_sums
 
 from oracles import direct_power_sum
 
@@ -81,22 +80,24 @@ def test_cosine_parity():
 
 def test_grid_matches_two_term_closed_form(two_term):
     spec, table = two_term
-    sample = _fixed_sample(spec, [0.0, 1.0])
-    ge = eval_grid(sample, table, Interval(5.0, 9.0), 0.01)
-    expected = np.cos(ge.grid * math.log(2.0)) / math.sqrt(2.0)
-    assert np.max(np.abs(ge.values - expected)) < 1e-10
+    iv = Interval(5.0, 9.0)
+    step, values = _grid_values(table, np.array([[0.0, 1.0]]) * table.weights, iv, 0.01)
+    grid = iv.lo + step * np.arange(values.shape[1])
+    expected = np.cos(grid * math.log(2.0)) / math.sqrt(2.0)
+    assert np.max(np.abs(values[0] - expected)) < 1e-10
 
 
 def test_grid_matches_direct_random():
-    # recurrence vs direct on ~1e3 points, T = 500
+    # grid kernel vs direct on ~1e3 points, T = 500
     spec = make_spec(500.0, 0, 0.5)
     table = make_weight_table(spec)
     sample = sample_coefficients(spec, 11, 0)
-    ge = eval_grid(sample, table, Interval(500.0, 600.0), 0.1)
-    assert len(ge.grid) >= 1000
+    iv = Interval(500.0, 600.0)
+    step, values = _grid_values(table, (sample.values * table.weights)[None, :], iv, 0.1)
+    assert values.shape[1] >= 1000
     mass = math.fsum(np.abs(sample.values) * table.weights)
-    idx = np.linspace(0, len(ge.grid) - 1, 101).astype(int)
-    worst = max(abs(ge.values[i] - eval_polynomial(sample, table, ge.grid[i]))
+    idx = np.linspace(0, values.shape[1] - 1, 101).astype(int)
+    worst = max(abs(values[0, i] - eval_polynomial(sample, table, iv.lo + step * i))
                 for i in idx)
     assert worst < 1e-9 * mass
 
@@ -106,11 +107,12 @@ def test_grid_long_run_accuracy():
     spec = make_spec(200.0, 1, 0.5, "sine")
     table = make_weight_table(spec)
     sample = sample_coefficients(spec, 4, 2)
-    ge = eval_grid(sample, table, Interval(200.0, 400.0), 0.02)
-    assert len(ge.grid) > 9000
+    iv = Interval(200.0, 400.0)
+    step, values = _grid_values(table, (sample.values * table.weights)[None, :], iv, 0.02)
+    assert values.shape[1] > 9000
     mass = math.fsum(np.abs(sample.values) * table.weights)
-    i = len(ge.grid) - 1
-    assert abs(ge.values[i] - eval_polynomial(sample, table, ge.grid[i])) < 1e-9 * mass
+    i = values.shape[1] - 1
+    assert abs(values[0, i] - eval_polynomial(sample, table, iv.lo + step * i)) < 1e-9 * mass
 
 
 @pytest.mark.parametrize("T,start,step,count,n_rows,points", [
@@ -243,15 +245,19 @@ def test_kernel_shifted_half_empty_and_exact_constant():
 
 
 def test_grid_snapping_and_errors(two_term):
-    spec, table = two_term
-    sample = _fixed_sample(spec, [1.0, 1.0])
-    ge = eval_grid(sample, table, Interval(0.0, 1.0), 0.3)
-    assert ge.grid[0] == 0.0 and ge.grid[-1] == pytest.approx(1.0, abs=1e-15)
-    assert ge.step <= 0.3
-    assert len(ge.values) == len(ge.grid)
-    assert np.max(np.abs(np.diff(ge.grid) - ge.step)) < 1e-15
-    with pytest.raises(ValueError):
-        eval_grid(sample, table, Interval(0.0, 1.0), 0.0)
+    # the step snaps down to length / ceil(length / step): 4 cells of 0.25
+    _, table = two_term
+    iv = Interval(0.0, 1.0)
+    coeffs = np.array([[1.0, 1.0]]) * table.weights
+    step, values = _grid_values(table, coeffs, iv, 0.3)
+    grid = iv.lo + step * np.arange(values.shape[1])
+    assert grid[0] == 0.0 and grid[-1] == pytest.approx(1.0, abs=1e-15)
+    assert step <= 0.3
+    assert values.shape == (1, 5)
+    assert np.max(np.abs(np.diff(grid) - step)) < 1e-15
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            _grid_values(table, coeffs, iv, bad)
 
 
 def test_u_moment_harmonic_at_zero():

@@ -296,10 +296,9 @@ def test_stratified_stderr_is_honest():
     # the deterministic value have rms ~1 (t with 24 degrees of freedom)
     spec = make_spec(500.0, 2, 0.5, "sine")
     iv = experiment_interval(spec)
-    table = make_weight_table(spec)
-    det = expected_count_deterministic(spec, iv, table=table).value
+    det = expected_count_deterministic(spec, iv).value
     z = [(q.value - det) / q.stderr
-         for q in (expected_count_stratified(spec, iv, 1000, seed=300 + s, table=table)
+         for q in (expected_count_stratified(spec, iv, 1000, seed=300 + s)
                    for s in range(40))]
     assert 0.7 <= math.sqrt(np.mean(np.square(z))) <= 1.4
 

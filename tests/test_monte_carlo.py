@@ -6,7 +6,6 @@ import pytest
 from dirichlet_roots import (
     Interval,
     count_roots,
-    eval_grid,
     eval_polynomial,
     make_spec,
     make_weight_table,
@@ -141,6 +140,9 @@ def test_degenerate_and_bad_args():
     smp = sample_coefficients(spec, 0, 0)
     with pytest.raises(ValueError):
         count_roots(smp, Interval(10.0, 20.0), step=-1.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="refine_tol"):
+            count_roots(smp, Interval(10.0, 20.0), refine_tol=tol, keep_roots=True)
     with pytest.raises(ValueError):
         run_trials(spec, Interval(10.0, 20.0), trials=1, master_seed=0)
 
@@ -180,9 +182,11 @@ def test_grid_signs_match_direct_evaluation():
     iv = experiment_interval(spec)
     for i in range(20):
         sample = sample_coefficients(spec, 7, i)
-        ge = eval_grid(sample, table, iv, default_grid_step(spec))
-        direct = [eval_polynomial(sample, table, t) for t in ge.grid]
-        assert np.array_equal(np.sign(ge.values), np.sign(direct))
+        step, values = _grid_values(table, (sample.values * table.weights)[None, :],
+                                    iv, default_grid_step(spec))
+        grid = iv.lo + step * np.arange(values.shape[1])
+        direct = [eval_polynomial(sample, table, t) for t in grid]
+        assert np.array_equal(np.sign(values[0]), np.sign(direct))
 
 
 def test_run_trials_deterministic_and_thread_invariant():
