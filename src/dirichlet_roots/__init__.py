@@ -25,7 +25,6 @@ from .dirichlet_eval import (
 from .kac_rice import (
     DensityBreakdown,
     NumericalError,
-    QuadratureBudgetError,
     QuadratureResult,
     breakdown_at,
     expected_count_deterministic,

@@ -4,8 +4,11 @@ Single results are printed as JSON on stdout; sweeps additionally write CSV
 via --out (plot-ready, stable headers).  Every payload embeds the spec, the
 seed, grid/node parameters and per-phase wall times, so a result is
 reproducible from the artifact alone.  Exit codes: 0 ok, 2 usage error,
-3 deterministic quadrature budget exceeded, 4 numerical error (the model is
-degenerate at some t).
+4 numerical error (the model is degenerate at some t).
+
+`expected` and `compare` integrate deterministically by default, in bounded
+memory at any T but in time that grows faster than T (README, "Cost at large
+T"); --method stratified is the fast route at large T.
 """
 
 from __future__ import annotations
@@ -24,20 +27,12 @@ from . import __version__
 from .asymptotics import model_vs_zeta_ratio, predict_expected_zeros
 from .core import experiment_interval, make_spec
 from .diagnostics import l2_mean_value_check, proof_step_integrals, u_sup_monitor
-from .kac_rice import (
-    DEFAULT_NODE_CAP,
-    NumericalError,
-    QuadratureBudgetError,
-    deterministic_node_count,
-    expected_count_deterministic,
-    expected_count_stratified,
-)
+from .kac_rice import NumericalError, expected_count_deterministic, expected_count_stratified
 from .monte_carlo import default_grid_step, run_trials, sigma_sweep
 
 SCHEMA_VERSION = "1"
 
 _EXIT_USAGE = 2
-_EXIT_BUDGET = 3
 _EXIT_NUMERICAL = 4
 
 _SIGMA_SUITE = (0.0, 0.25, 0.5, 0.6, 0.75, 1.0)
@@ -74,14 +69,9 @@ def _spec_from_args(args):
     return spec, experiment_interval(spec)
 
 
-def _run_expected(spec, interval, method: str, strata: int, seed: int,
-                  node_cap: int):
-    if method == "auto":
-        method = ("deterministic"
-                  if deterministic_node_count(spec, interval) <= node_cap
-                  else "stratified")
+def _run_expected(spec, interval, method: str, strata: int, seed: int):
     if method == "deterministic":
-        return expected_count_deterministic(spec, interval, node_cap=node_cap)
+        return expected_count_deterministic(spec, interval)
     return expected_count_stratified(spec, interval, strata=strata, seed=seed)
 
 
@@ -91,8 +81,7 @@ def cmd_expected(args) -> int:
     if spec.degenerate:
         ek_value, ek_error, nodes, stderr, method = 0.0, 0.0, 0, None, "degenerate"
     else:
-        result = _run_expected(spec, interval, args.method, args.strata,
-                               args.seed, args.node_cap)
+        result = _run_expected(spec, interval, args.method, args.strata, args.seed)
         ek_value, ek_error = result.value, result.abs_error_estimate
         nodes, stderr, method = result.nodes_used, result.stderr, result.method
     elapsed = time.perf_counter() - t0
@@ -163,8 +152,7 @@ def cmd_compare(args) -> int:
         spec = make_spec(T, args.k, args.sigma, "cosine")
         interval = experiment_interval(spec)
         t0 = time.perf_counter()
-        ek = _run_expected(spec, interval, args.method, args.strata, args.seed,
-                           args.node_cap)
+        ek = _run_expected(spec, interval, args.method, args.strata, args.seed)
         t1 = time.perf_counter()
         agg = run_trials(spec, interval, args.trials, args.seed,
                          threads=args.threads)
@@ -199,9 +187,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_diagnostics(args) -> int:
+    if args.suite in ("l2", "sigma") and (args.k, args.sigma) != (None, None):
+        raise ValueError(f"--suite {args.suite} takes neither --k nor --sigma")
+    k = 0 if args.k is None else args.k
+    sigma = 0.5 if args.sigma is None else args.sigma
     t0 = time.perf_counter()
     if args.suite == "steps":
-        spec = make_spec(args.T, 0, 0.5, "cosine")
+        spec = make_spec(args.T, k, sigma, "cosine")
         reports = proof_step_integrals(spec)
         rows = [{"step_id": r.step_id, "integral_value": r.integral_value,
                  "envelope_scale": r.envelope_scale,
@@ -225,7 +217,7 @@ def cmd_diagnostics(args) -> int:
                      repr(r["error_budget"]), repr(r["realized_constant"])]
                     for r in rows]
     elif args.suite == "sup":
-        spec = make_spec(args.T, args.k, args.sigma, "cosine")
+        spec = make_spec(args.T, k, sigma, "cosine")
         rep = u_sup_monitor(spec, experiment_interval(spec))
         rows = [{"sup_u": rep.sup_u, "sup_u1": rep.sup_u1, "sup_u2": rep.sup_u2,
                  "ratio_u": rep.log_power_ratios[0],
@@ -265,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dirichlet-roots",
         description="Expected real zeros of random Dirichlet polynomials: "
                     "exact Kac-Rice quadrature, asymptotics, Monte Carlo.",
-        epilog="Exit codes: 0 ok, 2 usage error, 3 quadrature budget exceeded "
-               "(retry with --method stratified), 4 numerical error (the model "
-               "is degenerate at some t).")
+        epilog="Exit codes: 0 ok, 2 usage error, 4 numerical error (the model "
+               "is degenerate at some t).  --method stratified is the fast route "
+               "at large T.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     # a string default goes through _thread_count only when --threads is absent
@@ -282,11 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expected", help="Kac-Rice expected zero count on [T, 2T]")
     add_spec_flags(p)
-    p.add_argument("--method", choices=["auto", "deterministic", "stratified"],
-                   default="auto")
+    p.add_argument("--method", choices=["deterministic", "stratified"],
+                   default="deterministic")
     p.add_argument("--strata", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     p.add_argument("--out", help="also write a one-row CSV here")
     p.set_defaults(func=cmd_expected)
 
@@ -306,10 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", choices=["auto", "deterministic", "stratified"],
-                   default="auto")
+    p.add_argument("--method", choices=["deterministic", "stratified"],
+                   default="deterministic")
     p.add_argument("--strata", type=int, default=10_000)
-    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     p.add_argument("--threads", type=_thread_count, default=threads)
     p.add_argument("--out", help="write the comparison CSV here")
     p.set_defaults(func=cmd_compare)
@@ -317,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnostics", help="proof-step, L2, sup-norm and sigma suites")
     p.add_argument("--suite", choices=["steps", "l2", "sup", "sigma"], required=True)
     add_spec_flags(p, with_part=False)
+    p.set_defaults(k=None, sigma=None)  # None: not given (l2 and sigma take neither)
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=_thread_count, default=threads)
@@ -331,9 +322,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QuadratureBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_BUDGET
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL

@@ -41,15 +41,12 @@ from .dirichlet_eval import WeightTable, make_weight_table, oscillating_sums, u_
 __all__ = [
     "DensityBreakdown",
     "QuadratureResult",
-    "QuadratureBudgetError",
     "NumericalError",
     "breakdown_at",
     "breakdown_grid",
     "expected_count_deterministic",
     "expected_count_stratified",
     "panel_width",
-    "deterministic_node_count",
-    "DEFAULT_NODE_CAP",
     "NODES_PER_PANEL",
     "STRATIFIED_REPLICATES",
 ]
@@ -58,7 +55,9 @@ __all__ = [
 _NEGATIVE_TOL = 1e-12
 
 NODES_PER_PANEL = 8
-DEFAULT_NODE_CAP = 8_000_000
+# Panels per integrand call in _gauss_legendre, which bounds the memory of
+# one node stream's kernel call and assembled fields at any T.
+_CHUNK_PANELS = 2**19
 
 # Stratified EK: independent randomly shifted grids (their spread gives the
 # stderr), evaluated as shifts of one grid (see _shifted_grids).
@@ -66,17 +65,6 @@ STRATIFIED_REPLICATES = 25
 # Coefficients per kernel call in _moment_sums (moment rows x shifted grids
 # x terms), which bounds the kernel's strength and spreading memory.
 _GROUP_ELEMS = 2_000_000
-
-
-class QuadratureBudgetError(RuntimeError):
-    """Deterministic quadrature would exceed its node budget."""
-
-    def __init__(self, nodes_required: int, cap: int):
-        super().__init__(
-            f"deterministic quadrature needs {nodes_required} nodes (cap {cap}); "
-            f"use the stratified method for this T")
-        self.nodes_required = nodes_required
-        self.cap = cap
 
 
 class NumericalError(ValueError):
@@ -243,13 +231,6 @@ def panel_width(spec: PolynomialSpec) -> float:
     return math.pi / (4.0 * math.log(spec.T))
 
 
-def deterministic_node_count(spec: PolynomialSpec, interval: Interval,
-                             nodes_per_panel: int = NODES_PER_PANEL) -> int:
-    """Total nodes the deterministic rule will evaluate (base + halved pass)."""
-    panels = max(1, math.ceil(interval.length / panel_width(spec)))
-    return 3 * panels * nodes_per_panel
-
-
 def _gauss_legendre(integrand, interval: Interval, n_panels: int,
                    nodes_per_panel: int = NODES_PER_PANEL) -> np.ndarray:
     """Composite Gauss-Legendre integrals of integrand rows over the interval.
@@ -257,9 +238,12 @@ def _gauss_legendre(integrand, interval: Interval, n_panels: int,
     integrand(start, step, count) returns an array whose last axis runs along
     the uniform grid start + i*step, i < count; the result has one integral
     per row.  For a fixed in-panel offset the node abscissas across panels
-    form such a grid, so each of the nodes_per_panel node streams is one
-    integrand call on the grid kernel.  Per-stream sums use numpy pairwise
-    reduction in panel order, fixed independently of any parallelism.
+    form such a grid, so each of the nodes_per_panel node streams is an
+    integrand call on the grid kernel.  A stream of more than _CHUNK_PANELS
+    panels runs as contiguous chunks of that many (the last one shorter), so
+    one call's kernel work and assembled fields stay bounded at any T; the
+    boundaries depend only on n_panels.  Chunk sums use numpy pairwise
+    reduction and add in panel order, fixed independently of any parallelism.
 
     EK, the proof steps and the L2 identity all use this rule.  Romberg on
     nested uniform grids at quarter-panel spacing missed the references of
@@ -271,14 +255,18 @@ def _gauss_legendre(integrand, interval: Interval, n_panels: int,
     xi, wgt = np.polynomial.legendre.leggauss(nodes_per_panel)
     total = 0.0
     for i in range(nodes_per_panel):
-        rows = integrand(interval.lo + (xi[i] + 1.0) * 0.5 * h, h, n_panels)
-        total = total + wgt[i] * 0.5 * h * np.sum(rows, axis=-1)
+        start = interval.lo + (xi[i] + 1.0) * 0.5 * h
+        stream = 0.0
+        for lo in range(0, n_panels, _CHUNK_PANELS):
+            count = min(_CHUNK_PANELS, n_panels - lo)
+            # no name holds a chunk's rows while the next chunk is computed
+            stream = stream + np.sum(integrand(start + lo * h, h, count), axis=-1)
+        total = total + wgt[i] * 0.5 * h * stream
     return total
 
 
 def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
                                  nodes_per_panel: int = NODES_PER_PANEL,
-                                 node_cap: int = DEFAULT_NODE_CAP,
                                  max_panel_width: float | None = None) -> QuadratureResult:
     """Expected zero count on the interval by composite Gauss-Legendre panels.
 
@@ -286,14 +274,13 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
     (narrower if max_panel_width is given: useful when the density has
     corners, as in near-degenerate two-term models); the error estimate is
     |I_h - I_{h/2}| from one panel-width halving, and the finer value is
-    reported.
+    reported.  Each kernel call covers at most _CHUNK_PANELS panels, so
+    memory stays bounded at any T; there is no node cap, and the stratified
+    method is the fast route at large T.
     """
     _check_integrable(spec)
     width = panel_width(spec) if max_panel_width is None else max_panel_width
     n_panels = max(1, math.ceil(interval.length / width))
-    nodes = 3 * n_panels * nodes_per_panel
-    if nodes > node_cap:
-        raise QuadratureBudgetError(nodes, node_cap)
     table = make_weight_table(spec)
 
     def density(start, step, count):
@@ -302,7 +289,8 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
     coarse = float(_gauss_legendre(density, interval, n_panels, nodes_per_panel))
     fine = float(_gauss_legendre(density, interval, 2 * n_panels, nodes_per_panel))
     return QuadratureResult(value=fine, abs_error_estimate=abs(fine - coarse),
-                            method="composite_deterministic", nodes_used=nodes)
+                            method="composite_deterministic",
+                            nodes_used=3 * n_panels * nodes_per_panel)
 
 
 def expected_count_stratified(spec: PolynomialSpec, interval: Interval,

@@ -38,16 +38,25 @@ def test_expected_degenerate_is_zero(capsys):
         assert payload["spec"]["degenerate"]
 
 
-def test_expected_budget_exit_code(capsys):
-    code, _, err = run_cli(["expected", "--T", "1e5", "--method", "deterministic"],
-                           capsys)
-    assert code == 3
-    assert "stratified" in err
+def test_expected_deterministic_in_chunks(capsys, monkeypatch):
+    # the default method stays deterministic when the node streams run in
+    # chunks; the chunked value matches the one-call value to roundoff
+    from dirichlet_roots import kac_rice
+
+    code, out, _ = run_cli(["expected", "--T", "2000"], capsys)
+    whole = json.loads(out)
+    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 5000)
+    code, out, _ = run_cli(["expected", "--T", "2000"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "composite_deterministic"
+    assert payload["nodes_used"] == whole["nodes_used"]
+    assert payload["ek_value"] == pytest.approx(whole["ek_value"], rel=1e-13, abs=0)
 
 
-def test_expected_auto_falls_back_to_stratified(capsys):
-    code, out, _ = run_cli(["expected", "--T", "1e5", "--strata", "500",
-                            "--seed", "3"], capsys)
+def test_expected_stratified_at_large_T(capsys):
+    code, out, _ = run_cli(["expected", "--T", "1e5", "--method", "stratified",
+                            "--strata", "500", "--seed", "3"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "stratified_random"
@@ -174,6 +183,15 @@ def test_diagnostics_sup_suite(capsys):
     assert code == 0
     row = json.loads(js)["rows"][0]
     assert row["sup_u"] > 0 and row["ratio_u2"] > 0
+
+
+def test_diagnostics_rejects_unused_model_flags(capsys):
+    # steps is defined only for k = 0, sigma = 1/2; l2 and sigma take neither flag
+    for args, msg in ((["steps", "--T", "1000", "--k", "3", "--sigma", "0.9"], "k=0"),
+                      (["l2", "--T", "100", "--k", "1"], "neither"),
+                      (["sigma", "--T", "80", "--sigma", "0.3"], "neither")):
+        code, out, err = run_cli(["diagnostics", "--suite", *args], capsys)
+        assert code == 2 and out == "" and msg in err
 
 
 def test_diagnostics_sigma_suite(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from dirichlet_roots import (
     Interval,
-    QuadratureBudgetError,
     breakdown_at,
     expected_count_deterministic,
     expected_count_stratified,
@@ -17,13 +16,12 @@ from dirichlet_roots import kac_rice
 from dirichlet_roots.core import experiment_interval
 from dirichlet_roots.dirichlet_eval import WeightTable
 from dirichlet_roots.kac_rice import (
-    DEFAULT_NODE_CAP,
     NumericalError,
     STRATIFIED_REPLICATES,
     _gauss_legendre,
     _shifted_grids,
     breakdown_grid,
-    deterministic_node_count,
+    panel_width,
 )
 
 from oracles import reference_quadrature
@@ -175,18 +173,40 @@ def test_breakdown_grid_matches_pointwise():
             assert br[name][i] == pytest.approx(getattr(b, name), rel=1e-9, abs=1e-12)
 
 
-def test_gauss_legendre_rows_closed_form():
+def test_gauss_legendre_rows_closed_form(monkeypatch):
     omegas = np.array([0.0, 0.5, 2.0, 7.3])
     iv = Interval(0.3, 7.1)
+    exact = [iv.length] + [(math.sin(w * iv.hi) - math.sin(w * iv.lo)) / w
+                           for w in omegas[1:]]
+    counts = []
 
     def cosines(start, step, count):
+        counts.append(count)
         return np.cos(np.outer(omegas, start + step * np.arange(count)))
 
     got = _gauss_legendre(cosines, iv, n_panels=40)
-    exact = [iv.length] + [(math.sin(w * iv.hi) - math.sin(w * iv.lo)) / w
-                           for w in omegas[1:]]
     assert got.shape == (4,)
     assert np.max(np.abs(got - exact)) < 1e-12
+    assert counts == [40] * 8
+    # 40 panels in chunks of 7: five full chunks and a last one of 5 panels
+    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 7)
+    counts.clear()
+    got = _gauss_legendre(cosines, iv, n_panels=40)
+    assert np.max(np.abs(got - exact)) < 1e-12
+    assert counts == [7, 7, 7, 7, 7, 5] * 8
+
+
+@pytest.mark.parametrize("T,k,part", [(2000.0, 0, "cosine"), (500.0, 2, "sine")])
+def test_chunked_streams_match_whole_streams(monkeypatch, T, k, part):
+    # chunking every node stream into 1000-panel kernel calls (20 and 39
+    # chunks per stream at T = 2000, 4 and 8 at T = 500) changes EK only by
+    # roundoff
+    spec = make_spec(T, k, 0.5, part)
+    whole = expected_count_deterministic(spec, experiment_interval(spec))
+    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 1000)
+    chunked = expected_count_deterministic(spec, experiment_interval(spec))
+    assert chunked.nodes_used == whole.nodes_used
+    assert abs(chunked.value - whole.value) <= 1e-13 * whole.value
 
 
 @pytest.mark.parametrize("T,k,part", [(300.0, 0, "cosine"), (300.0, 2, "sine"),
@@ -257,16 +277,12 @@ def test_deterministic_error_estimate_small(ek_cache):
     q = ek_cache.get(500.0)
     assert q.method == "composite_deterministic"
     assert q.abs_error_estimate < 1e-9
-    assert q.nodes_used == deterministic_node_count(
-        make_spec(500.0), Interval(500.0, 1000.0))
+    # base pass plus the halved pass: three panel counts of 8 nodes each
+    assert q.nodes_used == 3 * 8 * math.ceil(500.0 / panel_width(make_spec(500.0)))
 
 
-def test_budget_gate():
+def test_stratified_runs_at_large_T():
     spec = make_spec(1e5, 0, 0.5)
-    with pytest.raises(QuadratureBudgetError) as exc:
-        expected_count_deterministic(spec, experiment_interval(spec))
-    assert exc.value.nodes_required > DEFAULT_NODE_CAP
-    # stratified path still works at this size
     q = expected_count_stratified(spec, experiment_interval(spec), 200, seed=1)
     assert q.value > 0 and q.stderr is not None
 
