@@ -58,6 +58,16 @@ NODES_PER_PANEL = 8
 # Panels per integrand call in _gauss_legendre, which bounds the memory of
 # one node stream's kernel call and assembled fields at any T.
 _CHUNK_PANELS = 2**19
+# Deterministic EK's error control (_panel_estimates, _refine).  Smooth
+# densities keep the tail ratio below 2e-5 on default panels from T = 200,
+# two-term corners above 1e-3.  _REFINE_RTOL is 100 times inside the 1e-9
+# contract: refining to roundoff costs levels of O(N) direct evaluations
+# for estimates no reference resolves.  Below _MIN_NODES the coefficients
+# the tail test reads, c_(n-6) to c_(n-1), would include c_0 and c_1.
+_TAIL_RTOL = 1e-4
+_REFINE_RTOL = 1e-11
+_REFINE_DEPTH = 40
+_MIN_NODES = 8
 
 # Stratified EK: independent randomly shifted grids (their spread gives the
 # stderr), evaluated as shifts of one grid (see _shifted_grids).
@@ -123,16 +133,13 @@ def _check_integrable(spec: PolynomialSpec) -> None:
                              f"vanishes on the fixed lattice t = {lattice} / log 2", spec)
 
 
-def _assemble(spec: PolynomialSpec, table: WeightTable, t, p0, p1s, p2):
+def _assemble(spec: PolynomialSpec, table: WeightTable, t, p0, p1s, p2, proof: bool = True):
     """Breakdown fields, by name, from t and the three moment sums at tau = 2t.
 
     t has the shape of the sums; a NumericalError names the first bad t.
+    proof=False leaves out the proof-style fields x, y, z and w.
     """
     s = 1.0 if spec.part is Part.COSINE else -1.0
-    L = math.log(spec.T)
-    k1, k3 = 2 * spec.k + 1, 2 * spec.k + 3
-    g0, g2 = stieltjes_constant(2 * spec.k), stieltjes_constant(2 * spec.k + 2)
-    dc = float(table.squared_weights[0])  # n=1 weight; 1 for k=0, else 0
     B = 0.5 * (table.m0 + s * p0)
     A = 0.5 * (table.m2 - s * p2)
     if np.any(B <= 0):
@@ -152,6 +159,12 @@ def _assemble(spec: PolynomialSpec, table: WeightTable, t, p0, p1s, p2):
         raise NumericalError("A/B - C^2 fell below the Cauchy-Schwarz roundoff floor",
                              spec, float(np.asarray(t)[below][0]))
     density = np.sqrt(np.maximum(ratio, 0.0)) / math.pi
+    if not proof:
+        return {"t": t, "A": A, "B": B, "C": C, "density": density}
+    L = math.log(spec.T)
+    k1, k3 = 2 * spec.k + 1, 2 * spec.k + 3
+    g0, g2 = stieltjes_constant(2 * spec.k), stieltjes_constant(2 * spec.k + 2)
+    dc = float(table.squared_weights[0])  # n=1 weight; 1 for k=0, else 0
     x = k1 * (g0 + s * (p0 - dc)) / L**k1
     y = k3 * (g2 - s * p2) / L**k3
     z = k3 * (C * C) / (k1 * L * L)
@@ -197,16 +210,17 @@ def _moment_sums(table: WeightTable, start: float, step: float, count: int,
 
 
 def breakdown_grid(spec: PolynomialSpec, table: WeightTable, start: float,
-                   step: float, count: int) -> dict[str, np.ndarray]:
+                   step: float, count: int, *, proof: bool = True) -> dict[str, np.ndarray]:
     """Breakdown fields as arrays along the uniform grid t_i = start + i*step.
 
     Evaluates the moment sums with one grid-kernel call on the doubled grid
-    tau_i = 2 t_i.
+    tau_i = 2 t_i.  proof=False leaves out x, y, z and w (EK needs only
+    the density).
     """
     _check_spec(spec)
     sums = _moment_sums(table, 2.0 * start, 2.0 * step, count)
     return _assemble(spec, table, start + step * np.arange(count),
-                     *(rows[0] for rows in sums))
+                     *(rows[0] for rows in sums), proof=proof)
 
 
 def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
@@ -232,18 +246,21 @@ def panel_width(spec: PolynomialSpec) -> float:
 
 
 def _gauss_legendre(integrand, interval: Interval, n_panels: int,
-                   nodes_per_panel: int = NODES_PER_PANEL) -> np.ndarray:
+                    nodes_per_panel: int = NODES_PER_PANEL, node_values=None) -> np.ndarray:
     """Composite Gauss-Legendre integrals of integrand rows over the interval.
 
     integrand(start, step, count) returns an array whose last axis runs along
     the uniform grid start + i*step, i < count; the result has one integral
     per row.  For a fixed in-panel offset the node abscissas across panels
     form such a grid, so each of the nodes_per_panel node streams is an
-    integrand call on the grid kernel.  A stream of more than _CHUNK_PANELS
-    panels runs as contiguous chunks of that many (the last one shorter), so
-    one call's kernel work and assembled fields stay bounded at any T; the
-    boundaries depend only on n_panels.  Chunk sums use numpy pairwise
-    reduction and add in panel order, fixed independently of any parallelism.
+    integrand call on the grid kernel.  The panels run in contiguous chunks
+    of at most _CHUNK_PANELS (the last one shorter), one call per stream and
+    chunk, so one call's kernel work and assembled fields stay bounded at
+    any T; the boundaries depend only on n_panels.  Each stream adds its
+    chunk sums (numpy pairwise reduction) in panel order, fixed
+    independently of any parallelism.  node_values, if given, sees every
+    call's rows as node_values(i, lo, rows), for node i of the chunk whose
+    first panel is lo; the nodes of a chunk come in order.
 
     EK, the proof steps and the L2 identity all use this rule.  Romberg on
     nested uniform grids at quarter-panel spacing missed the references of
@@ -253,44 +270,146 @@ def _gauss_legendre(integrand, interval: Interval, n_panels: int,
     """
     h = interval.length / n_panels
     xi, wgt = np.polynomial.legendre.leggauss(nodes_per_panel)
+    starts = interval.lo + (xi + 1.0) * 0.5 * h
+    streams = [0.0] * nodes_per_panel
+    for lo in range(0, n_panels, _CHUNK_PANELS):
+        count = min(_CHUNK_PANELS, n_panels - lo)
+        for i in range(nodes_per_panel):
+            rows = integrand(starts[i] + lo * h, h, count)
+            streams[i] = streams[i] + np.sum(rows, axis=-1)
+            if node_values is not None:
+                node_values(i, lo, rows)
+            del rows  # no name holds a call's rows while the next one is computed
     total = 0.0
     for i in range(nodes_per_panel):
-        start = interval.lo + (xi[i] + 1.0) * 0.5 * h
-        stream = 0.0
-        for lo in range(0, n_panels, _CHUNK_PANELS):
-            count = min(_CHUNK_PANELS, n_panels - lo)
-            # no name holds a chunk's rows while the next chunk is computed
-            stream = stream + np.sum(integrand(start + lo * h, h, count), axis=-1)
-        total = total + wgt[i] * 0.5 * h * stream
+        total = total + wgt[i] * 0.5 * h * streams[i]
     return total
+
+
+def _legendre_rows(n: int) -> np.ndarray:
+    """c_j = (2j+1)/2 sum_i w_i P_j(x_i) f_i of n node values f, j = 0, n-6, n-5, n-2, n-1."""
+    xi, wgt = np.polynomial.legendre.leggauss(n)
+    orders = np.array([0, n - 6, n - 5, n - 2, n - 1])
+    return (orders[:, None] + 0.5) * wgt * np.polynomial.legendre.legvander(xi, n - 1)[:, orders].T
+
+
+def _panel_estimates(coeffs: np.ndarray, h: float, n: int) -> tuple[np.ndarray, ...]:
+    """Per-panel integral, flag, tail estimate and roundoff floor.
+
+    coeffs holds _legendre_rows(n) of each panel's node values (columns),
+    for panels of width h and a nonnegative density.  The integral is h c_0
+    and the roundoff floor eps n h c_0, about eps h sum_i f_i.  A panel is
+    flagged when its tail m = max(|c_{n-2}|, |c_{n-1}|) exceeds _TAIL_RTOL
+    c_0 and h m exceeds the floor.  Its tail estimate is then h m, a
+    null-rule bound that exceeds a corner's error; otherwise it is the
+    geometric extrapolation h m r^((n+1)/4) to order 2n of the decay
+    r = m / max(|c_{n-6}|, |c_{n-5}|) over four orders, capped at 1.
+    """
+    c0, *rest = coeffs
+    head, m = np.maximum(abs(rest[0]), abs(rest[1])), np.maximum(abs(rest[2]), abs(rest[3]))
+    floor = np.finfo(float).eps * n * h * c0
+    flagged = (m > _TAIL_RTOL * c0) & (h * m > floor)
+    r = np.minimum(1.0, m / np.maximum(head, np.finfo(float).tiny))
+    return h * c0, flagged, h * m * np.where(flagged, 1.0, r ** ((n + 1) / 4)), floor
+
+
+def _refine(direct, n: int, a: float, h: float, whole: float, tol: float,
+            corner: bool = True, depth: int = 1) -> tuple[float, float, int]:
+    """Nested subdivision of the panel [a, a + h], whose n-node Gauss-Legendre value is whole.
+
+    direct maps abscissas to density values; corner says the panel was
+    flagged.  It splits in halves, or, if flagged, in thirds when no half
+    is: the corner then hides in the node-free gaps at the halves' shared edge,
+    which the middle third's nodes straddle.  The pieces replace the panel
+    once they differ from it by at most tol and each tail estimate is within
+    tol (or at depth _REFINE_DEPTH); otherwise each piece is refined.
+    Returns the integral, its error estimate (accepted differences plus
+    tail estimates) and the number of nodes evaluated.
+    """
+    xi = np.polynomial.legendre.leggauss(n)[0]
+    nodes = 0
+    for parts in (2, 3):
+        w = h / parts
+        starts = a + w * np.arange(parts)
+        values = np.array([direct(s + (xi + 1.0) * 0.5 * w) for s in starts]).T
+        nodes += values.size
+        pieces, flagged, tails, _ = _panel_estimates(_legendre_rows(n) @ values, w, n)
+        if flagged.any() or not corner:
+            break
+    diff = abs(float(pieces.sum()) - whole)
+    if (diff <= tol and tails.max() <= tol) or depth == _REFINE_DEPTH:
+        return float(pieces.sum()), diff + float(tails.sum()), nodes
+    value = error = 0.0
+    for s, piece, bad in zip(starts, pieces, flagged):
+        v, e, k = _refine(direct, n, float(s), w, float(piece), tol, bool(bad), depth + 1)
+        value, error, nodes = value + v, error + e, nodes + k
+    return value, error, nodes
 
 
 def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
                                  nodes_per_panel: int = NODES_PER_PANEL,
                                  max_panel_width: float | None = None) -> QuadratureResult:
-    """Expected zero count on the interval by composite Gauss-Legendre panels.
+    """Expected zero count on the interval by one pass of Gauss-Legendre panels.
 
     Panels are at most a quarter period of the fastest oscillation wide
-    (narrower if max_panel_width is given: useful when the density has
-    corners, as in near-degenerate two-term models); the error estimate is
-    |I_h - I_{h/2}| from one panel-width halving, and the finer value is
-    reported.  Each kernel call covers at most _CHUNK_PANELS panels, so
-    memory stays bounded at any T; there is no node cap, and the stratified
-    method is the fast route at large T.
+    (narrower if max_panel_width is given).  Each chunk's node values also
+    give every panel's Legendre tail (_panel_estimates) at no extra kernel
+    call; only scalars and the global indices of flagged panels are kept.
+    A flagged panel, in practice one holding a corner of the density (two
+    effective terms), is integrated again by _refine with direct (fsum)
+    evaluation, to _REFINE_RTOL of its integral or its roundoff floor.  A
+    corner between a panel's edge and its outer node (about 2% of the width
+    at 8 nodes) leaves no trace in the node values and is not flagged.
+
+    abs_error_estimate adds the refined panels' estimates, the other panels'
+    tail extrapolations and every panel's roundoff floor.  nodes_used is
+    nodes_per_panel per panel plus the nodes _refine evaluates.  Memory
+    stays bounded at any T (see _gauss_legendre); there is no node cap, and
+    the stratified method is the fast route at large T.
     """
     _check_integrable(spec)
+    if nodes_per_panel < _MIN_NODES:
+        raise ValueError(f"nodes_per_panel must be at least {_MIN_NODES} (the error "
+                         f"estimate reads c_(n-6) to c_(n-1)), got {nodes_per_panel}")
+    if max_panel_width is not None and not 0 < max_panel_width < math.inf:
+        raise ValueError(f"max_panel_width must be positive and finite, got {max_panel_width}")
     width = panel_width(spec) if max_panel_width is None else max_panel_width
     n_panels = max(1, math.ceil(interval.length / width))
+    h = interval.length / n_panels
     table = make_weight_table(spec)
+    transform, coeffs = _legendre_rows(nodes_per_panel), None
+    flagged = []  # (panel, its Gauss-Legendre value, its roundoff floor)
+    error = 0.0
 
     def density(start, step, count):
-        return breakdown_grid(spec, table, start, step, count)["density"]
+        return breakdown_grid(spec, table, start, step, count, proof=False)["density"]
 
-    coarse = float(_gauss_legendre(density, interval, n_panels, nodes_per_panel))
-    fine = float(_gauss_legendre(density, interval, 2 * n_panels, nodes_per_panel))
-    return QuadratureResult(value=fine, abs_error_estimate=abs(fine - coarse),
-                            method="composite_deterministic",
-                            nodes_used=3 * n_panels * nodes_per_panel)
+    def inspect(i, lo, values):  # a chunk's Legendre rows, node by node
+        nonlocal coeffs, error
+        if i == 0:
+            coeffs = np.zeros((len(transform),) + values.shape)
+        for row, weight in zip(coeffs, transform[:, i]):
+            row += weight * values
+        if i == nodes_per_panel - 1:
+            whole, bad, tails, floor = _panel_estimates(coeffs, h, nodes_per_panel)
+            error += float(np.sum(tails[~bad])) + float(np.sum(floor))
+            flagged.extend((lo + p, float(whole[p]), float(floor[p])) for p in np.flatnonzero(bad))
+            coeffs = None
+
+    value = float(_gauss_legendre(density, interval, n_panels, nodes_per_panel, inspect))
+    nodes = nodes_per_panel * n_panels
+
+    def direct(ts):
+        return [breakdown_at(spec, float(t), table).density for t in ts]
+
+    for p, whole, floor in flagged:
+        refined, estimate, extra = _refine(direct, nodes_per_panel, interval.lo + p * h, h,
+                                           whole, max(floor, _REFINE_RTOL * abs(whole)))
+        value += refined - whole
+        error += estimate
+        nodes += extra
+    return QuadratureResult(value=value, abs_error_estimate=error,
+                            method="composite_deterministic", nodes_used=nodes)
 
 
 def expected_count_stratified(spec: PolynomialSpec, interval: Interval,

@@ -23,7 +23,7 @@ def cli_env() -> dict[str, str]:
 class EkCache:
     """Lazily computed Kac-Rice integrals shared across the session.
 
-    The deterministic quadrature at T = 4000 takes about 0.3 s on one core;
+    The deterministic quadrature at T = 4000 takes about 0.15 s on one core;
     the acceptance criteria reuse each value several times.
     """
 

@@ -193,14 +193,13 @@ def test_gauss_legendre_rows_closed_form(monkeypatch):
     counts.clear()
     got = _gauss_legendre(cosines, iv, n_panels=40)
     assert np.max(np.abs(got - exact)) < 1e-12
-    assert counts == [7, 7, 7, 7, 7, 5] * 8
+    assert counts == [7] * 8 * 5 + [5] * 8
 
 
 @pytest.mark.parametrize("T,k,part", [(2000.0, 0, "cosine"), (500.0, 2, "sine")])
 def test_chunked_streams_match_whole_streams(monkeypatch, T, k, part):
-    # chunking every node stream into 1000-panel kernel calls (20 and 39
-    # chunks per stream at T = 2000, 4 and 8 at T = 500) changes EK only by
-    # roundoff
+    # chunking every node stream into 1000-panel kernel calls (20 chunks per
+    # stream at T = 2000, 4 at T = 500) changes EK only by roundoff
     spec = make_spec(T, k, 0.5, part)
     whole = expected_count_deterministic(spec, experiment_interval(spec))
     monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 1000)
@@ -277,8 +276,64 @@ def test_deterministic_error_estimate_small(ek_cache):
     q = ek_cache.get(500.0)
     assert q.method == "composite_deterministic"
     assert q.abs_error_estimate < 1e-9
-    # base pass plus the halved pass: three panel counts of 8 nodes each
-    assert q.nodes_used == 3 * 8 * math.ceil(500.0 / panel_width(make_spec(500.0)))
+    # one pass of 8 nodes per panel; no panel is refined at T = 500
+    assert q.nodes_used == 8 * math.ceil(500.0 / panel_width(make_spec(500.0)))
+
+
+def _panels(spec, iv):
+    return math.ceil(iv.length / panel_width(spec))
+
+
+@pytest.mark.parametrize("T,k,part", [(200.0, 0, "cosine"), (500.0, 0, "cosine"),
+                                      (2000.0, 0, "cosine"), (20_000.0, 0, "cosine"),
+                                      (200.0, 1, "cosine"), (500.0, 1, "cosine"),
+                                      (500.0, 2, "sine"), (2000.0, 2, "sine")])
+def test_smooth_density_flags_no_panel(T, k, part):
+    # the Legendre tails of a smooth density decay on every default panel:
+    # no panel is refined, so the pass uses exactly 8 nodes per panel
+    spec = make_spec(T, k, 0.5, part)
+    iv = experiment_interval(spec)
+    assert expected_count_deterministic(spec, iv).nodes_used == 8 * _panels(spec, iv)
+
+
+def test_corner_panel_refined_across_chunks(monkeypatch):
+    # the two-term density's corner (t = 3 pi / log 2) lies in panel 4 of 6;
+    # in chunks of 4 panels it is panel 0 of the second chunk, so a
+    # chunk-local index would refine the wrong panel
+    spec = make_spec(2.5, 0, 0.5, "cosine")
+    iv = Interval(10.0, 10.0 + math.pi / math.log(2.0))
+    assert _panels(spec, iv) == 6
+    assert int((3.0 * math.pi / math.log(2.0) - iv.lo) / (iv.length / 6)) == 4
+    whole = expected_count_deterministic(spec, iv)
+    assert whole.nodes_used > 8 * 6
+    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 4)
+    chunked = expected_count_deterministic(spec, iv)
+    assert chunked.nodes_used == whole.nodes_used
+    assert abs(chunked.value - whole.value) <= 1e-13 * whole.value
+
+
+@pytest.mark.parametrize("T,k,part", [(200.0, 0, "cosine"), (200.0, 1, "cosine"),
+                                      (500.0, 0, "cosine"), (500.0, 2, "sine")])
+def test_deterministic_error_estimate_honest(T, k, part):
+    # against a 16-node rule on half-width panels (how the benchmark's EK
+    # references are built) the error is within the estimate, and the
+    # estimate within the 1e-9 contract
+    spec = make_spec(T, k, 0.5, part)
+    iv = experiment_interval(spec)
+    q = expected_count_deterministic(spec, iv)
+    ref = expected_count_deterministic(spec, iv, nodes_per_panel=16,
+                                       max_panel_width=panel_width(spec) / 2.0).value
+    assert abs(q.value - ref) <= q.abs_error_estimate < 1e-9 * q.value
+
+
+def test_bad_panel_parameters_rejected():
+    spec = make_spec(200.0)
+    iv = experiment_interval(spec)
+    for width in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="max_panel_width"):
+            expected_count_deterministic(spec, iv, max_panel_width=width)
+    with pytest.raises(ValueError, match="nodes_per_panel"):
+        expected_count_deterministic(spec, iv, nodes_per_panel=7)
 
 
 def test_stratified_runs_at_large_T():
