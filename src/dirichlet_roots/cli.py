@@ -30,7 +30,7 @@ from .diagnostics import l2_mean_value_check, proof_step_integrals, u_sup_monito
 from .kac_rice import NumericalError, expected_count_deterministic, expected_count_stratified
 from .monte_carlo import default_grid_step, run_trials, sigma_sweep
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 _EXIT_USAGE = 2
 _EXIT_NUMERICAL = 4
@@ -191,6 +191,7 @@ def cmd_diagnostics(args) -> int:
         raise ValueError(f"--suite {args.suite} takes neither --k nor --sigma")
     k = 0 if args.k is None else args.k
     sigma = 0.5 if args.sigma is None else args.sigma
+    model = {"k": k, "sigma": sigma} if args.suite in ("steps", "sup") else {}
     t0 = time.perf_counter()
     if args.suite == "steps":
         spec = make_spec(args.T, k, sigma, "cosine")
@@ -239,6 +240,7 @@ def cmd_diagnostics(args) -> int:
         "command": "diagnostics",
         "suite": args.suite,
         "T": args.T,
+        **model,
         "seed": args.seed,
         "rows": rows,
         "wall_time_s": {"suite": round(time.perf_counter() - t0, 4)},
@@ -247,7 +249,8 @@ def cmd_diagnostics(args) -> int:
     if args.out:
         _write_csv(args.out,
                    f"# dirichlet-roots diagnostics suite={args.suite} "
-                   f"schema={SCHEMA_VERSION} seed={args.seed} T={args.T}",
+                   f"schema={SCHEMA_VERSION} seed={args.seed} T={args.T}"
+                   + "".join(f" {name}={value}" for name, value in model.items()),
                    csv_cols, csv_rows)
     return 0
 

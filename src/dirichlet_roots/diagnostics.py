@@ -114,7 +114,7 @@ def l2_mean_value_check(coefficients, T: float,
     width = math.pi / (4.0 * math.log(max(n, 2)))
 
     def modulus_squared(start, step, count):
-        c_rows, s_rows = oscillating_sums(logs, rows, rows, start, step, count)
+        c_rows, s_rows = oscillating_sums(logs, rows, None, start, step, count)
         return (c_rows[0] - s_rows[1])**2 + (s_rows[0] + c_rows[1])**2
 
     lhs = float(_gauss_legendre(modulus_squared, Interval(0.0, T),

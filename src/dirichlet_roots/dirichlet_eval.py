@@ -8,7 +8,8 @@ Two evaluators, cross-checked in the tests:
 * grid kernel (oscillating_sums): rows of values on a uniform t-grid, as a
   type-1 nonuniform FFT (exponential-of-semicircle spreading onto a fine
   grid, one FFT, kernel deconvolution), O(terms + grid log grid) per row.
-  Error below about 3e-13 of the row's coefficient L1 mass.
+  Error below about 3e-13 of the row's coefficient L1 mass.  As in FINUFFT's
+  plan interface, the point layout is built once per point set and cached.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,46 +99,78 @@ def _spread_kernel(offsets: np.ndarray) -> np.ndarray:
     return np.exp(_SPREAD_BETA * (np.sqrt(np.maximum(1.0 - r * r, 0.0)) - 1.0))
 
 
-def _spread(strengths: np.ndarray, cell: np.ndarray, frac: np.ndarray,
-            nf: int) -> np.ndarray:
-    """Spread points at cell + frac (sorted by cell) onto a periodic fine grid.
+class _Plan(NamedTuple):
+    """Spreading layout of one point set; every array has one entry per point."""
 
-    strengths holds the real parts of the point strengths over their
-    imaginary parts (2 * rows real rows); the result is (rows, nf) complex.
-    A point covers fine cells cell + 1 - w/2 + k, k < w, and each tile of
-    cells is one dense GEMM: strengths times a (points x (tile + w)) kernel
-    block.  buf holds fine cell m at m + w/2, real and imaginary parts
-    interleaved.
+    terms: np.ndarray   # indices n with logs[n] != 0, sorted by fine cell
+    frac: np.ndarray    # each point's position in its fine cell
+    offset: np.ndarray  # its first entry in its span's kernel block, row-major
+    tile: int           # fine cells per tile
+    spans: tuple        # (a, b, f): points a .. b - 1, one GEMM onto buffer column f on
+    widest: int         # points in the largest span
+
+
+@lru_cache(maxsize=1)
+def _cached_plan(logs: bytes, step: float, count: int, rows: int) -> _Plan:
+    """The _Plan of the points step * logs mod 2 pi, for count modes and rows output rows.
+
+    Keyed by the content of logs, so every call on one point set (node
+    streams, chunks, trial blocks) shares one plan.
     """
-    rows, w = strengths.shape[0] // 2, _SPREAD_WIDTH
-    wrap = w // 2
-    values = _spread_kernel(frac[:, None] + (wrap - 1 - np.arange(w)))
-    balance = math.isqrt(_TILE_BALANCE * nf // (rows * cell.size + 1))
-    tile = max(1, min(_TILE_CELLS, balance))
-    first = cell - cell % tile
-    flat = ((cell - first) + (tile + w) * np.arange(cell.size))[:, None] + np.arange(w)
-    buf = np.zeros((rows, nf + tile + w, 2))
-    runs = np.flatnonzero(np.diff(first)) + 1
+    logs = np.frombuffer(logs)
+    nf, w = _fine_grid(count)[0], _SPREAD_WIDTH
+    pos = np.mod(step * logs, 2.0 * math.pi) * (nf / (2.0 * math.pi))
+    cell = np.floor(pos).astype(np.intp)
+    frac = pos - cell
+    cell %= nf
+    terms = np.flatnonzero(logs != 0.0)
+    terms = terms[np.argsort(cell[terms], kind="stable")]
+    cell, frac = cell[terms], frac[terms]
+    tile = max(1, min(_TILE_CELLS, math.isqrt(_TILE_BALANCE * nf // (rows * cell.size + 1))))
+    offset, spans = cell % tile, []
+    runs = np.flatnonzero(np.diff(cell // tile)) + 1
     for lo, hi in zip(np.r_[0, runs], np.r_[runs, cell.size]):
         for a in range(lo, hi, _TILE_POINTS):
             b = min(hi, a + _TILE_POINTS)
-            block = np.zeros((b - a) * (tile + w))
-            block[flat[a:b] - a * (tile + w)] = values[a:b]
-            spread = strengths[:, a:b] @ block.reshape(b - a, tile + w)
-            f = first[a] + 1
-            buf[:, f:f + tile + w] += spread.reshape(2, rows, -1).transpose(1, 2, 0)
-    fine = buf.view(np.complex128)[..., 0]
+            offset[a:b] += (tile + w) * np.arange(b - a)
+            spans.append((int(a), int(b), int(cell[a] // tile * tile) + 1))
+    for arr in (terms, frac, offset):
+        arr.setflags(write=False)  # shared by every caller of the cache
+    return _Plan(terms, frac, offset, tile, tuple(spans),
+                 max((b - a for a, b, _ in spans), default=0))
+
+
+def _spread(strengths: np.ndarray, plan: _Plan, nf: int) -> np.ndarray:
+    """Spread the plan's points onto a periodic fine grid.
+
+    strengths holds the real parts of the point strengths over their
+    imaginary parts (2 * rows real rows, points in plan order); the result
+    is (rows, nf) complex.  A point at cell + frac covers fine cells
+    cell + 1 - w/2 + k, k < w, and each span is one dense GEMM: strengths
+    times a (points x (tile + w)) kernel block.  One zeroed block serves
+    every span: its entries are set before the GEMM and zeroed after it.
+    fine holds fine cell m at m + w/2.
+    """
+    rows, w, tile = strengths.shape[0] // 2, _SPREAD_WIDTH, plan.tile
+    wrap = w // 2
+    values = _spread_kernel(plan.frac[:, None] + (wrap - 1 - np.arange(w)))
+    flat = plan.offset[:, None] + np.arange(w)
+    block = np.zeros(plan.widest * (tile + w))
+    fine = np.zeros((rows, nf + tile + w), dtype=np.complex128)
+    re, im = fine.real, fine.imag
+    for a, b, f in plan.spans:
+        block[flat[a:b]] = values[a:b]
+        spread = strengths[:, a:b] @ block[:(b - a) * (tile + w)].reshape(b - a, tile + w)
+        block[flat[a:b]] = 0.0
+        re[:, f:f + tile + w] += spread[:rows]
+        im[:, f:f + tile + w] += spread[rows:]
     fine[:, nf:nf + wrap] += fine[:, :wrap]          # cells -w/2 .. -1
     fine[:, wrap:w] += fine[:, nf + wrap:nf + w]     # cells nf .. nf + w/2 - 1
     return fine[:, wrap:wrap + nf]
 
 
-def oscillating_sums(logs: np.ndarray,
-                     cos_coeffs: np.ndarray,
-                     sin_coeffs: np.ndarray,
-                     start: float,
-                     step: float,
-                     count: int,
+def oscillating_sums(logs: np.ndarray, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray | None,
+                     start: float, step: float, count: int,
                      shifts: np.ndarray | tuple[float, ...] = (0.0,),
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate rows of cosine/sine sums along the uniform grid t_i = start + i*step.
@@ -145,18 +179,23 @@ def oscillating_sums(logs: np.ndarray,
         C[r, i] = sum_n cos_coeffs[r, n] * cos(t_i * logs[n])
         S[r, i] = sum_n sin_coeffs[r, n] * sin(t_i * logs[n]).
 
-    cos_coeffs / sin_coeffs may be empty (shape (0, n)) to skip that half.
+    cos_coeffs / sin_coeffs may be empty (shape (0, n)) to skip that half;
+    sin_coeffs=None gives both sums of the cos_coeffs rows from one
+    transform per row, bit for bit the values of sin_coeffs=cos_coeffs.
     With t_i = mid + j*step, mid the grid's middle node, every row is a
     type-1 NUFFT: modes j of the nonuniform points x_n = step*logs[n] mod
     2 pi with strengths coeffs * exp(i mid logs[n]).  Points are spread
     onto a fine periodic grid, transformed by one FFT per row and divided by
     the kernel's own transform; terms with logs[n] = 0 are constant and are
     added exactly.  The error stays below about 3e-13 of each row's L1 mass.
+    The points' sort and tiling are planned once per point set, step, count
+    and output row count (_cached_plan, keyed by the content of logs), so
+    repeated calls on one point set execute only the spreading and the FFTs.
 
     shifts, a 1-D array of S offsets, evaluates every coefficient row on
     the S grids t_i = start + shifts[g] + i*step; row r*S + g of C (of S)
     holds coefficient row r on grid g.  The default, one zero shift, is the
-    plain grid.  The grids share one point set, so one sort, one
+    plain grid.  The grids share one point set, so one plan, one
     kernel-weight table and one spreading pass serve them all.  Each shift
     enters by angle addition, as the strength factor
     exp(i mid logs[n]) * exp(i shifts[g] logs[n]); forming fl(start + shift)
@@ -165,31 +204,28 @@ def oscillating_sums(logs: np.ndarray,
     """
     if count <= 0:
         raise ValueError("count must be positive")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    shifts = np.asarray(shifts, dtype=np.float64)
+    if not (math.isfinite(start) and np.isfinite(shifts).all()):
+        raise ValueError("start and shifts must be finite")
     cos_coeffs = np.atleast_2d(np.asarray(cos_coeffs, dtype=np.float64))
-    sin_coeffs = np.atleast_2d(np.asarray(sin_coeffs, dtype=np.float64))
-    coeffs = np.concatenate([cos_coeffs, sin_coeffs])
-    rows, n_cos = coeffs.shape[0], cos_coeffs.shape[0]
-    constant = coeffs[:n_cos, logs == 0.0].sum(axis=1)[:, None]
+    both = sin_coeffs is None
+    sin_coeffs = cos_coeffs if both else np.atleast_2d(np.asarray(sin_coeffs, dtype=np.float64))
+    coeffs = cos_coeffs if both else np.concatenate([cos_coeffs, sin_coeffs])
+    n_cos, n_sin = cos_coeffs.shape[0] * shifts.size, sin_coeffs.shape[0] * shifts.size
+    constant = np.repeat(cos_coeffs[:, logs == 0.0].sum(axis=1)[:, None], shifts.size, axis=0)
 
     nf, scale = _fine_grid(count)
     half = count // 2
-    pos = np.mod(step * logs, 2.0 * math.pi) * (nf / (2.0 * math.pi))
-    cell = np.floor(pos).astype(np.intp)
-    frac = pos - cell
-    cell %= nf
-    terms = np.flatnonzero(logs != 0.0)
-    terms = terms[np.argsort(cell[terms], kind="stable")]
-    phase = (start + half * step) * logs[terms]
-    shifts = np.asarray(shifts, dtype=np.float64)
-    strengths = _shifted_strengths(coeffs[:, terms], phase, shifts, logs[terms])
-    constant = np.repeat(constant, shifts.size, axis=0)
-    rows, n_cos = rows * shifts.size, n_cos * shifts.size
-    fine = _spread(strengths, cell[terms], frac[terms], nf)
+    # tiles follow the output rows, so a both-parts call spreads like (rows, rows)
+    plan = _cached_plan(np.asarray(logs, dtype=np.float64).tobytes(), step, count, n_cos + n_sin)
+    phase = (start + half * step) * logs[plan.terms]
+    strengths = _shifted_strengths(coeffs[:, plan.terms], phase, shifts, logs[plan.terms])
+    fine = _spread(strengths, plan, nf)
     np.fft.ifft(fine, norm="forward", out=fine)
-    out_c, out_s = np.empty((n_cos, count)), np.empty((rows - n_cos, count))
-    for out, part in ((out_c, fine[:n_cos].real), (out_s, fine[n_cos:].imag)):
+    out_c, out_s = np.empty((n_cos, count)), np.empty((n_sin, count))
+    for out, part in ((out_c, fine[:n_cos].real), (out_s, fine[0 if both else n_cos:].imag)):
         out[:, :half] = part[:, nf - half:]
         out[:, half:] = part[:, :count - half]
         out /= scale

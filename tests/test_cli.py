@@ -18,7 +18,7 @@ def test_expected_json(capsys):
     code, out, _ = run_cli(["expected", "--T", "200", "--k", "0"], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
     assert payload["spec"] == {"T": 200.0, "k": 0, "sigma": 0.5,
                                "part": "cosine", "degenerate": False}
     assert payload["method"] == "composite_deterministic"
@@ -114,7 +114,7 @@ def test_simulate_csv_deterministic(tmp_path, capsys):
     assert code1 == code2 == 0
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().splitlines()
-    assert lines[0].startswith("# dirichlet-roots simulate schema=1 seed=7")
+    assert lines[0].startswith("# dirichlet-roots simulate schema=2 seed=7")
     assert lines[1] == "trial_index,count"
     assert len(lines) == 12
     p1, p2 = json.loads(js1), json.loads(js2)
@@ -183,6 +183,20 @@ def test_diagnostics_sup_suite(capsys):
     assert code == 0
     row = json.loads(js)["rows"][0]
     assert row["sup_u"] > 0 and row["ratio_u2"] > 0
+
+
+def test_diagnostics_artifacts_record_the_model(tmp_path, capsys):
+    # steps and sup record k and sigma: --suite sup --k 2 differs from k = 0
+    for suite, flags, k in (("steps", [], 0), ("sup", [], 0), ("sup", ["--k", "2"], 2)):
+        out = tmp_path / f"{suite}{k}.csv"
+        code, js, _ = run_cli(["diagnostics", "--suite", suite, "--T", "300", *flags,
+                               "--out", str(out)], capsys)
+        assert code == 0
+        payload = json.loads(js)
+        assert (payload["k"], payload["sigma"]) == (k, 0.5)
+        assert out.read_text().splitlines()[0] == (
+            f"# dirichlet-roots diagnostics suite={suite} schema=2 seed=0 T=300.0 "
+            f"k={k} sigma=0.5")
 
 
 def test_diagnostics_rejects_unused_model_flags(capsys):

@@ -13,7 +13,12 @@ from dirichlet_roots import (
     u_moment,
 )
 from dirichlet_roots.core import CoefficientSample
-from dirichlet_roots.dirichlet_eval import _grid_values, _shifted_strengths, oscillating_sums
+from dirichlet_roots.dirichlet_eval import (
+    _cached_plan,
+    _grid_values,
+    _shifted_strengths,
+    oscillating_sums,
+)
 
 from oracles import direct_power_sum
 
@@ -242,6 +247,82 @@ def test_kernel_shifted_half_empty_and_exact_constant():
     C, S = oscillating_sums(np.zeros(1), [[2.5], [-1.0]], [[1.5]], 6e4, 0.7, 40,
                             np.array([0.0, 0.3, -7.5, 1e4]))
     assert np.all(C == np.repeat([[2.5], [-1.0]], 4, axis=0)) and np.all(S == 0.0)
+
+
+def test_kernel_one_transform_for_both_parts_is_bitwise():
+    # sin_coeffs=None gives the cosine and the sine sums of the same rows
+    # from one transform per row, bit for bit those of (rows, rows)
+    spec = make_spec(700.0, 0, 0.5)
+    table = make_weight_table(spec)
+    X = np.array([sample_coefficients(spec, 3, r).values for r in range(2)]) * table.weights
+    for shifts in ((0.0,), (0.0, 0.5, -2.25)):
+        both = oscillating_sums(table.logs, X, None, 1400.0, 0.3, 100, np.array(shifts))
+        pair = oscillating_sums(table.logs, X, X, 1400.0, 0.3, 100, np.array(shifts))
+        assert all(np.array_equal(a, b) for a, b in zip(both, pair))
+        assert both[1].shape == (2 * len(shifts), 100)
+    # the exact n = 1 constant goes to C only
+    C, S = oscillating_sums(np.zeros(1), [[2.5], [-1.0]], None, 3.0, 0.7, 40, np.array([0.0, 9.5]))
+    assert np.all(C == np.repeat([[2.5], [-1.0]], 2, axis=0)) and np.all(S == 0.0)
+
+
+def test_kernel_plan_reuse_is_bitwise():
+    # a call on a warm plan equals the same call after another point set
+    # has evicted the plan
+    spec = make_spec(500.0, 0, 0.5)
+    table = make_weight_table(spec)
+    X = np.array([sample_coefficients(spec, 4, r).values for r in range(3)]) * table.weights
+    args = (X[:2], X[2:], 1000.0, 0.05, 400)
+    first = oscillating_sums(table.logs, *args)
+    warm = oscillating_sums(table.logs, *args)
+    oscillating_sums(table.logs[::-1].copy(), *args)
+    cold = oscillating_sums(table.logs, *args)
+    for got in (warm, cold):
+        assert all(np.array_equal(a, b) for a, b in zip(first, got))
+
+
+def test_kernel_alternating_point_sets_match_fsum():
+    # two point sets of equal length, same step and count, called alternately:
+    # the plan is keyed by the content of logs, not its length or identity
+    low = np.log(np.arange(1, 301, dtype=np.float64))
+    high = np.log(np.arange(301, 601, dtype=np.float64))
+    rng = np.random.default_rng(8)
+    coeffs = rng.standard_normal((2, 300)) / np.sqrt(np.arange(1, 301))
+    start, step, count = 600.0, 0.05, 300
+    for logs in (low, high, low, high):
+        C, S = oscillating_sums(logs, coeffs, coeffs, start, step, count)
+        for r in range(2):
+            mass = math.fsum(np.abs(coeffs[r]))
+            for i in (0, 149, 299):
+                t = start + i * step
+                assert abs(C[r, i] - math.fsum(coeffs[r] * np.cos(t * logs))) < 1e-12 * mass
+                assert abs(S[r, i] - math.fsum(coeffs[r] * np.sin(t * logs))) < 1e-12 * mass
+
+
+def test_kernel_plan_memory_is_linear_in_terms():
+    # the cached plan keeps O(terms) arrays; the terms x kernel-width weights
+    # are built per call, which keeps deterministic EK at large T in memory
+    logs = np.log(np.arange(1, 2001, dtype=np.float64))
+    oscillating_sums(logs, np.ones((3, 2000)), np.empty((0, 2000)), 4000.0, 0.01, 5000)
+    plan = _cached_plan(logs.tobytes(), 0.01, 5000, 3)
+    assert _cached_plan.cache_info().currsize == 1
+    arrays = [v for v in plan if isinstance(v, np.ndarray)]
+    assert len(arrays) == 3 and max(a.size for a in arrays) <= logs.size
+    assert len(plan.spans) <= logs.size
+
+
+@pytest.mark.parametrize("start,step,shifts", [
+    (math.nan, 0.1, (0.0,)), (math.inf, 0.1, (0.0,)), (1.0, math.nan, (0.0,)),
+    (1.0, math.inf, (0.0,)), (1.0, 0.0, (0.0,)), (1.0, 0.1, (0.0, math.nan)),
+    (1.0, 0.1, (-math.inf,)),
+])
+def test_kernel_rejects_non_finite_grids(start, step, shifts):
+    # rejected before a plan is built or looked up
+    logs = np.log(np.arange(1, 51, dtype=np.float64))
+    before = _cached_plan.cache_info()
+    with pytest.raises(ValueError):
+        oscillating_sums(logs, np.ones((1, 50)), None, start, step, 20, np.array(shifts))
+    after = _cached_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_grid_snapping_and_errors(two_term):
