@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -55,12 +56,14 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _write_csv(path: str, header_comment: str, columns: list[str],
-               rows: list[list]) -> None:
+def _write_csv(path: str, header_comment: str, rows: list[dict],
+               columns: list[str] | None = None) -> None:
+    """A comment line, then the rows under the given columns (default: every key)."""
     with open(path, "w", newline="") as fh:
         fh.write(header_comment + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
+        writer = csv.DictWriter(fh, columns or list(rows[0]), extrasaction="ignore",
+                                lineterminator="\n")
+        writer.writeheader()
         writer.writerows(rows)
 
 
@@ -103,9 +106,8 @@ def cmd_expected(args) -> int:
         _write_csv(args.out,
                    f"# dirichlet-roots expected schema={SCHEMA_VERSION} seed={args.seed} "
                    f"T={spec.T} k={spec.k} sigma={spec.sigma} part={spec.part.value}",
-                   ["T", "k", "sigma", "part", "method", "ek_value", "ek_error", "nodes_used"],
-                   [[spec.T, spec.k, spec.sigma, spec.part.value, method,
-                     repr(ek_value), repr(ek_error), nodes]])
+                   [{**payload["spec"], **payload}],
+                   ["T", "k", "sigma", "part", "method", "ek_value", "ek_error", "nodes_used"])
     return 0
 
 
@@ -137,8 +139,8 @@ def cmd_simulate(args) -> int:
                    f"# dirichlet-roots simulate schema={SCHEMA_VERSION} seed={args.seed} "
                    f"T={spec.T} k={spec.k} sigma={spec.sigma} part={spec.part.value} "
                    f"trials={agg.trials} step={step!r}",
-                   ["trial_index", "count"],
-                   [[i, int(c)] for i, c in enumerate(agg.per_trial_counts)])
+                   [{"trial_index": i, "count": int(c)}
+                    for i, c in enumerate(agg.per_trial_counts)])
     return 0
 
 
@@ -180,9 +182,7 @@ def cmd_compare(args) -> int:
         _write_csv(args.out,
                    f"# dirichlet-roots compare schema={SCHEMA_VERSION} seed={args.seed} "
                    f"k={args.k} sigma={args.sigma} trials={args.trials}",
-                   ["T", "ek", "asym", "mc_mean", "mc_stderr", "ratio"],
-                   [[r["T"], repr(r["ek"]), repr(r["asym"]), repr(r["mc_mean"]),
-                     repr(r["mc_stderr"]), repr(r["ratio"])] for r in rows])
+                   rows, ["T", "ek", "asym", "mc_mean", "mc_stderr", "ratio"])
     return 0
 
 
@@ -195,14 +195,7 @@ def cmd_diagnostics(args) -> int:
     t0 = time.perf_counter()
     if args.suite == "steps":
         spec = make_spec(args.T, k, sigma, "cosine")
-        reports = proof_step_integrals(spec)
-        rows = [{"step_id": r.step_id, "integral_value": r.integral_value,
-                 "envelope_scale": r.envelope_scale,
-                 "observed_ratio": r.observed_ratio} for r in reports]
-        csv_cols = ["step_id", "integral_value", "envelope_scale", "observed_ratio"]
-        csv_rows = [[r["step_id"], repr(r["integral_value"]),
-                     repr(r["envelope_scale"]), repr(r["observed_ratio"])]
-                    for r in rows]
+        rows = [dataclasses.asdict(r) for r in proof_step_integrals(spec)]
     elif args.suite == "l2":
         families = [("ones", np.ones(2)),
                     ("1_over_n", 1.0 / np.arange(1, 501)),
@@ -213,10 +206,6 @@ def cmd_diagnostics(args) -> int:
             rows.append({"family": name, "n": int(a.shape[0]), "lhs": lhs,
                          "main": main, "error_budget": budget,
                          "realized_constant": abs(lhs - main) / budget})
-        csv_cols = ["family", "n", "lhs", "main", "error_budget", "realized_constant"]
-        csv_rows = [[r["family"], r["n"], repr(r["lhs"]), repr(r["main"]),
-                     repr(r["error_budget"]), repr(r["realized_constant"])]
-                    for r in rows]
     elif args.suite == "sup":
         spec = make_spec(args.T, k, sigma, "cosine")
         rep = u_sup_monitor(spec, experiment_interval(spec))
@@ -224,17 +213,12 @@ def cmd_diagnostics(args) -> int:
                  "ratio_u": rep.log_power_ratios[0],
                  "ratio_u1": rep.log_power_ratios[1],
                  "ratio_u2": rep.log_power_ratios[2]}]
-        csv_cols = ["sup_u", "sup_u1", "sup_u2", "ratio_u", "ratio_u1", "ratio_u2"]
-        csv_rows = [[repr(v) for v in rows[0].values()]]
     else:
         table = sigma_sweep(args.T, _SIGMA_SUITE, trials=args.trials,
                             seed=args.seed, threads=args.threads)
         rows = [{"sigma": s, "mean": agg.mean, "stderr": agg.stderr,
                  "normalized": agg.mean / (args.T * math.log(args.T))}
                 for s, agg in table]
-        csv_cols = ["sigma", "mean", "stderr", "normalized"]
-        csv_rows = [[r["sigma"], repr(r["mean"]), repr(r["stderr"]),
-                     repr(r["normalized"])] for r in rows]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "diagnostics",
@@ -251,7 +235,7 @@ def cmd_diagnostics(args) -> int:
                    f"# dirichlet-roots diagnostics suite={args.suite} "
                    f"schema={SCHEMA_VERSION} seed={args.seed} T={args.T}"
                    + "".join(f" {name}={value}" for name, value in model.items()),
-                   csv_cols, csv_rows)
+                   rows)
     return 0
 
 

@@ -80,10 +80,10 @@ def proof_step_integrals(spec: PolynomialSpec,
     integrals = _gauss_legendre(pieces, interval, n_panels, nodes_per_panel)
 
     L = math.log(spec.T)
-    gamma = stieltjes_constant(0)
-    reports = [StepReport(step_id=1, integral_value=-integrals[0],
-                          envelope_scale=gamma * spec.T / L,
-                          observed_ratio=abs(integrals[0]) / (gamma * spec.T / L))]
+    scale = stieltjes_constant(0) * spec.T / L
+    val = float(integrals[0])
+    reports = [StepReport(step_id=1, integral_value=-val, envelope_scale=scale,
+                          observed_ratio=abs(val) / scale)]
     for step_id in range(2, 10):
         scale = spec.T / L ** _STEP_LOG_POWERS[step_id]
         val = float(integrals[step_id - 1])
@@ -114,7 +114,7 @@ def l2_mean_value_check(coefficients, T: float,
     width = math.pi / (4.0 * math.log(max(n, 2)))
 
     def modulus_squared(start, step, count):
-        c_rows, s_rows = oscillating_sums(logs, rows, None, start, step, count)
+        c_rows, s_rows = oscillating_sums(logs, rows, start, step, count)
         return (c_rows[0] - s_rows[1])**2 + (s_rows[0] + c_rows[1])**2
 
     lhs = float(_gauss_legendre(modulus_squared, Interval(0.0, T),

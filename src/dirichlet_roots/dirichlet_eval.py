@@ -8,8 +8,11 @@ Two evaluators, cross-checked in the tests:
 * grid kernel (oscillating_sums): rows of values on a uniform t-grid, as a
   type-1 nonuniform FFT (exponential-of-semicircle spreading onto a fine
   grid, one FFT, kernel deconvolution), O(terms + grid log grid) per row.
-  Error below about 3e-13 of the row's coefficient L1 mass.  As in FINUFFT's
-  plan interface, the point layout is built once per point set and cached.
+  Each coefficient row gives the complex sums sum_n c_n exp(i t log n), so
+  one transform returns its cosine sums (the real part) and its sine sums
+  (the imaginary part).  Error below about 3e-13 of the row's coefficient
+  L1 mass.  As in FINUFFT's plan interface, the point layout is built once
+  per point set and cached.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ class _Plan(NamedTuple):
 
 @lru_cache(maxsize=1)
 def _cached_plan(logs: bytes, step: float, count: int, rows: int) -> _Plan:
-    """The _Plan of the points step * logs mod 2 pi, for count modes and rows output rows.
+    """The _Plan of the points step * logs mod 2 pi, for count modes and rows transform rows.
 
     Keyed by the content of logs, so every call on one point set (node
     streams, chunks, trial blocks) shares one plan.
@@ -169,28 +172,25 @@ def _spread(strengths: np.ndarray, plan: _Plan, nf: int) -> np.ndarray:
     return fine[:, wrap:wrap + nf]
 
 
-def oscillating_sums(logs: np.ndarray, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray | None,
-                     start: float, step: float, count: int,
-                     shifts: np.ndarray | tuple[float, ...] = (0.0,),
+def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: float,
+                     count: int, shifts: np.ndarray | tuple[float, ...] = (0.0,),
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate rows of cosine/sine sums along the uniform grid t_i = start + i*step.
+    """Evaluate rows of cosine and sine sums along the uniform grid t_i = start + i*step.
 
     Returns (C, S) with
-        C[r, i] = sum_n cos_coeffs[r, n] * cos(t_i * logs[n])
-        S[r, i] = sum_n sin_coeffs[r, n] * sin(t_i * logs[n]).
-
-    cos_coeffs / sin_coeffs may be empty (shape (0, n)) to skip that half;
-    sin_coeffs=None gives both sums of the cos_coeffs rows from one
-    transform per row, bit for bit the values of sin_coeffs=cos_coeffs.
-    With t_i = mid + j*step, mid the grid's middle node, every row is a
-    type-1 NUFFT: modes j of the nonuniform points x_n = step*logs[n] mod
-    2 pi with strengths coeffs * exp(i mid logs[n]).  Points are spread
-    onto a fine periodic grid, transformed by one FFT per row and divided by
-    the kernel's own transform; terms with logs[n] = 0 are constant and are
-    added exactly.  The error stays below about 3e-13 of each row's L1 mass.
-    The points' sort and tiling are planned once per point set, step, count
-    and output row count (_cached_plan, keyed by the content of logs), so
-    repeated calls on one point set execute only the spreading and the FFTs.
+        C[r, i] = sum_n coeffs[r, n] * cos(t_i * logs[n])
+        S[r, i] = sum_n coeffs[r, n] * sin(t_i * logs[n]),
+    the real and imaginary parts of sum_n coeffs[r, n] * exp(i t_i logs[n]),
+    from one transform per row.  With t_i = mid + j*step, mid the grid's
+    middle node, every row is a type-1 NUFFT: modes j of the nonuniform
+    points x_n = step*logs[n] mod 2 pi with strengths coeffs * exp(i mid
+    logs[n]).  Points are spread onto a fine periodic grid, transformed by
+    one FFT per row and divided by the kernel's own transform; terms with
+    logs[n] = 0 are constant and are added exactly.  The error stays below
+    about 3e-13 of each row's L1 mass.  The points' sort and tiling are
+    planned once per point set, step, count and transform row count
+    (_cached_plan, keyed by the content of logs), so repeated calls on one
+    point set execute only the spreading and the FFTs.
 
     shifts, a 1-D array of S offsets, evaluates every coefficient row on
     the S grids t_i = start + shifts[g] + i*step; row r*S + g of C (of S)
@@ -209,23 +209,19 @@ def oscillating_sums(logs: np.ndarray, cos_coeffs: np.ndarray, sin_coeffs: np.nd
     shifts = np.asarray(shifts, dtype=np.float64)
     if not (math.isfinite(start) and np.isfinite(shifts).all()):
         raise ValueError("start and shifts must be finite")
-    cos_coeffs = np.atleast_2d(np.asarray(cos_coeffs, dtype=np.float64))
-    both = sin_coeffs is None
-    sin_coeffs = cos_coeffs if both else np.atleast_2d(np.asarray(sin_coeffs, dtype=np.float64))
-    coeffs = cos_coeffs if both else np.concatenate([cos_coeffs, sin_coeffs])
-    n_cos, n_sin = cos_coeffs.shape[0] * shifts.size, sin_coeffs.shape[0] * shifts.size
-    constant = np.repeat(cos_coeffs[:, logs == 0.0].sum(axis=1)[:, None], shifts.size, axis=0)
+    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
+    rows = coeffs.shape[0] * shifts.size
+    constant = np.repeat(coeffs[:, logs == 0.0].sum(axis=1)[:, None], shifts.size, axis=0)
 
     nf, scale = _fine_grid(count)
     half = count // 2
-    # tiles follow the output rows, so a both-parts call spreads like (rows, rows)
-    plan = _cached_plan(np.asarray(logs, dtype=np.float64).tobytes(), step, count, n_cos + n_sin)
+    plan = _cached_plan(np.asarray(logs, dtype=np.float64).tobytes(), step, count, rows)
     phase = (start + half * step) * logs[plan.terms]
     strengths = _shifted_strengths(coeffs[:, plan.terms], phase, shifts, logs[plan.terms])
     fine = _spread(strengths, plan, nf)
     np.fft.ifft(fine, norm="forward", out=fine)
-    out_c, out_s = np.empty((n_cos, count)), np.empty((n_sin, count))
-    for out, part in ((out_c, fine[:n_cos].real), (out_s, fine[0 if both else n_cos:].imag)):
+    out_c, out_s = np.empty((rows, count)), np.empty((rows, count))
+    for out, part in ((out_c, fine.real), (out_s, fine.imag)):
         out[:, :half] = part[:, nf - half:]
         out[:, half:] = part[:, :count - half]
         out /= scale
@@ -285,14 +281,8 @@ def _grid_values(table: WeightTable, coeffs: np.ndarray, interval: Interval,
         raise ValueError(f"step must be positive and finite, got {step}")
     m = max(1, math.ceil(interval.length / step - 1e-12))
     actual = interval.length / m
-    empty = np.empty((0, table.n_terms))
-    if table.spec.part is Part.COSINE:
-        values, _ = oscillating_sums(table.logs, coeffs, empty,
-                                     interval.lo, actual, m + 1)
-    else:
-        _, values = oscillating_sums(table.logs, empty, coeffs,
-                                     interval.lo, actual, m + 1)
-    return actual, values
+    sums = oscillating_sums(table.logs, coeffs, interval.lo, actual, m + 1)
+    return actual, sums[table.spec.part is Part.SINE]
 
 
 def u_moment(table: WeightTable, j: int, t: float, part: Part | str = Part.COSINE) -> float:

@@ -191,7 +191,8 @@ def _moment_sums(table: WeightTable, start: float, step: float, count: int,
     """P_0, Pt_1, P_2 along the grids tau_i = start + shifts[g] + i*step.
 
     Every sum is a (shifts, count) array, from one kernel call of three
-    coefficient rows on all the shifted grids.  Where those rows would hold
+    coefficient rows on all the shifted grids: P_0 and P_2 are cosine sums,
+    Pt_1 a sine sum.  Where those rows would hold
     more than _GROUP_ELEMS coefficients (from 666,667 terms on one grid,
     26,667 on stratified EK's 25), the terms are split into blocks of at
     most that many, one call per block, and the blocks' sums are added in
@@ -201,10 +202,10 @@ def _moment_sums(table: WeightTable, start: float, step: float, count: int,
     total = None
     for terms in np.array_split(np.arange(n), -(-3 * len(shifts) * n // _GROUP_ELEMS)):
         sq, logs = table.squared_weights[terms], table.logs[terms]
-        c_rows, s_rows = oscillating_sums(logs, np.vstack([sq, sq * logs * logs]),
-                                          (sq * logs)[None, :], start, step, count, shifts)
-        p0, p2 = c_rows.reshape(2, -1, count)
-        sums = (p0, s_rows, p2)
+        c_rows, s_rows = oscillating_sums(logs, np.vstack([sq, sq * logs * logs, sq * logs]),
+                                          start, step, count, shifts)
+        c_rows, s_rows = c_rows.reshape(3, -1, count), s_rows.reshape(3, -1, count)
+        sums = (c_rows[0], s_rows[2], c_rows[1])
         total = sums if total is None else tuple(a + b for a, b in zip(total, sums))
     return total
 

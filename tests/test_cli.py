@@ -170,6 +170,21 @@ def test_diagnostics_steps_suite(capsys):
                for r in payload["rows"])
 
 
+def test_diagnostics_steps_csv_matches_json(tmp_path, capsys):
+    # every cell of the CSV body is a plain number equal to the JSON row's value
+    out = tmp_path / "steps.csv"
+    code, js, _ = run_cli(["diagnostics", "--suite", "steps", "--T", "300",
+                           "--out", str(out)], capsys)
+    assert code == 0
+    rows = json.loads(js)["rows"]
+    lines = out.read_text().splitlines()
+    columns = lines[1].split(",")
+    assert columns == ["step_id", "integral_value", "envelope_scale", "observed_ratio"]
+    assert len(lines) == 2 + len(rows)
+    for line, row in zip(lines[2:], rows):
+        assert [float(cell) for cell in line.split(",")] == [row[c] for c in columns]
+
+
 def test_diagnostics_l2_suite(capsys):
     code, js, _ = run_cli(["diagnostics", "--suite", "l2", "--T", "100"], capsys)
     assert code == 0

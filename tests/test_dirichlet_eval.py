@@ -19,6 +19,7 @@ from dirichlet_roots.dirichlet_eval import (
     _shifted_strengths,
     oscillating_sums,
 )
+from dirichlet_roots.kac_rice import _moment_sums
 
 from oracles import direct_power_sum
 
@@ -134,7 +135,7 @@ def test_kernel_matches_fsum(T, start, step, count, n_rows, points):
     cos_table, sin_table = make_weight_table(cos_spec), make_weight_table(sin_spec)
     X = np.array([sample_coefficients(cos_spec, 5, r).values for r in range(n_rows)])
     rows = X * cos_table.weights
-    C, S = oscillating_sums(cos_table.logs, rows, rows, start, step, count)
+    C, S = oscillating_sums(cos_table.logs, rows, start, step, count)
     assert C.shape == S.shape == (n_rows, count)
     mass = np.abs(rows).sum(axis=1)
     for i in range(count) if points is None else points:
@@ -146,31 +147,18 @@ def test_kernel_matches_fsum(T, start, step, count, n_rows, points):
             assert abs(S[r, i] - s) < 1e-12 * mass[r]
 
 
-def test_kernel_half_empty_against_u_moment():
-    table = make_weight_table(make_spec(700.0, 1, 0.5))
-    sq, logs = table.squared_weights, table.logs
-    rows = np.vstack([sq, sq * logs, sq * logs * logs])
-    empty = np.empty((0, table.n_terms))
-    start, step = 1400.0, 0.3
-    C, S_none = oscillating_sums(logs, rows, empty, start, step, 100)
-    C_none, S = oscillating_sums(logs, empty, rows, start, step, 100)
-    assert S_none.shape == C_none.shape == (0, 100)
-    for i in (0, 37, 99):
-        for j in range(3):
-            mass = math.fsum(rows[j])
-            t = start + i * step
-            assert abs(C[j, i] - u_moment(table, j, t, "cos")) < 1e-12 * mass
-            assert abs(S[j, i] - u_moment(table, j, t, "sin")) < 1e-12 * mass
-
-
 def test_kernel_exact_constant_and_zero_rows():
-    # the log n = 0 term is added exactly, and zero rows give exact zeros
-    C, S = oscillating_sums(np.zeros(1), [[2.5], [-1.0]], [[1.5]], 3.0, 0.7, 40)
-    assert np.all(C == np.array([[2.5], [-1.0]])) and np.all(S == 0.0)
+    # the log n = 0 term is added exactly to every (shifted) cosine row, the
+    # sine rows are exact zeros, and zero rows give exact zeros
+    rows = [[2.5], [-1.0], [1.5]]
     logs = np.log(np.arange(1, 301, dtype=np.float64))
-    C, S = oscillating_sums(logs, np.zeros((2, 300)), np.zeros((1, 300)), -5.0, 0.1, 33)
-    assert C.shape == (2, 33) and S.shape == (1, 33)
-    assert np.all(C == 0.0) and np.all(S == 0.0)
+    for start, shifts in ((3.0, (0.0,)), (6e4, (0.0, 0.3, -7.5, 1e4))):
+        C, S = oscillating_sums(np.zeros(1), rows, start, 0.7, 40, np.array(shifts))
+        assert C.shape == S.shape == (3 * len(shifts), 40)
+        assert np.all(C == np.repeat(rows, len(shifts), axis=0)) and np.all(S == 0.0)
+        C, S = oscillating_sums(logs, np.zeros((2, 300)), -5.0, 0.1, 33, np.array(shifts))
+        assert C.shape == S.shape == (2 * len(shifts), 33)
+        assert np.all(C == 0.0) and np.all(S == 0.0)
 
 
 def test_kernel_zero_shift_is_unshifted_bitwise():
@@ -183,8 +171,8 @@ def test_kernel_zero_shift_is_unshifted_bitwise():
         phase = start * table.logs
         got = _shifted_strengths(X, phase, np.zeros(1), table.logs)
         assert np.array_equal(got, np.vstack([X * np.cos(phase), X * np.sin(phase)]))
-        plain = oscillating_sums(table.logs, X[:3], X[3:], start, 0.1, 300)
-        shifted = oscillating_sums(table.logs, X[:3], X[3:], start, 0.1, 300, np.array([0.0]))
+        plain = oscillating_sums(table.logs, X, start, 0.1, 300)
+        shifted = oscillating_sums(table.logs, X, start, 0.1, 300, np.array([0.0]))
         assert all(np.array_equal(a, b) for a, b in zip(plain, shifted))
 
 
@@ -205,7 +193,7 @@ def test_kernel_shifted_rows_match_fsum(T, start, step, count, shifts, nodes):
     X = sample_coefficients(spec, 5, 0).values
     sq, logs = table.squared_weights, table.logs
     rows = np.vstack([X * table.weights, sq, sq * logs, sq * logs * logs])
-    C, S = oscillating_sums(logs, rows, rows, start, step, count, np.array(shifts))
+    C, S = oscillating_sums(logs, rows, start, step, count, np.array(shifts))
     assert C.shape == S.shape == (4 * len(shifts), count)
 
     def direct(r, t):
@@ -226,43 +214,19 @@ def test_kernel_shifted_rows_match_fsum(T, start, step, count, shifts, nodes):
                 assert abs(S[r * len(shifts) + g, i] - s) < bound
 
 
-def test_kernel_shifted_half_empty_and_exact_constant():
+def test_moment_sums_row_mapping_on_shifted_grids():
+    # _moment_sums reads P_0 and P_2 from the cosine half and Pt_1 from the
+    # sine half of its one coefficient block, on every shifted grid
     table = make_weight_table(make_spec(700.0, 1, 0.5))
-    sq, logs = table.squared_weights, table.logs
-    rows = np.vstack([sq, sq * logs])
-    empty = np.empty((0, table.n_terms))
     start, step, shifts = 1400.0, 0.3, np.array([0.0, 0.5, -2.25])
-    C, S_none = oscillating_sums(logs, rows, empty, start, step, 100, shifts)
-    C_none, S = oscillating_sums(logs, empty, rows, start, step, 100, shifts)
-    assert S_none.shape == C_none.shape == (0, 100)
-    assert C.shape == S.shape == (6, 100)
-    for j in range(2):
-        mass = math.fsum(rows[j])
+    sums = _moment_sums(table, start, step, 100, shifts)
+    assert all(rows.shape == (3, 100) for rows in sums)
+    for j, part in enumerate(("cos", "sin", "cos")):
+        mass = math.fsum(table.squared_weights * table.logs**j)
         for g, shift in enumerate(shifts):
             for i in (0, 63, 99):
                 t = start + shift + i * step
-                assert abs(C[3 * j + g, i] - u_moment(table, j, t, "cos")) < 1e-12 * mass
-                assert abs(S[3 * j + g, i] - u_moment(table, j, t, "sin")) < 1e-12 * mass
-    # the n = 1 term (log n = 0) is exact on every shifted cosine row
-    C, S = oscillating_sums(np.zeros(1), [[2.5], [-1.0]], [[1.5]], 6e4, 0.7, 40,
-                            np.array([0.0, 0.3, -7.5, 1e4]))
-    assert np.all(C == np.repeat([[2.5], [-1.0]], 4, axis=0)) and np.all(S == 0.0)
-
-
-def test_kernel_one_transform_for_both_parts_is_bitwise():
-    # sin_coeffs=None gives the cosine and the sine sums of the same rows
-    # from one transform per row, bit for bit those of (rows, rows)
-    spec = make_spec(700.0, 0, 0.5)
-    table = make_weight_table(spec)
-    X = np.array([sample_coefficients(spec, 3, r).values for r in range(2)]) * table.weights
-    for shifts in ((0.0,), (0.0, 0.5, -2.25)):
-        both = oscillating_sums(table.logs, X, None, 1400.0, 0.3, 100, np.array(shifts))
-        pair = oscillating_sums(table.logs, X, X, 1400.0, 0.3, 100, np.array(shifts))
-        assert all(np.array_equal(a, b) for a, b in zip(both, pair))
-        assert both[1].shape == (2 * len(shifts), 100)
-    # the exact n = 1 constant goes to C only
-    C, S = oscillating_sums(np.zeros(1), [[2.5], [-1.0]], None, 3.0, 0.7, 40, np.array([0.0, 9.5]))
-    assert np.all(C == np.repeat([[2.5], [-1.0]], 2, axis=0)) and np.all(S == 0.0)
+                assert abs(sums[j][g, i] - u_moment(table, j, t, part)) < 1e-12 * mass
 
 
 def test_kernel_plan_reuse_is_bitwise():
@@ -271,7 +235,7 @@ def test_kernel_plan_reuse_is_bitwise():
     spec = make_spec(500.0, 0, 0.5)
     table = make_weight_table(spec)
     X = np.array([sample_coefficients(spec, 4, r).values for r in range(3)]) * table.weights
-    args = (X[:2], X[2:], 1000.0, 0.05, 400)
+    args = (X, 1000.0, 0.05, 400)
     first = oscillating_sums(table.logs, *args)
     warm = oscillating_sums(table.logs, *args)
     oscillating_sums(table.logs[::-1].copy(), *args)
@@ -289,7 +253,7 @@ def test_kernel_alternating_point_sets_match_fsum():
     coeffs = rng.standard_normal((2, 300)) / np.sqrt(np.arange(1, 301))
     start, step, count = 600.0, 0.05, 300
     for logs in (low, high, low, high):
-        C, S = oscillating_sums(logs, coeffs, coeffs, start, step, count)
+        C, S = oscillating_sums(logs, coeffs, start, step, count)
         for r in range(2):
             mass = math.fsum(np.abs(coeffs[r]))
             for i in (0, 149, 299):
@@ -302,7 +266,7 @@ def test_kernel_plan_memory_is_linear_in_terms():
     # the cached plan keeps O(terms) arrays; the terms x kernel-width weights
     # are built per call, which keeps deterministic EK at large T in memory
     logs = np.log(np.arange(1, 2001, dtype=np.float64))
-    oscillating_sums(logs, np.ones((3, 2000)), np.empty((0, 2000)), 4000.0, 0.01, 5000)
+    oscillating_sums(logs, np.ones((3, 2000)), 4000.0, 0.01, 5000)
     plan = _cached_plan(logs.tobytes(), 0.01, 5000, 3)
     assert _cached_plan.cache_info().currsize == 1
     arrays = [v for v in plan if isinstance(v, np.ndarray)]
@@ -320,7 +284,7 @@ def test_kernel_rejects_non_finite_grids(start, step, shifts):
     logs = np.log(np.arange(1, 51, dtype=np.float64))
     before = _cached_plan.cache_info()
     with pytest.raises(ValueError):
-        oscillating_sums(logs, np.ones((1, 50)), None, start, step, 20, np.array(shifts))
+        oscillating_sums(logs, np.ones((1, 50)), start, step, 20, np.array(shifts))
     after = _cached_plan.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
