@@ -47,29 +47,11 @@ def _thread_count(text: str) -> int:
     return int(text)
 
 
-def _spec_payload(spec) -> dict:
-    return {"T": spec.T, "k": spec.k, "sigma": spec.sigma,
-            "part": spec.part.value, "degenerate": spec.degenerate}
-
-
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
-
-
-def _write_csv(path: str, header_comment: str, rows: list[dict],
-               columns: list[str] | None = None) -> None:
-    """A comment line, then the rows under the given columns (default: every key)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header_comment + "\n")
-        writer = csv.DictWriter(fh, columns or list(rows[0]), extrasaction="ignore",
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def _spec_from_args(args):
+    """The spec, its interval and its fields T, k, sigma, part."""
     spec = make_spec(args.T, args.k, args.sigma, args.part)
-    return spec, experiment_interval(spec)
+    fields = {"T": spec.T, "k": spec.k, "sigma": spec.sigma, "part": spec.part.value}
+    return spec, experiment_interval(spec), fields
 
 
 def _run_expected(spec, interval, method: str, strata: int, seed: int):
@@ -78,8 +60,11 @@ def _run_expected(spec, interval, method: str, strata: int, seed: int):
     return expected_count_stratified(spec, interval, strata=strata, seed=seed)
 
 
-def cmd_expected(args) -> int:
-    spec, interval = _spec_from_args(args)
+# Each cmd_* returns (payload body, CSV rows, CSV columns or None for every
+# key, CSV header fields); main adds the common fields and writes both.
+
+def cmd_expected(args):
+    spec, interval, fields = _spec_from_args(args)
     t0 = time.perf_counter()
     if spec.degenerate:
         ek_value, ek_error, nodes, stderr, method = 0.0, 0.0, 0, None, "degenerate"
@@ -87,42 +72,28 @@ def cmd_expected(args) -> int:
         result = _run_expected(spec, interval, args.method, args.strata, args.seed)
         ek_value, ek_error = result.value, result.abs_error_estimate
         nodes, stderr, method = result.nodes_used, result.stderr, result.method
-    elapsed = time.perf_counter() - t0
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "expected",
-        "spec": _spec_payload(spec),
-        "seed": args.seed,
+    body = {
+        "spec": {**fields, "degenerate": spec.degenerate},
         "interval": [interval.lo, interval.hi],
         "method": method,
         "ek_value": ek_value,
         "ek_error": ek_error,
         "nodes_used": nodes,
         "stderr": stderr,
-        "wall_time_s": {"quadrature": round(elapsed, 4)},
+        "wall_time_s": {"quadrature": round(time.perf_counter() - t0, 4)},
     }
-    _emit(payload)
-    if args.out:
-        _write_csv(args.out,
-                   f"# dirichlet-roots expected schema={SCHEMA_VERSION} seed={args.seed} "
-                   f"T={spec.T} k={spec.k} sigma={spec.sigma} part={spec.part.value}",
-                   [{**payload["spec"], **payload}],
-                   ["T", "k", "sigma", "part", "method", "ek_value", "ek_error", "nodes_used"])
-    return 0
+    columns = ["T", "k", "sigma", "part", "method", "ek_value", "ek_error", "nodes_used"]
+    return body, [{**fields, **body}], columns, fields
 
 
-def cmd_simulate(args) -> int:
-    spec, interval = _spec_from_args(args)
+def cmd_simulate(args):
+    spec, interval, fields = _spec_from_args(args)
     step = args.step if args.step is not None else default_grid_step(spec)
     t0 = time.perf_counter()
     agg = run_trials(spec, interval, args.trials, args.seed, step=step,
                      threads=args.threads)
-    elapsed = time.perf_counter() - t0
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
-        "spec": _spec_payload(spec),
-        "seed": args.seed,
+    body = {
+        "spec": {**fields, "degenerate": spec.degenerate},
         "interval": [interval.lo, interval.hi],
         "trials": agg.trials,
         "grid_step": step,
@@ -131,20 +102,13 @@ def cmd_simulate(args) -> int:
         "min": agg.min,
         "max": agg.max,
         "threads": args.threads,
-        "wall_time_s": {"trials": round(elapsed, 4)},
+        "wall_time_s": {"trials": round(time.perf_counter() - t0, 4)},
     }
-    _emit(payload)
-    if args.out:
-        _write_csv(args.out,
-                   f"# dirichlet-roots simulate schema={SCHEMA_VERSION} seed={args.seed} "
-                   f"T={spec.T} k={spec.k} sigma={spec.sigma} part={spec.part.value} "
-                   f"trials={agg.trials} step={step!r}",
-                   [{"trial_index": i, "count": int(c)}
-                    for i, c in enumerate(agg.per_trial_counts)])
-    return 0
+    rows = [{"trial_index": i, "count": int(c)} for i, c in enumerate(agg.per_trial_counts)]
+    return body, rows, None, {**fields, "trials": agg.trials, "step": step}
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args):
     t_list = [float(x) for x in args.T_list.split(",") if x]
     if not t_list:
         raise ValueError("empty --T-list")
@@ -167,26 +131,12 @@ def cmd_compare(args) -> int:
                      "mc_stderr": agg.stderr, "ratio": ratio})
         timings[str(T)] = {"quadrature": round(t1 - t0, 4),
                            "trials": round(t2 - t1, 4)}
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "compare",
-        "k": args.k,
-        "sigma": args.sigma,
-        "seed": args.seed,
-        "trials": args.trials,
-        "rows": rows,
-        "wall_time_s": timings,
-    }
-    _emit(payload)
-    if args.out:
-        _write_csv(args.out,
-                   f"# dirichlet-roots compare schema={SCHEMA_VERSION} seed={args.seed} "
-                   f"k={args.k} sigma={args.sigma} trials={args.trials}",
-                   rows, ["T", "ek", "asym", "mc_mean", "mc_stderr", "ratio"])
-    return 0
+    fields = {"k": args.k, "sigma": args.sigma, "trials": args.trials}
+    columns = ["T", "ek", "asym", "mc_mean", "mc_stderr", "ratio"]
+    return {**fields, "rows": rows, "wall_time_s": timings}, rows, columns, fields
 
 
-def cmd_diagnostics(args) -> int:
+def cmd_diagnostics(args):
     if args.suite in ("l2", "sigma") and (args.k, args.sigma) != (None, None):
         raise ValueError(f"--suite {args.suite} takes neither --k nor --sigma")
     k = 0 if args.k is None else args.k
@@ -219,24 +169,9 @@ def cmd_diagnostics(args) -> int:
         rows = [{"sigma": s, "mean": agg.mean, "stderr": agg.stderr,
                  "normalized": agg.mean / (args.T * math.log(args.T))}
                 for s, agg in table]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "diagnostics",
-        "suite": args.suite,
-        "T": args.T,
-        **model,
-        "seed": args.seed,
-        "rows": rows,
-        "wall_time_s": {"suite": round(time.perf_counter() - t0, 4)},
-    }
-    _emit(payload)
-    if args.out:
-        _write_csv(args.out,
-                   f"# dirichlet-roots diagnostics suite={args.suite} "
-                   f"schema={SCHEMA_VERSION} seed={args.seed} T={args.T}"
-                   + "".join(f" {name}={value}" for name, value in model.items()),
-                   rows)
-    return 0
+    body = {"suite": args.suite, "T": args.T, **model, "rows": rows,
+            "wall_time_s": {"suite": round(time.perf_counter() - t0, 4)}}
+    return body, rows, None, {"T": args.T, **model}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,8 +184,26 @@ def build_parser() -> argparse.ArgumentParser:
                "at large T.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared verbatim; a parent's actions are shared objects, so no
+    # subcommand may override their defaults
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    threads = argparse.ArgumentParser(add_help=False)
     # a string default goes through _thread_count only when --threads is absent
-    threads = os.environ.get("DIRICHLET_ROOTS_THREADS", "1")
+    threads.add_argument("--threads", type=_thread_count,
+                         default=os.environ.get("DIRICHLET_ROOTS_THREADS", "1"))
+    method = argparse.ArgumentParser(add_help=False)
+    method.add_argument("--method", choices=["deterministic", "stratified"],
+                        default="deterministic")
+    method.add_argument("--strata", type=int, default=10_000)
+
+    def add_command(name, func, summary, out_help, parents, trials=None):
+        p = sub.add_parser(name, help=summary, parents=[seed, *parents])
+        if trials is not None:
+            p.add_argument("--trials", type=int, default=trials)
+        p.add_argument("--out", help=out_help)
+        p.set_defaults(func=func)
+        return p
 
     def add_spec_flags(p, with_part=True):
         p.add_argument("--T", type=float, required=True, help="cutoff T > 1")
@@ -259,62 +212,55 @@ def build_parser() -> argparse.ArgumentParser:
         if with_part:
             p.add_argument("--part", choices=["cosine", "sine"], default="cosine")
 
-    p = sub.add_parser("expected", help="Kac-Rice expected zero count on [T, 2T]")
+    p = add_command("expected", cmd_expected, "Kac-Rice expected zero count on [T, 2T]",
+                    "also write a one-row CSV here", [method])
     add_spec_flags(p)
-    p.add_argument("--method", choices=["deterministic", "stratified"],
-                   default="deterministic")
-    p.add_argument("--strata", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="also write a one-row CSV here")
-    p.set_defaults(func=cmd_expected)
 
-    p = sub.add_parser("simulate", help="Monte Carlo root counts on [T, 2T]")
+    p = add_command("simulate", cmd_simulate, "Monte Carlo root counts on [T, 2T]",
+                    "write per-trial CSV here", [threads], trials=100)
     add_spec_flags(p)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step", type=float, default=None,
                    help="grid step (default: mean zero spacing / 8)")
-    p.add_argument("--threads", type=_thread_count, default=threads)
-    p.add_argument("--out", help="write per-trial CSV here")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", help="EK vs asymptotics vs MC vs zeta ratio")
+    p = add_command("compare", cmd_compare, "EK vs asymptotics vs MC vs zeta ratio",
+                    "write the comparison CSV here", [method, threads], trials=100)
     p.add_argument("--T-list", required=True, help="comma-separated T values")
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", choices=["deterministic", "stratified"],
-                   default="deterministic")
-    p.add_argument("--strata", type=int, default=10_000)
-    p.add_argument("--threads", type=_thread_count, default=threads)
-    p.add_argument("--out", help="write the comparison CSV here")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("diagnostics", help="proof-step, L2, sup-norm and sigma suites")
+    p = add_command("diagnostics", cmd_diagnostics,
+                    "proof-step, L2, sup-norm and sigma suites",
+                    "write the suite CSV here", [threads], trials=64)
     p.add_argument("--suite", choices=["steps", "l2", "sup", "sigma"], required=True)
     add_spec_flags(p, with_part=False)
     p.set_defaults(k=None, sigma=None)  # None: not given (l2 and sigma take neither)
-    p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_thread_count, default=threads)
-    p.add_argument("--out", help="write the suite CSV here")
-    p.set_defaults(func=cmd_diagnostics)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        body, rows, columns, fields = args.func(args)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
+    print(json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command,
+                      "seed": args.seed, **body}, sort_keys=True))
+    if args.out:
+        # a diagnostics header names its suite ahead of the common fields
+        suite = f" suite={args.suite}" if args.command == "diagnostics" else ""
+        tail = "".join(f" {name}={value}" for name, value in fields.items())
+        with open(args.out, "w", newline="") as fh:
+            fh.write(f"# dirichlet-roots {args.command}{suite} schema={SCHEMA_VERSION} "
+                     f"seed={args.seed}{tail}\n")
+            writer = csv.DictWriter(fh, columns or list(rows[0]), extrasaction="ignore",
+                                    lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+    return 0
 
 
 if __name__ == "__main__":

@@ -39,15 +39,6 @@ class Part(str, Enum):
     COSINE = "cosine"
     SINE = "sine"
 
-    @classmethod
-    def _missing_(cls, value):
-        # accept the short spellings used for trig moment sums
-        if value == "cos":
-            return cls.COSINE
-        if value == "sin":
-            return cls.SINE
-        return None
-
 
 @dataclass(frozen=True)
 class PolynomialSpec:

@@ -93,8 +93,7 @@ def proof_step_integrals(spec: PolynomialSpec,
     return reports
 
 
-def l2_mean_value_check(coefficients, T: float,
-                        nodes_per_panel: int = NODES_PER_PANEL) -> tuple[float, float, float]:
+def l2_mean_value_check(coefficients, T: float) -> tuple[float, float, float]:
     """lhs, main, error budget of the L2 mean-value identity on [0, T].
 
     lhs = int_0^T |sum_n a_n n^{it}|^2 dt by composite Gauss-Legendre with
@@ -118,7 +117,7 @@ def l2_mean_value_check(coefficients, T: float,
         return (c_rows[0] - s_rows[1])**2 + (s_rows[0] + c_rows[1])**2
 
     lhs = float(_gauss_legendre(modulus_squared, Interval(0.0, T),
-                               max(1, math.ceil(T / width)), nodes_per_panel))
+                               max(1, math.ceil(T / width))))
     main = T * math.fsum(np.abs(a) ** 2)
     budget = math.fsum(np.arange(1, n + 1) * np.abs(a) ** 2)
     return lhs, main, budget

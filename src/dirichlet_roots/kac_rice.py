@@ -365,8 +365,8 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
     abs_error_estimate adds the refined panels' estimates, the other panels'
     tail extrapolations and every panel's roundoff floor.  nodes_used is
     nodes_per_panel per panel plus the nodes _refine evaluates.  Memory
-    stays bounded at any T (see _gauss_legendre); there is no node cap, and
-    the stratified method is the fast route at large T.
+    stays bounded at any T (see _gauss_legendre), and the stratified method
+    is the fast route at large T.
     """
     _check_integrable(spec)
     if nodes_per_panel < _MIN_NODES:

@@ -233,6 +233,53 @@ def test_diagnostics_sigma_suite(tmp_path, capsys):
     assert out.read_text().splitlines()[1] == "sigma,mean,stderr,normalized"
 
 
+_COMMON = {"schema_version", "command", "seed", "wall_time_s"}
+_EXPECTED = _COMMON | {"spec", "interval", "method", "ek_value", "ek_error", "nodes_used",
+                       "stderr"}
+_EXPECTED_COLUMNS = "T,k,sigma,part,method,ek_value,ek_error,nodes_used"
+
+
+@pytest.mark.parametrize("args, keys, header, columns", [
+    (["expected", "--T", "200"], _EXPECTED,
+     "expected schema=2 seed=0 T=200.0 k=0 sigma=0.5 part=cosine", _EXPECTED_COLUMNS),
+    (["expected", "--T", "200", "--method", "stratified", "--strata", "200", "--seed", "3"],
+     _EXPECTED, "expected schema=2 seed=3 T=200.0 k=0 sigma=0.5 part=cosine",
+     _EXPECTED_COLUMNS),
+    (["expected", "--T", "1.5", "--part", "sine"], _EXPECTED,
+     "expected schema=2 seed=0 T=1.5 k=0 sigma=0.5 part=sine", _EXPECTED_COLUMNS),
+    (["simulate", "--T", "120", "--trials", "4", "--seed", "7"],
+     _COMMON | {"spec", "interval", "trials", "grid_step", "mean", "stderr", "min", "max",
+                "threads"},
+     "simulate schema=2 seed=7 T=120.0 k=0 sigma=0.5 part=cosine trials=4 "
+     "step=0.14207330229097737", "trial_index,count"),
+    (["compare", "--T-list", "150", "--trials", "4", "--seed", "2"],
+     _COMMON | {"k", "sigma", "trials", "rows"},
+     "compare schema=2 seed=2 k=0 sigma=0.5 trials=4", "T,ek,asym,mc_mean,mc_stderr,ratio"),
+    (["diagnostics", "--suite", "steps", "--T", "300"],
+     _COMMON | {"suite", "T", "k", "sigma", "rows"},
+     "diagnostics suite=steps schema=2 seed=0 T=300.0 k=0 sigma=0.5",
+     "step_id,integral_value,envelope_scale,observed_ratio"),
+    (["diagnostics", "--suite", "l2", "--T", "100"], _COMMON | {"suite", "T", "rows"},
+     "diagnostics suite=l2 schema=2 seed=0 T=100.0",
+     "family,n,lhs,main,error_budget,realized_constant"),
+    (["diagnostics", "--suite", "sup", "--T", "400", "--k", "2"],
+     _COMMON | {"suite", "T", "k", "sigma", "rows"},
+     "diagnostics suite=sup schema=2 seed=0 T=400.0 k=2 sigma=0.5",
+     "sup_u,sup_u1,sup_u2,ratio_u,ratio_u1,ratio_u2"),
+    (["diagnostics", "--suite", "sigma", "--T", "80", "--trials", "4"],
+     _COMMON | {"suite", "T", "rows"}, "diagnostics suite=sigma schema=2 seed=0 T=80.0",
+     "sigma,mean,stderr,normalized"),
+])
+def test_artifact_contract(tmp_path, capsys, args, keys, header, columns):
+    # the stable artifact surface: payload keys, CSV header line and column row
+    out = tmp_path / "out.csv"
+    code, js, _ = run_cli(args + ["--out", str(out)], capsys)
+    assert code == 0
+    assert set(json.loads(js)) == keys
+    lines = out.read_text().splitlines()
+    assert lines[:2] == ["# dirichlet-roots " + header, columns]
+
+
 def test_console_script_entrypoint(cli_env):
     proc = subprocess.run([sys.executable, "-m", "dirichlet_roots.cli",
                            "--version"], capture_output=True, text=True, env=cli_env)

@@ -200,7 +200,7 @@ def test_kernel_shifted_rows_match_fsum(T, start, step, count, shifts, nodes):
         if r == 0:
             return (eval_polynomial(_fixed_sample(spec, X), table, t),
                     eval_polynomial(_fixed_sample(sin_spec, X), sin_table, t))
-        return u_moment(table, r - 1, t, "cos"), u_moment(table, r - 1, t, "sin")
+        return u_moment(table, r - 1, t, "cosine"), u_moment(table, r - 1, t, "sine")
 
     eps = np.finfo(np.float64).eps
     for r, row in enumerate(rows):
@@ -221,7 +221,7 @@ def test_moment_sums_row_mapping_on_shifted_grids():
     start, step, shifts = 1400.0, 0.3, np.array([0.0, 0.5, -2.25])
     sums = _moment_sums(table, start, step, 100, shifts)
     assert all(rows.shape == (3, 100) for rows in sums)
-    for j, part in enumerate(("cos", "sin", "cos")):
+    for j, part in enumerate(("cosine", "sine", "cosine")):
         mass = math.fsum(table.squared_weights * table.logs**j)
         for g, shift in enumerate(shifts):
             for i in (0, 63, 99):
@@ -309,20 +309,20 @@ def test_u_moment_harmonic_at_zero():
     table = make_weight_table(make_spec(10.0, 0, 0.5))
     h10 = direct_power_sum(10, 0, 1.0)  # 2 sigma = 1: the harmonic sum H_10
     assert abs(h10 - 2.9289682539) < 1e-9
-    assert u_moment(table, 0, 0.0, "cos") == pytest.approx(h10, rel=1e-14)
+    assert u_moment(table, 0, 0.0, "cosine") == pytest.approx(h10, rel=1e-14)
 
 
 def test_u_moment_matches_log_moment_at_zero():
     for (T, k, sigma, j) in [(50.0, 0, 0.5, 1), (80.0, 1, 0.25, 2), (33.0, 2, 0.75, 0)]:
         table = make_weight_table(make_spec(T, k, sigma))
-        assert u_moment(table, j, 0.0, "cos") == pytest.approx(
+        assert u_moment(table, j, 0.0, "cosine") == pytest.approx(
             log_moment_sum(T, j + 2 * k, sigma), rel=1e-13)
 
 
 def test_u_moment_single_term_sine_vanishes():
     table = make_weight_table(make_spec(1.9, 0, 0.5))
     for j in (0, 1, 2):
-        assert u_moment(table, j, 123.456, "sin") == 0.0
+        assert u_moment(table, j, 123.456, "sine") == 0.0
 
 
 def test_u_moment_bounded_by_triangle():
@@ -335,14 +335,14 @@ def test_u_moment_bounded_by_triangle():
         t = float(rng.uniform(-4 * T, 4 * T))
         j = int(rng.integers(0, 3))
         cap = log_moment_sum(T, j + 2 * k, sigma)
-        assert abs(u_moment(table, j, t, "cos")) <= cap + 1e-12
-        assert abs(u_moment(table, j, t, "sin")) <= cap + 1e-12
+        assert abs(u_moment(table, j, t, "cosine")) <= cap + 1e-12
+        assert abs(u_moment(table, j, t, "sine")) <= cap + 1e-12
 
 
 def test_u_moment_rejects_bad_order():
     table = make_weight_table(make_spec(10.0))
     with pytest.raises(ValueError):
-        u_moment(table, 3, 0.0, "cos")
+        u_moment(table, 3, 0.0, "cosine")
 
 
 def test_log_moment_examples():
