@@ -239,6 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    folder = os.path.dirname(args.out or "") or "."  # checked before anything runs
+    if args.out and (os.path.isdir(args.out) or not os.path.isdir(folder)
+                     or not os.access(folder, os.W_OK)):
+        reason = ("is a directory" if os.path.isdir(args.out)
+                  else f"needs an existing, writable directory ({folder})")
+        print(f"error: --out {args.out} {reason}", file=sys.stderr)
+        return _EXIT_USAGE
     try:
         body, rows, columns, fields = args.func(args)
     except NumericalError as exc:

@@ -28,6 +28,7 @@ sums A, B, C.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -55,7 +56,7 @@ __all__ = [
 _NEGATIVE_TOL = 1e-12
 
 NODES_PER_PANEL = 8
-# Panels per integrand call in _gauss_legendre, which bounds the memory of
+# Panels per integrand call in _node_streams, which bounds the memory of
 # one node stream's kernel call and assembled fields at any T.
 _CHUNK_PANELS = 2**19
 # Deterministic EK's error control (_panel_estimates, _refine).  Smooth
@@ -226,7 +227,7 @@ def breakdown_grid(spec: PolynomialSpec, table: WeightTable, start: float,
 
 def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
                    strata: int, seed: int) -> dict[str, np.ndarray]:
-    """Breakdown fields on the stratified estimator's randomly shifted grids.
+    """Breakdown fields but x, y, z and w on the stratified estimator's shifted grids.
 
     Replicate r is the grid t = lo + h (i + u_r), i < m, with h = length/m and
     u_r uniform on [0, 1); row r of every field holds replicate r.  The
@@ -238,7 +239,8 @@ def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
     rng = np.random.Generator(np.random.PCG64(seed))
     shifts = h * rng.random(STRATIFIED_REPLICATES)
     sums = _moment_sums(table, 2.0 * interval.lo, 2.0 * h, m, 2.0 * shifts)
-    return _assemble(spec, table, interval.lo + shifts[:, None] + h * np.arange(m), *sums)
+    return _assemble(spec, table, interval.lo + shifts[:, None] + h * np.arange(m), *sums,
+                     proof=False)
 
 
 def panel_width(spec: PolynomialSpec) -> float:
@@ -246,103 +248,111 @@ def panel_width(spec: PolynomialSpec) -> float:
     return math.pi / (4.0 * math.log(spec.T))
 
 
-def _gauss_legendre(integrand, interval: Interval, n_panels: int,
-                    nodes_per_panel: int = NODES_PER_PANEL, node_values=None) -> np.ndarray:
-    """Composite Gauss-Legendre integrals of integrand rows over the interval.
+@functools.cache
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Abscissas, weights and Legendre rows of the n-node rule on [-1, 1]; cached, read-only.
 
-    integrand(start, step, count) returns an array whose last axis runs along
-    the uniform grid start + i*step, i < count; the result has one integral
-    per row.  For a fixed in-panel offset the node abscissas across panels
-    form such a grid, so each of the nodes_per_panel node streams is an
-    integrand call on the grid kernel.  The panels run in contiguous chunks
-    of at most _CHUNK_PANELS (the last one shorter), one call per stream and
-    chunk, so one call's kernel work and assembled fields stay bounded at
-    any T; the boundaries depend only on n_panels.  Each stream adds its
-    chunk sums (numpy pairwise reduction) in panel order, fixed
-    independently of any parallelism.  node_values, if given, sees every
-    call's rows as node_values(i, lo, rows), for node i of the chunk whose
-    first panel is lo; the nodes of a chunk come in order.
+    The rows map node values f to c_j = (2j+1)/2 sum_i w_i P_j(x_i) f_i,
+    j = 0, n-6, n-5, n-2, n-1 (negative orders read as 0).
+    """
+    xi, wgt = np.polynomial.legendre.leggauss(n)
+    orders = np.maximum([0, n - 6, n - 5, n - 2, n - 1], 0)
+    rows = (orders[:, None] + 0.5) * wgt * np.polynomial.legendre.legvander(xi, n - 1)[:, orders].T
+    xi.flags.writeable = wgt.flags.writeable = rows.flags.writeable = False
+    return xi, wgt, rows
 
-    EK, the proof steps and the L2 identity all use this rule.  Romberg on
-    nested uniform grids at quarter-panel spacing missed the references of
-    proof steps 6 (|y| x^2, with corners) and 9 at T = 1000 by about 8e-5
-    and 1e-7 of their envelope scales; this rule misses them by 2.9e-6 and
-    2e-16 (the benchmark allows 1e-5 and 1e-9).
+
+def _node_streams(integrand, interval: Interval, n_panels: int, n: int):
+    """Yield (node i, rows) for every integrand call of n-node panels.
+
+    integrand(start, step, count) returns rows along the grid start + j*step,
+    j < count, which node i's abscissas across panels form.  Panels run in
+    chunks of at most _CHUNK_PANELS (boundaries fixed by n_panels), chunk by
+    chunk and node by node, so one call's kernel work and fields stay
+    bounded at any T if the consumer drops its rows before the next.
     """
     h = interval.length / n_panels
-    xi, wgt = np.polynomial.legendre.leggauss(nodes_per_panel)
-    starts = interval.lo + (xi + 1.0) * 0.5 * h
-    streams = [0.0] * nodes_per_panel
+    starts = interval.lo + (_gauss_rule(n)[0] + 1.0) * 0.5 * h
     for lo in range(0, n_panels, _CHUNK_PANELS):
-        count = min(_CHUNK_PANELS, n_panels - lo)
-        for i in range(nodes_per_panel):
-            rows = integrand(starts[i] + lo * h, h, count)
-            streams[i] = streams[i] + np.sum(rows, axis=-1)
-            if node_values is not None:
-                node_values(i, lo, rows)
-            del rows  # no name holds a call's rows while the next one is computed
-    total = 0.0
-    for i in range(nodes_per_panel):
-        total = total + wgt[i] * 0.5 * h * streams[i]
+        for i in range(n):
+            yield i, integrand(starts[i] + lo * h, h, min(_CHUNK_PANELS, n_panels - lo))
+
+
+def _gauss_legendre(integrand, interval: Interval, n_panels: int,
+                    nodes_per_panel: int = NODES_PER_PANEL) -> np.ndarray:
+    """Composite Gauss-Legendre integrals of integrand rows (see _node_streams).
+
+    The result has one integral per row; each stream adds its chunk sums
+    (numpy pairwise reduction) in panel order.  The proof steps and the L2
+    identity use this rule, and EK reads the same streams (_panel_estimates);
+    README "Notes on accuracy" records why Romberg was rejected.
+    """
+    streams = [0.0] * nodes_per_panel
+    for i, rows in _node_streams(integrand, interval, n_panels, nodes_per_panel):
+        streams[i] = streams[i] + np.sum(rows, axis=-1)
+        del rows  # no name holds a call's rows while the next one is computed
+    h, total = interval.length / n_panels, 0.0
+    for weight, stream in zip(_gauss_rule(nodes_per_panel)[1], streams):
+        total = total + weight * 0.5 * h * stream
     return total
 
 
-def _legendre_rows(n: int) -> np.ndarray:
-    """c_j = (2j+1)/2 sum_i w_i P_j(x_i) f_i of n node values f, j = 0, n-6, n-5, n-2, n-1."""
-    xi, wgt = np.polynomial.legendre.leggauss(n)
-    orders = np.array([0, n - 6, n - 5, n - 2, n - 1])
-    return (orders[:, None] + 0.5) * wgt * np.polynomial.legendre.legvander(xi, n - 1)[:, orders].T
+def _panel_estimates(integrand, interval: Interval, n_panels: int, n: int):
+    """Yield each chunk's per-panel integrals, flags, tail estimates and roundoff floors.
 
-
-def _panel_estimates(coeffs: np.ndarray, h: float, n: int) -> tuple[np.ndarray, ...]:
-    """Per-panel integral, flag, tail estimate and roundoff floor.
-
-    coeffs holds _legendre_rows(n) of each panel's node values (columns),
-    for panels of width h and a nonnegative density.  The integral is h c_0
-    and the roundoff floor eps n h c_0, about eps h sum_i f_i.  A panel is
-    flagged when its tail m = max(|c_{n-2}|, |c_{n-1}|) exceeds _TAIL_RTOL
-    c_0 and h m exceeds the floor.  Its tail estimate is then h m, a
-    null-rule bound that exceeds a corner's error; otherwise it is the
+    A chunk's node streams (_node_streams) of a nonnegative density add up to
+    each panel's Legendre rows c_j (_gauss_rule).  For panels of width h the
+    integral is h c_0 and the roundoff floor eps n h c_0, about eps h sum_i f_i.
+    A panel is flagged when its tail m = max(|c_{n-2}|, |c_{n-1}|) exceeds
+    _TAIL_RTOL c_0 and h m exceeds the floor.  Its tail estimate is then h m,
+    a null-rule bound that exceeds a corner's error; otherwise it is the
     geometric extrapolation h m r^((n+1)/4) to order 2n of the decay
     r = m / max(|c_{n-6}|, |c_{n-5}|) over four orders, capped at 1.
     """
-    c0, *rest = coeffs
-    head, m = np.maximum(abs(rest[0]), abs(rest[1])), np.maximum(abs(rest[2]), abs(rest[3]))
-    floor = np.finfo(float).eps * n * h * c0
-    flagged = (m > _TAIL_RTOL * c0) & (h * m > floor)
-    r = np.minimum(1.0, m / np.maximum(head, np.finfo(float).tiny))
-    return h * c0, flagged, h * m * np.where(flagged, 1.0, r ** ((n + 1) / 4)), floor
+    h, transform = interval.length / n_panels, _gauss_rule(n)[2]
+    for i, rows in _node_streams(integrand, interval, n_panels, n):
+        if i == 0:
+            coeffs = np.zeros((len(transform),) + rows.shape)
+        for j in range(len(transform)):
+            coeffs[j] += transform[j, i] * rows
+        del rows
+        if i == n - 1:
+            head = np.maximum(abs(coeffs[1]), abs(coeffs[2]))
+            m = np.maximum(abs(coeffs[3]), abs(coeffs[4]))
+            floor = np.finfo(float).eps * n * h * coeffs[0]
+            flagged = (m > _TAIL_RTOL * coeffs[0]) & (h * m > floor)
+            r = np.minimum(1.0, m / np.maximum(head, np.finfo(float).tiny))
+            yield h * coeffs[0], flagged, h * m * np.where(flagged, 1.0, r ** ((n + 1) / 4)), floor
+            del coeffs, head, m, floor, flagged, r  # nothing of a chunk outlives it
 
 
-def _refine(direct, n: int, a: float, h: float, whole: float, tol: float,
+def _refine(direct, n: int, panel: Interval, whole: float, tol: float,
             corner: bool = True, depth: int = 1) -> tuple[float, float, int]:
-    """Nested subdivision of the panel [a, a + h], whose n-node Gauss-Legendre value is whole.
+    """Nested subdivision of the panel, whose n-node Gauss-Legendre value is whole.
 
-    direct maps abscissas to density values; corner says the panel was
-    flagged.  It splits in halves, or, if flagged, in thirds when no half
-    is: the corner then hides in the node-free gaps at the halves' shared edge,
-    which the middle third's nodes straddle.  The pieces replace the panel
-    once they differ from it by at most tol and each tail estimate is within
-    tol (or at depth _REFINE_DEPTH); otherwise each piece is refined.
-    Returns the integral, its error estimate (accepted differences plus
-    tail estimates) and the number of nodes evaluated.
+    direct is a _panel_estimates integrand evaluating the density point by
+    point; corner says the panel was flagged.  It splits in halves, or, if
+    flagged, in thirds when no half is: the corner then hides in the
+    node-free gaps at the halves' shared edge, which the middle third's nodes
+    straddle.  The pieces replace the panel once they differ from it by at
+    most tol and each tail estimate is within tol (or at depth _REFINE_DEPTH);
+    otherwise each piece is refined.  Returns the integral, its error estimate
+    (accepted differences plus tail estimates) and the nodes evaluated.
     """
-    xi = np.polynomial.legendre.leggauss(n)[0]
     nodes = 0
     for parts in (2, 3):
-        w = h / parts
-        starts = a + w * np.arange(parts)
-        values = np.array([direct(s + (xi + 1.0) * 0.5 * w) for s in starts]).T
-        nodes += values.size
-        pieces, flagged, tails, _ = _panel_estimates(_legendre_rows(n) @ values, w, n)
+        nodes += n * parts
+        pieces, flagged, tails, _ = map(np.concatenate,
+                                        zip(*_panel_estimates(direct, panel, parts, n)))
         if flagged.any() or not corner:
             break
     diff = abs(float(pieces.sum()) - whole)
     if (diff <= tol and tails.max() <= tol) or depth == _REFINE_DEPTH:
         return float(pieces.sum()), diff + float(tails.sum()), nodes
     value = error = 0.0
-    for s, piece, bad in zip(starts, pieces, flagged):
-        v, e, k = _refine(direct, n, float(s), w, float(piece), tol, bool(bad), depth + 1)
+    edges = np.linspace(panel.lo, panel.hi, parts + 1)
+    for lo, hi, piece, bad in zip(edges, edges[1:], pieces, flagged):
+        v, e, k = _refine(direct, n, Interval(lo, hi), piece, tol, bad, depth + 1)
         value, error, nodes = value + v, error + e, nodes + k
     return value, error, nodes
 
@@ -355,18 +365,18 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
     Panels are at most a quarter period of the fastest oscillation wide
     (narrower if max_panel_width is given).  Each chunk's node values also
     give every panel's Legendre tail (_panel_estimates) at no extra kernel
-    call; only scalars and the global indices of flagged panels are kept.
-    A flagged panel, in practice one holding a corner of the density (two
-    effective terms), is integrated again by _refine with direct (fsum)
-    evaluation, to _REFINE_RTOL of its integral or its roundoff floor.  A
-    corner between a panel's edge and its outer node (about 2% of the width
-    at 8 nodes) leaves no trace in the node values and is not flagged.
+    call; only scalars outlive a chunk.  A flagged panel, in practice one
+    holding a corner of the density (two effective terms), is integrated
+    again as its chunk is read, by _refine with direct (fsum) evaluation,
+    to _REFINE_RTOL of its integral or its roundoff floor.  A corner between
+    a panel's edge and its outer node (about 2% of the width at 8 nodes)
+    leaves no trace in the node values and is not flagged.
 
-    abs_error_estimate adds the refined panels' estimates, the other panels'
-    tail extrapolations and every panel's roundoff floor.  nodes_used is
-    nodes_per_panel per panel plus the nodes _refine evaluates.  Memory
-    stays bounded at any T (see _gauss_legendre), and the stratified method
-    is the fast route at large T.
+    The value adds the panels' integrals, abs_error_estimate the refined
+    panels' estimates, the other panels' tail extrapolations and every
+    panel's roundoff floor.  nodes_used is nodes_per_panel per panel plus
+    the nodes _refine evaluates.  Memory stays bounded at any T (see
+    _node_streams); the stratified method is the fast route at large T.
     """
     _check_integrable(spec)
     if nodes_per_panel < _MIN_NODES:
@@ -378,37 +388,27 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
     n_panels = max(1, math.ceil(interval.length / width))
     h = interval.length / n_panels
     table = make_weight_table(spec)
-    transform, coeffs = _legendre_rows(nodes_per_panel), None
-    flagged = []  # (panel, its Gauss-Legendre value, its roundoff floor)
-    error = 0.0
 
     def density(start, step, count):
         return breakdown_grid(spec, table, start, step, count, proof=False)["density"]
 
-    def inspect(i, lo, values):  # a chunk's Legendre rows, node by node
-        nonlocal coeffs, error
-        if i == 0:
-            coeffs = np.zeros((len(transform),) + values.shape)
-        for row, weight in zip(coeffs, transform[:, i]):
-            row += weight * values
-        if i == nodes_per_panel - 1:
-            whole, bad, tails, floor = _panel_estimates(coeffs, h, nodes_per_panel)
-            error += float(np.sum(tails[~bad])) + float(np.sum(floor))
-            flagged.extend((lo + p, float(whole[p]), float(floor[p])) for p in np.flatnonzero(bad))
-            coeffs = None
+    def direct(start, step, count):
+        return np.array([breakdown_at(spec, float(t), table).density
+                         for t in start + step * np.arange(count)])
 
-    value = float(_gauss_legendre(density, interval, n_panels, nodes_per_panel, inspect))
-    nodes = nodes_per_panel * n_panels
-
-    def direct(ts):
-        return [breakdown_at(spec, float(t), table).density for t in ts]
-
-    for p, whole, floor in flagged:
-        refined, estimate, extra = _refine(direct, nodes_per_panel, interval.lo + p * h, h,
-                                           whole, max(floor, _REFINE_RTOL * abs(whole)))
-        value += refined - whole
-        error += estimate
-        nodes += extra
+    value = error = 0.0
+    nodes, lo = nodes_per_panel * n_panels, 0  # lo: the chunk's first panel
+    for whole, bad, tails, floor in _panel_estimates(density, interval, n_panels,
+                                                     nodes_per_panel):
+        value += float(np.sum(whole))
+        error += float(np.sum(tails[~bad])) + float(np.sum(floor))
+        for p in np.flatnonzero(bad):
+            a, w = interval.lo + (lo + p) * h, float(whole[p])
+            v, e, k = _refine(direct, nodes_per_panel, Interval(a, a + h), w,
+                              max(float(floor[p]), _REFINE_RTOL * abs(w)))
+            value, error, nodes = value + (v - w), error + e, nodes + k
+        lo += whole.size
+        del whole, bad, tails, floor  # nothing of a chunk outlives it
     return QuadratureResult(value=value, abs_error_estimate=error,
                             method="composite_deterministic", nodes_used=nodes)
 

@@ -96,6 +96,31 @@ def test_bad_numeric_inputs_exit_two(capsys, monkeypatch):
     assert "DIRICHLET_ROOTS_THREADS" in capsys.readouterr().err
 
 
+def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch):
+    # an --out that cannot be written stops the run before anything is
+    # computed or printed, and no file is created or truncated
+    from dirichlet_roots import cli
+
+    def never(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_expected", never)
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    for out, reason in ((tmp_path / "missing" / "x.csv", "writable directory"),
+                        (tmp_path, "is a directory"), (kept / "x.csv", "writable directory")):
+        code, stdout, err = run_cli(["expected", "--T", "20", "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: --out {out} ") and reason in err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+    # a directory that is not writable (os.access stands in: root writes anywhere)
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    code, stdout, err = run_cli(["expected", "--T", "20", "--out", str(kept)], capsys)
+    assert code == 2 and stdout == "" and "writable directory" in err
+    assert kept.read_text() == "old\n"
+
+
 def test_numerical_error_exit_four(capsys):
     # only the n = 2 term oscillates: every realization vanishes on j pi / log 2
     code, out, err = run_cli(["expected", "--T", "2.5", "--part", "sine"], capsys)

@@ -1,5 +1,7 @@
 import math
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from dirichlet_roots.kac_rice import (
     NumericalError,
     STRATIFIED_REPLICATES,
     _gauss_legendre,
+    _panel_estimates,
     _shifted_grids,
     breakdown_grid,
     panel_width,
@@ -194,6 +197,83 @@ def test_gauss_legendre_rows_closed_form(monkeypatch):
     got = _gauss_legendre(cosines, iv, n_panels=40)
     assert np.max(np.abs(got - exact)) < 1e-12
     assert counts == [7] * 8 * 5 + [5] * 8
+
+
+def _chunks(integrand, iv, n_panels, n):
+    """_panel_estimates' integrals, flags, tails and floors, joined over chunks."""
+    return [np.concatenate(parts) for parts in zip(*_panel_estimates(integrand, iv, n_panels, n))]
+
+
+def test_legendre_rows_of_piecewise_polynomial():
+    # |t - 1.25|^3 + t^2 is a cubic on every panel of [0, 3] (1.25 is a panel
+    # edge); with 12 nodes c_6 to c_11 vanish, so every tail is roundoff and
+    # the panels' h c_0 add up to the exact integral
+    iv, e = Interval(0.0, 3.0), 1.25
+
+    def f(start, step, count):
+        t = start + step * np.arange(count)
+        return np.abs(t - e) ** 3 + t * t
+
+    exact = (e**4 + (iv.hi - e) ** 4) / 4.0 + iv.hi**3 / 3.0
+    whole, flagged, tails, floor = _chunks(f, iv, 12, 12)
+    assert whole.shape == (12,) and not flagged.any()
+    assert np.all(tails <= floor)
+    assert math.fsum(whole) == pytest.approx(exact, rel=1e-14)
+    assert math.fsum(whole) == pytest.approx(float(_gauss_legendre(f, iv, 12, 12)), rel=1e-14)
+
+
+@pytest.mark.parametrize("chunk", [2**19, 4])
+def test_kink_flags_its_panel_only(monkeypatch, chunk):
+    # |t - t0| is linear on every panel but panel 6, which holds t0; in
+    # chunks of 4 panels that is panel 2 of the second chunk
+    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", chunk)
+
+    def kink(start, step, count):
+        return np.abs(start + step * np.arange(count) - 6.37)
+
+    whole, flagged, tails, floor = _chunks(kink, Interval(0.0, 10.0), 10, 8)
+    assert np.flatnonzero(flagged).tolist() == [6]
+    assert np.all(tails[~flagged] <= floor[~flagged])
+
+
+def test_streams_release_each_call_rows(monkeypatch):
+    # no name holds a call's rows while the next call is computed, in the
+    # plain integrals and in EK's Legendre rows alike
+    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 5)
+    alive = []
+
+    def integrand(start, step, count):
+        assert all(ref() is None for ref in alive)
+        rows = np.cos(start + step * np.arange(count)) + 2.0
+        alive.append(weakref.ref(rows))
+        return rows
+
+    _gauss_legendre(integrand, Interval(0.0, 5.0), 12)
+    assert len(alive) == 8 * 3
+    for estimates in _panel_estimates(integrand, Interval(0.0, 5.0), 12, 8):
+        del estimates
+    assert len(alive) == 2 * 8 * 3
+
+
+def test_chunks_release_their_arrays(monkeypatch):
+    # four chunks of 4000 panels peak no higher than one: nothing of a chunk
+    # is held while the next one is computed.  Both runs have the same exact
+    # panel width, so they share the grid kernel's cached plan.
+    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 4000)
+    spec, h = make_spec(2000.0, 0, 0.5), 2.0**-5
+    intervals = [Interval(spec.T, spec.T + 4000 * chunks * h) for chunks in (1, 4)]
+
+    def peak(iv):
+        tracemalloc.start()
+        try:
+            expected_count_deterministic(spec, iv, max_panel_width=h)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    expected_count_deterministic(spec, intervals[0], max_panel_width=h)  # builds the plan
+    one, four = (peak(iv) for iv in intervals)
+    assert four <= 1.02 * one
 
 
 @pytest.mark.parametrize("T,k,part", [(2000.0, 0, "cosine"), (500.0, 2, "sine")])
