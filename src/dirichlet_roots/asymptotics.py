@@ -111,7 +111,7 @@ def zeta_zero_count(T: float) -> float:
     return x * math.log(x) - x
 
 
-def model_vs_zeta_ratio(T: float, k: int, ek_value: float) -> float:
+def model_vs_zeta_ratio(T: float, ek_value: float) -> float:
     """Expected-zero count relative to the zeta-zero count growth over [T, 2T].
 
     The denominator is the increment of the leading term (T/2pi) log(T/2pi)
@@ -122,8 +122,6 @@ def model_vs_zeta_ratio(T: float, k: int, ek_value: float) -> float:
     """
     if T < 100:
         raise ValueError("ratio is gated on T >= 100")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     x, x2 = T / _TWO_PI, 2.0 * T / _TWO_PI
     denom = x2 * math.log(x2) - x * math.log(x)
     return ek_value / denom

@@ -124,7 +124,7 @@ def cmd_compare(args):
                          threads=args.threads)
         t2 = time.perf_counter()
         asym = predict_expected_zeros(T, args.k)
-        ratio = model_vs_zeta_ratio(T, args.k, ek.value)
+        ratio = model_vs_zeta_ratio(T, ek.value)
         rows.append({"T": T, "ek": ek.value, "ek_error": ek.abs_error_estimate,
                      "asym_main": asym.main_term, "asym_second": asym.second_term,
                      "asym": asym.total, "mc_mean": agg.mean,
@@ -191,7 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     threads = argparse.ArgumentParser(add_help=False)
     # a string default goes through _thread_count only when --threads is absent
     threads.add_argument("--threads", type=_thread_count,
-                         default=os.environ.get("DIRICHLET_ROOTS_THREADS", "1"))
+                         default=os.environ.get("DIRICHLET_ROOTS_THREADS", "1"),
+                         help="worker threads for the Monte Carlo blocks "
+                              "(default: DIRICHLET_ROOTS_THREADS or 1)")
     method = argparse.ArgumentParser(add_help=False)
     method.add_argument("--method", choices=["deterministic", "stratified"],
                         default="deterministic")

@@ -9,16 +9,15 @@ consecutive trial indices, [0, 8), [8, 16), ....  A short last block is
 padded with zero rows, so every kernel call has the same shape and a
 trial's count is a pure function of (spec, master_seed, trial_index,
 interval, step): the block size depends on neither the trial count nor the
-worker count, and any number of workers reproduces the sequential result
-exactly.
+worker count.  The blocks run on a thread pool in the calling process, one
+path for any worker count; the kernel's FFTs, GEMMs and trig release the
+GIL, so the workers overlap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -127,7 +126,7 @@ def _count_rows(table: WeightTable, x: np.ndarray, interval: Interval,
     (counts, zero, flips) at each row's _GRID_ZERO_REL L1-mass tolerance.
     """
     actual, values = _grid_values(table, x * table.weights, interval, step)
-    mass = np.array([math.fsum(row) for row in np.abs(x) * table.weights])
+    mass = np.abs(x) @ table.weights
     return actual, values, *_sign_events(values, _GRID_ZERO_REL * mass[:, None])
 
 
@@ -149,7 +148,7 @@ def count_roots(sample: CoefficientSample, interval: Interval,
         raise ValueError(f"refine_tol must be positive and finite, got {refine_tol}")
     if step is None:
         step = default_grid_step(spec)
-    table = _table_for(spec)
+    table = make_weight_table(spec)
     actual, values, counts, zero, flips = _count_rows(table, sample.values[None, :],
                                                       interval, step)
     roots = None
@@ -164,21 +163,6 @@ def count_roots(sample: CoefficientSample, interval: Interval,
                            step_warning=step > 0.5 * mean_zero_spacing(spec))
 
 
-@lru_cache(maxsize=8)
-def _table_for(spec: PolynomialSpec) -> WeightTable:
-    return make_weight_table(spec)
-
-
-def _count_block(args) -> np.ndarray:
-    """Root counts of trials first .. stop - 1 from one _count_rows call of
-    _BLOCK_TRIALS rows (zero past stop)."""
-    spec, master_seed, first, stop, interval, step = args
-    x = np.zeros((_BLOCK_TRIALS, spec.n_terms))
-    for row, index in enumerate(range(first, stop)):
-        x[row] = sample_coefficients(spec, master_seed, index).values
-    return _count_rows(_table_for(spec), x, interval, step)[2][:stop - first]
-
-
 def run_trials(spec: PolynomialSpec, interval: Interval, trials: int,
                master_seed: int, step: float | None = None,
                threads: int = 1) -> TrialAggregate:
@@ -187,8 +171,9 @@ def run_trials(spec: PolynomialSpec, interval: Interval, trials: int,
     The result is a pure function of (spec, interval, trials, master_seed,
     step): trial i always draws stream mix(master_seed, i), runs in the
     fixed block of trials 8 * (i // 8) onward, and aggregation runs in
-    trial order, so any worker count gives identical output.  The pool has
-    at most one worker per block; a single block runs in-process.
+    trial order, so any worker count gives identical output.  The blocks
+    run on min(threads, blocks) worker threads in this process, and their
+    counts come back in block order.
     """
     if spec.degenerate:
         raise ValueError("cannot count roots of the identically-zero polynomial")
@@ -196,15 +181,21 @@ def run_trials(spec: PolynomialSpec, interval: Interval, trials: int,
         raise ValueError("need at least 2 trials for a standard error")
     if step is None:
         step = default_grid_step(spec)
-    blocks = [(spec, master_seed, first, min(first + _BLOCK_TRIALS, trials),
-               interval, step) for first in range(0, trials, _BLOCK_TRIALS)]
-    processes = min(threads, len(blocks))
-    if processes <= 1:
-        counts = [_count_block(b) for b in blocks]
-    else:
-        with get_context("fork").Pool(processes=processes) as pool:
-            counts = pool.map(_count_block, blocks, chunksize=1)
-    arr = np.concatenate(counts).astype(np.int64)
+    from concurrent.futures import ThreadPoolExecutor  # loaded only to run trials
+
+    table = make_weight_table(spec)
+
+    def count_block(first: int) -> np.ndarray:
+        """Root counts of the block of trials from first (zero rows past the last)."""
+        stop = min(first + _BLOCK_TRIALS, trials)
+        x = np.zeros((_BLOCK_TRIALS, spec.n_terms))
+        for row, index in enumerate(range(first, stop)):
+            x[row] = sample_coefficients(spec, master_seed, index).values
+        return _count_rows(table, x, interval, step)[2][:stop - first]
+
+    firsts = range(0, trials, _BLOCK_TRIALS)
+    with ThreadPoolExecutor(max_workers=min(threads, len(firsts))) as pool:
+        arr = np.concatenate(list(pool.map(count_block, firsts))).astype(np.int64)
     mean = float(np.mean(arr))
     stderr = float(np.std(arr, ddof=1) / math.sqrt(trials))
     return TrialAggregate(trials=trials, mean=mean, stderr=stderr,

@@ -96,20 +96,20 @@ def test_zeta_zero_count_values():
 
 
 def test_ratio_linear_in_ek():
-    base = model_vs_zeta_ratio(500.0, 0, 100.0)
-    assert model_vs_zeta_ratio(500.0, 0, 300.0) == pytest.approx(3.0 * base, rel=1e-14)
+    base = model_vs_zeta_ratio(500.0, 100.0)
+    assert model_vs_zeta_ratio(500.0, 300.0) == pytest.approx(3.0 * base, rel=1e-14)
 
 
 def test_ratio_with_predicted_totals_converges():
     # relative distance to 2/sqrt(3) shrinks as T doubles and is ~0.17/log T
     errs = []
     for T in (1e4, 1e5, 1e6):
-        ratio = model_vs_zeta_ratio(T, 0, predict_expected_zeros(T, 0).total)
+        ratio = model_vs_zeta_ratio(T, predict_expected_zeros(T, 0).total)
         errs.append(abs(ratio - TWO_OVER_SQRT3) / TWO_OVER_SQRT3)
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.015  # 1.22% measured at T = 1e6
     with pytest.raises(ValueError):
-        model_vs_zeta_ratio(50.0, 0, 10.0)
+        model_vs_zeta_ratio(50.0, 10.0)
 
 
 def test_stieltjes_sum_check_residuals():

@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -197,6 +199,34 @@ def test_run_trials_deterministic_and_thread_invariant():
     c = run_trials(spec, iv, trials=12, master_seed=5, threads=4)
     assert np.array_equal(a.per_trial_counts, b.per_trial_counts)
     assert np.array_equal(a.per_trial_counts, c.per_trial_counts)
+
+
+def test_run_trials_blocks_run_in_this_process(monkeypatch):
+    # 37 trials are 5 blocks; worker threads count them in this process,
+    # so every _count_rows call is recorded here, and 8 threads against 5
+    # blocks (the pool is capped at the block count) count the same, also
+    # when the interpreter switches threads every microsecond
+    pids = []
+
+    def recorded(*args):
+        pids.append(os.getpid())
+        return count_rows(*args)
+
+    count_rows = monte_carlo._count_rows
+    monkeypatch.setattr(monte_carlo, "_count_rows", recorded)
+    spec = make_spec(120.0)
+    iv = experiment_interval(spec)
+    three = run_trials(spec, iv, trials=37, master_seed=3, threads=3)
+    assert pids == [os.getpid()] * 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        others = [run_trials(spec, iv, trials=37, master_seed=3, threads=threads)
+                  for threads in (1, 8)]
+    finally:
+        sys.setswitchinterval(interval)
+    for other in others:
+        assert np.array_equal(other.per_trial_counts, three.per_trial_counts)
 
 
 def test_run_trials_blocks_do_not_depend_on_trial_count(monkeypatch):
