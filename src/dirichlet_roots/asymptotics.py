@@ -4,12 +4,21 @@ The two-term asymptotic for the expected number of zeros of the k-th
 derivative model on [T, 2T] is
 
     (1/pi) sqrt((2k+1)/(2k+3)) T log T
-        - (g_{2k}/(2 pi)) sqrt((2k+1)^3/(2k+3)) T / (log T)^{2k}
+        - ((g_{2k} + s_k)/(2 pi)) sqrt((2k+1)^3/(2k+3)) T / (log T)^{2k}
 
 where g_m denotes the m-th generalized Euler (Stieltjes-type) constant, the
-limit of sum_{n<=X} (log n)^m / n - (log X)^{m+1}/(m+1).  The constants are
-embedded as a table computed once by a validated Euler-Maclaurin oracle (the
-test suite re-derives them independently).
+limit of sum_{n<=X} (log n)^m / n - (log X)^{m+1}/(m+1), and s_k is the
+n = 1 term's share: s_0 = +1 for the cosine part and -1 for the sine part,
+s_k = 0 for k >= 1.  The term follows the model as implemented, n = 1
+included.  For k = 0 the n = 1 term of P_0(2t) = sum_n w_n^2 cos(2t log n)
+is the constant w_1^2 = 1, so the density's covariance B = (M_0 +- P_0)/2
+averages to (M_0 + 1)/2 for cosine (cos 0 = 1) and (M_0 - 1)/2 for sine
+(sin^2 0 = 0), while A has no n = 1 term (log 1 = 0).  With M_0 = L + g_0
+and M_2 = L^3/3 + O(1), L = log T, sqrt(M_2 / (M_0 +- 1)) =
+(L / sqrt 3)(1 - (g_0 +- 1)/(2L) + O(L^-2)), which gives the T-order term
+-(g_0 +- 1) T / (2 pi sqrt 3).  For k >= 1, w_1 = (log 1)^k = 0.  The
+constants are embedded as a table computed once by a validated
+Euler-Maclaurin oracle (the test suite re-derives them independently).
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import Part
 from .dirichlet_eval import log_moment_sum
 
 __all__ = [
@@ -83,16 +93,24 @@ class AsymptoticPrediction:
     k: int
 
 
-def predict_expected_zeros(T: float, k: int = 0) -> AsymptoticPrediction:
-    """Two-term prediction for the expected zero count on [T, 2T]."""
+def predict_expected_zeros(T: float, k: int = 0,
+                           part: Part | str = Part.COSINE) -> AsymptoticPrediction:
+    """Two-term prediction for the expected zero count of the part on [T, 2T].
+
+    At k = 0 the second term carries the n = 1 constant (module docstring).
+    """
     if T < 2:
         raise ValueError("prediction requires T >= 2")
     if k < 0:
         raise ValueError("k must be nonnegative")
+    part = Part(part)
     L = math.log(T)
     k1, k3 = 2 * k + 1, 2 * k + 3
     main = math.sqrt(k1 / k3) / math.pi * T * L
-    second = -stieltjes_constant(2 * k) / _TWO_PI * math.sqrt(k1**3 / k3) * T / L ** (2 * k)
+    g = stieltjes_constant(2 * k)
+    if k == 0:
+        g += 1.0 if part is Part.COSINE else -1.0  # the n = 1 constant w_1^2 = 1
+    second = -g / _TWO_PI * math.sqrt(k1**3 / k3) * T / L ** (2 * k)
     return AsymptoticPrediction(main_term=main, second_term=second,
                                 total=main + second,
                                 error_scale=T / L ** (2 * k + 1), k=k)
@@ -115,10 +133,11 @@ def model_vs_zeta_ratio(T: float, ek_value: float) -> float:
     """Expected-zero count relative to the zeta-zero count growth over [T, 2T].
 
     The denominator is the increment of the leading term (T/2pi) log(T/2pi)
-    between T and 2T.  Using only the leading term makes the ratio approach
-    its 2/sqrt(3) limit at O(0.17/log T); including the linear term as well
-    would shift the denominator by T/2pi and slow convergence to
-    O(1.2/log T), far from the limit at any desk-scale T.
+    between T and 2T.  With the two-term cosine k = 0 prediction as the
+    count, using only the leading term makes the ratio approach its
+    2/sqrt(3) limit from below at about 0.35/log T; including the linear
+    term as well would shift the denominator by T/2pi and put the ratio
+    about 0.75/log T above the limit.
     """
     if T < 100:
         raise ValueError("ratio is gated on T >= 100")

@@ -22,8 +22,9 @@ import numpy as np
 
 from .asymptotics import stieltjes_constant
 from .core import Interval, Part, PolynomialSpec
-from .dirichlet_eval import make_weight_table, oscillating_sums
-from .kac_rice import NODES_PER_PANEL, _gauss_legendre, _moment_sums, breakdown_grid, panel_width
+from .dirichlet_eval import _oscillating_streams, make_weight_table
+from .kac_rice import (NODES_PER_PANEL, _breakdown_streams, _gauss_legendre, _moment_sums,
+                       panel_width)
 
 __all__ = [
     "StepReport",
@@ -69,13 +70,13 @@ def proof_step_integrals(spec: PolynomialSpec,
     interval = Interval(spec.T, 2.0 * spec.T)
     n_panels = max(1, math.ceil(interval.length / panel_width(spec)))
 
-    def pieces(start, step, count):
-        br = breakdown_grid(spec, table, start, step, count)
+    def pieces(br):
         x, y, z = br["x"], br["y"], br["z"]
         return np.vstack([x, y, x * y, z, x * x, np.abs(y) * x * x, x**4,
                           x * x * y * y, y * y * x**4])
 
-    integrals = _gauss_legendre(pieces, interval, n_panels, nodes_per_panel)
+    integrals = _gauss_legendre(lambda *grid: map(pieces, _breakdown_streams(spec, table, *grid)),
+                                interval, n_panels, nodes_per_panel)
 
     L = math.log(spec.T)
     scale = stieltjes_constant(0) * spec.T / L
@@ -108,12 +109,13 @@ def l2_mean_value_check(coefficients, T: float) -> tuple[float, float, float]:
     rows = np.vstack([a.real, a.imag])
     width = math.pi / (4.0 * math.log(max(n, 2)))
 
-    def modulus_squared(start, step, count):
-        c_rows, s_rows = oscillating_sums(logs, rows, start, step, count)
+    def modulus_squared(sums):
+        c_rows, s_rows = sums
         return (c_rows[0] - s_rows[1])**2 + (s_rows[0] + c_rows[1])**2
 
-    lhs = float(_gauss_legendre(modulus_squared, Interval(0.0, T),
-                               max(1, math.ceil(T / width))))
+    lhs = float(_gauss_legendre(lambda *grid: map(modulus_squared,
+                                                  _oscillating_streams(logs, rows, *grid)),
+                                Interval(0.0, T), max(1, math.ceil(T / width))))
     main = T * math.fsum(np.abs(a) ** 2)
     budget = math.fsum(np.arange(1, n + 1) * np.abs(a) ** 2)
     return lhs, main, budget

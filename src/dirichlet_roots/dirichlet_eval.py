@@ -13,6 +13,12 @@ Two evaluators, cross-checked in the tests:
   (the imaginary part).  Error below about 3e-13 of the row's coefficient
   L1 mass.  As in FINUFFT's plan interface, the point layout is built once
   per point set and cached.
+* node streams (_oscillating_streams): the same rows on the grids
+  t_i = start + (i + f)*step for several fractions f, from one spreading
+  pass, then per fraction a ramp exp(2 pi i f m / nf) over signed fine
+  cells m, one FFT per row and the kernel's transform at the fractional
+  modes.  Valid while the spread cannot wrap (step * max log n plus the
+  kernel's half width below pi), which Gauss-Legendre node streams meet.
 """
 
 from __future__ import annotations
@@ -117,8 +123,9 @@ class _Plan(NamedTuple):
 def _cached_plan(logs: bytes, step: float, count: int, rows: int) -> _Plan:
     """The _Plan of the points step * logs mod 2 pi, for count modes and rows transform rows.
 
-    Keyed by the content of logs, so every call on one point set (node
-    streams, chunks, trial blocks) shares one plan.
+    Keyed by the content of logs, so every call on one point set (chunks,
+    trial blocks) shares one plan; a chunk's node streams share one
+    spreading pass and differ only by the ramp after it (_oscillating_streams).
     """
     logs = np.frombuffer(logs)
     nf, w = _fine_grid(count)[0], _SPREAD_WIDTH
@@ -202,6 +209,53 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: f
     instead would add its rounding, times logs[n], to every phase alike.
     A zero shift's factor is exactly 1, so it leaves the strengths unchanged.
     """
+    constant, fine = _spread_rows(logs, coeffs, start, step, count, count, shifts)
+    np.fft.ifft(fine, norm="forward", out=fine)
+    out_c, out_s = np.empty((fine.shape[0], count)), np.empty((fine.shape[0], count))
+    _read_modes(fine, _fine_grid(count)[1], out_c, out_s)
+    out_c += constant
+    return out_c, out_s
+
+
+def _oscillating_streams(logs: np.ndarray, coeffs: np.ndarray, start: float, step: float,
+                         count: int, fractions):
+    """Yield oscillating_sums' (C, S) along t_i = start + (i + f)*step for each f in fractions.
+
+    One plan, one strength computation and one spreading pass serve every
+    fraction.  With t_i = mid + (j + f)*step, the output at the fractional
+    mode j + f is the transform of the spread grid times the ramp
+    exp(2 pi i f m / nf) at signed fine cells m (m - nf in place of
+    m >= nf/2), over the kernel's transform at j + f (Dutt and Rokhlin,
+    1993).  Signed cells are the points' true positions only if the spread
+    cannot wrap: logs must be nonnegative and step * max(logs) plus the
+    kernel's half width pi * w / nf must stay below pi, or ValueError.
+    Gauss-Legendre node streams have step * max(logs) <= pi/2, and a fine
+    grid of at least 4 w cells keeps the half width within pi/4 at any
+    count.  Only the signed cells -w/2 .. reach + w/2 that the points cover
+    (a quarter of the grid at pi/2) are kept; each fraction ramps them back
+    into the spread grid, whose strided in-place FFT needs no work copy.
+    The generator holds no reference to what it yielded.
+    """
+    modes, wrap = max(count, 2 * _SPREAD_WIDTH), _SPREAD_WIDTH // 2
+    nf = _fine_grid(modes)[0]
+    reach = step * np.max(logs, initial=0.0) * nf / (2.0 * math.pi)  # in fine cells
+    if not (np.min(logs, initial=0.0) >= 0.0 and reach + wrap < nf / 2):
+        raise ValueError(f"logs must be nonnegative and step * max(logs) plus the kernel's "
+                         f"half width below pi, got {reach * 2.0 * math.pi / nf} + "
+                         f"{math.pi * _SPREAD_WIDTH / nf}: the spread grid would wrap")
+    constant, fine = _spread_rows(logs, coeffs, start, step, count, modes)
+    hi = int(reach) + wrap + 2  # cells hi .. nf - wrap - 1 hold no point's support
+    support = np.concatenate((fine[:, nf - wrap:], fine[:, :hi]), axis=1)
+    for f in fractions:  # each fraction's transform overwrites the spread grid
+        yield _fractional_modes(support, fine, count, f, constant)
+
+
+def _spread_rows(logs, coeffs, start, step, count, modes, shifts=(0.0,)):
+    """Checked constant terms and spread fine grid of oscillating_sums' rows.
+
+    The fine grid is that of modes >= count modes, and the strengths carry
+    the phase of the grid's middle node start + (count // 2) * step.
+    """
     if count <= 0:
         raise ValueError("count must be positive")
     if not 0 < step < math.inf:
@@ -212,21 +266,10 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: f
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
     rows = coeffs.shape[0] * shifts.size
     constant = np.repeat(coeffs[:, logs == 0.0].sum(axis=1)[:, None], shifts.size, axis=0)
-
-    nf, scale = _fine_grid(count)
-    half = count // 2
-    plan = _cached_plan(np.asarray(logs, dtype=np.float64).tobytes(), step, count, rows)
-    phase = (start + half * step) * logs[plan.terms]
+    plan = _cached_plan(np.asarray(logs, dtype=np.float64).tobytes(), step, modes, rows)
+    phase = (start + count // 2 * step) * logs[plan.terms]
     strengths = _shifted_strengths(coeffs[:, plan.terms], phase, shifts, logs[plan.terms])
-    fine = _spread(strengths, plan, nf)
-    np.fft.ifft(fine, norm="forward", out=fine)
-    out_c, out_s = np.empty((rows, count)), np.empty((rows, count))
-    for out, part in ((out_c, fine.real), (out_s, fine.imag)):
-        out[:, :half] = part[:, nf - half:]
-        out[:, half:] = part[:, :count - half]
-        out /= scale
-    out_c += constant
-    return out_c, out_s
+    return constant, _spread(strengths, plan, _fine_grid(modes)[0])
 
 
 def _shifted_strengths(coeffs: np.ndarray, phase: np.ndarray, shifts: np.ndarray,
@@ -243,6 +286,80 @@ def _shifted_strengths(coeffs: np.ndarray, phase: np.ndarray, shifts: np.ndarray
     np.multiply(coeffs[:, None], cp * cs - sp * sn, out=strengths[0])
     np.multiply(coeffs[:, None], sp * cs + cp * sn, out=strengths[1])
     return strengths.reshape(2 * coeffs.shape[0] * len(angles), logs.size)
+
+
+def _read_modes(spectrum: np.ndarray, scale: np.ndarray, out_c: np.ndarray,
+                out_s: np.ndarray) -> None:
+    """Modes -count//2 .. of the transformed fine grid, over scale, into out_c and out_s."""
+    nf, count = spectrum.shape[-1], out_c.shape[-1]
+    half = count // 2
+    for out, part in ((out_c, spectrum.real), (out_s, spectrum.imag)):
+        np.divide(part[..., nf - half:], scale[:half], out=out[..., :half])
+        np.divide(part[..., :count - half], scale[half:], out=out[..., half:])
+
+
+def _fractional_modes(support: np.ndarray, grid: np.ndarray, count: int, f: float,
+                      constant: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One fraction's (C, S) from the support of the spread grid (see _oscillating_streams).
+
+    support holds signed fine cells -w/2 .. hi - 1 in order; grid, of nf
+    cells, receives them ramped, zeros elsewhere, and their transform.
+    """
+    wrap, nf = _SPREAD_WIDTH // 2, grid.shape[1]
+    hi = support.shape[1] - wrap
+    ramp = _ramp(f, nf, -wrap, support.shape[1])
+    np.multiply(support[:, wrap:], ramp[wrap:], out=grid[:, :hi])
+    np.multiply(support[:, :wrap], ramp[:wrap], out=grid[:, nf - wrap:])
+    del ramp  # not held beside the FFT's work buffer
+    grid[:, hi:nf - wrap] = 0.0
+    np.fft.ifft(grid, norm="forward", out=grid)
+    scale = _kernel_transform(np.arange(count) - count // 2 + f, nf)
+    out_c, out_s = np.empty((grid.shape[0], count)), np.empty((grid.shape[0], count))
+    _read_modes(grid, scale, out_c, out_s)
+    out_c += constant
+    return out_c, out_s
+
+
+def _ramp(f: float, nf: int, first: int, length: int) -> np.ndarray:
+    """exp(2 pi i f m / nf) for m = first .. first + length - 1, as an outer product.
+
+    The product of a coarse and a fine exponential costs about
+    2 sqrt(length) complex exponentials; every angle stays as small as m.
+    """
+    width = math.isqrt(length - 1) + 1
+    theta = 2.0 * math.pi * f / nf
+    coarse = np.exp(1j * theta * (width * np.arange(-(-length // width)) + first))
+    return np.multiply.outer(coarse, np.exp(1j * theta * np.arange(width))).ravel()[:length]
+
+
+def _kernel_transform(modes: np.ndarray, nf: int) -> np.ndarray:
+    """The transform of the kernel sampled on the fine grid, at real modes.
+
+    Its w + 1 cosine terms phi(0) + 2 sum_u phi(u) cos(2 pi u mode / nf),
+    u = 1 .. w/2, are a polynomial in x = cos(2 pi mode / nf) with positive
+    coefficients (_kernel_poly), summed by Horner's rule with no
+    cancellation for the modes |mode| <~ nf/4 that streams read (x >~ 0);
+    at integer modes it equals _fine_grid's FFT of the sampled kernel to a
+    few ulp.
+    """
+    poly = _kernel_poly()
+    x = np.cos((2.0 * math.pi / nf) * modes)
+    total = np.full(x.shape, poly[-1])
+    for c in poly[-2::-1]:
+        total *= x
+        total += c
+    return total
+
+
+@lru_cache(maxsize=1)
+def _kernel_poly() -> np.ndarray:
+    """Monomial coefficients, lowest order first, of sum_u phi(u) cos(u theta),
+    u = -w/2 .. w/2, as a polynomial in cos(theta); read-only."""
+    phi = _spread_kernel(np.arange(_SPREAD_WIDTH // 2 + 1.0))
+    phi[1:] *= 2.0
+    poly = np.polynomial.chebyshev.cheb2poly(phi)
+    poly.setflags(write=False)
+    return poly
 
 
 @lru_cache(maxsize=8)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Literal
 
@@ -37,7 +38,8 @@ import numpy as np
 
 from .asymptotics import stieltjes_constant
 from .core import Interval, Part, PolynomialSpec
-from .dirichlet_eval import WeightTable, make_weight_table, oscillating_sums, u_moment
+from .dirichlet_eval import (WeightTable, _oscillating_streams, make_weight_table,
+                             oscillating_sums, u_moment)
 
 __all__ = [
     "DensityBreakdown",
@@ -56,9 +58,11 @@ __all__ = [
 _NEGATIVE_TOL = 1e-12
 
 NODES_PER_PANEL = 8
-# Panels per integrand call in _node_streams, which bounds the memory of
-# one node stream's kernel call and assembled fields at any T.
-_CHUNK_PANELS = 2**19
+# Panels per integrand call in _node_streams, which bounds one chunk's
+# memory at any T: its spread grid lives through the chunk's 8 node streams,
+# beside the FFT's work buffer and one stream's sums and fields.  2^18
+# panels keep deterministic EK at T = 1e5 at 136 MB peak RSS; 2^19 took 223 MB.
+_CHUNK_PANELS = 2**18
 # Deterministic EK's error control (_panel_estimates, _refine).  Smooth
 # densities keep the tail ratio below 2e-5 on default panels from T = 200,
 # two-term corners above 1e-3.  _REFINE_RTOL is 100 times inside the 1e-9
@@ -73,8 +77,8 @@ _MIN_NODES = 8
 # Stratified EK: independent randomly shifted grids (their spread gives the
 # stderr), evaluated as shifts of one grid (see _shifted_grids).
 STRATIFIED_REPLICATES = 25
-# Coefficients per kernel call in _moment_sums (moment rows x shifted grids
-# x terms), which bounds the kernel's strength and spreading memory.
+# Coefficients per block of moment rows (_moment_rows: moment rows x grids x
+# terms), which bounds the kernel's strength and spreading memory.
 _GROUP_ELEMS = 2_000_000
 
 
@@ -187,28 +191,41 @@ def breakdown_at(spec: PolynomialSpec, t: float,
     return DensityBreakdown(**{k: float(v) for k, v in fields.items()})
 
 
-def _moment_sums(table: WeightTable, start: float, step: float, count: int,
-                 shifts: np.ndarray | tuple[float, ...] = (0.0,)) -> tuple[np.ndarray, ...]:
-    """P_0, Pt_1, P_2 along the grids tau_i = start + shifts[g] + i*step.
+def _moment_rows(table: WeightTable, grids: int):
+    """Yield (logs, rows) blocks of the moment rows w_n^2 (log n)^j, j = 0, 2, 1.
 
-    Every sum is a (shifts, count) array, from one kernel call of three
-    coefficient rows on all the shifted grids: P_0 and P_2 are cosine sums,
-    Pt_1 a sine sum.  Where those rows would hold
-    more than _GROUP_ELEMS coefficients (from 666,667 terms on one grid,
-    26,667 on stratified EK's 25), the terms are split into blocks of at
-    most that many, one call per block, and the blocks' sums are added in
+    A block holds at most _GROUP_ELEMS coefficients over its grids (from
+    666,667 terms on one grid, 26,667 on stratified EK's 25); blocks run in
     term order.
     """
     n = table.n_terms
-    total = None
-    for terms in np.array_split(np.arange(n), -(-3 * len(shifts) * n // _GROUP_ELEMS)):
+    for terms in np.array_split(np.arange(n), -(-3 * grids * n // _GROUP_ELEMS)):
         sq, logs = table.squared_weights[terms], table.logs[terms]
-        c_rows, s_rows = oscillating_sums(logs, np.vstack([sq, sq * logs * logs, sq * logs]),
-                                          start, step, count, shifts)
+        yield logs, np.vstack([sq, sq * logs * logs, sq * logs])
+
+
+def _add_moments(block_sums, count: int) -> tuple[np.ndarray, ...]:
+    """P_0, Pt_1, P_2 from each block's kernel (C, S), added in term order.
+
+    P_0 and P_2 are cosine sums, Pt_1 a sine sum; each is a (grids, count) array.
+    """
+    total = None
+    for c_rows, s_rows in block_sums:
         c_rows, s_rows = c_rows.reshape(3, -1, count), s_rows.reshape(3, -1, count)
         sums = (c_rows[0], s_rows[2], c_rows[1])
         total = sums if total is None else tuple(a + b for a, b in zip(total, sums))
     return total
+
+
+def _moment_sums(table: WeightTable, start: float, step: float, count: int,
+                 shifts: np.ndarray | tuple[float, ...] = (0.0,)) -> tuple[np.ndarray, ...]:
+    """P_0, Pt_1, P_2 along the grids tau_i = start + shifts[g] + i*step.
+
+    One kernel call per block of moment rows (_moment_rows) on all the
+    shifted grids.
+    """
+    return _add_moments((oscillating_sums(logs, rows, start, step, count, shifts)
+                         for logs, rows in _moment_rows(table, len(shifts))), count)
 
 
 def breakdown_grid(spec: PolynomialSpec, table: WeightTable, start: float,
@@ -223,6 +240,23 @@ def breakdown_grid(spec: PolynomialSpec, table: WeightTable, start: float,
     sums = _moment_sums(table, 2.0 * start, 2.0 * step, count)
     return _assemble(spec, table, start + step * np.arange(count),
                      *(rows[0] for rows in sums), proof=proof)
+
+
+def _breakdown_streams(spec: PolynomialSpec, table: WeightTable, start: float, step: float,
+                       count: int, fractions, *, proof: bool = True):
+    """Yield breakdown_grid's fields along t_i = start + (i + f)*step for each f in fractions.
+
+    Each block of moment rows (_moment_rows) is spread once on the doubled
+    grids for all fractions (_oscillating_streams); one fraction's sums and
+    fields exist at a time.
+    """
+    _check_spec(spec)
+    blocks = [_oscillating_streams(logs, rows, 2.0 * start, 2.0 * step, count, fractions)
+              for logs, rows in _moment_rows(table, 1)]
+    for f in fractions:
+        yield _assemble(spec, table, start + step * (np.arange(count) + f),
+                        *(rows[0] for rows in _add_moments((next(b) for b in blocks), count)),
+                        proof=proof)
 
 
 def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
@@ -263,19 +297,23 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _node_streams(integrand, interval: Interval, n_panels: int, n: int):
-    """Yield (node i, rows) for every integrand call of n-node panels.
+    """Yield (node i, rows) for every chunk of n-node panels, node by node.
 
-    integrand(start, step, count) returns rows along the grid start + j*step,
-    j < count, which node i's abscissas across panels form.  Panels run in
-    chunks of at most _CHUNK_PANELS (boundaries fixed by n_panels), chunk by
-    chunk and node by node, so one call's kernel work and fields stay
-    bounded at any T if the consumer drops its rows before the next.
+    integrand(start, step, count, fractions) is called once per chunk, with
+    the chunk's first panel edge, the panel width, the chunk's panel count
+    and the node fractions f_i = (xi_i + 1)/2; it yields, fraction by
+    fraction, rows along the grid start + (j + f_i)*step, j < count, which
+    node i's abscissas across the chunk's panels form.  Panels run in chunks
+    of at most _CHUNK_PANELS (boundaries fixed by n_panels), so one chunk's
+    kernel work and one stream's fields stay bounded at any T if the
+    consumer drops its rows before the next; no name here holds them.
     """
     h = interval.length / n_panels
-    starts = interval.lo + (_gauss_rule(n)[0] + 1.0) * 0.5 * h
+    fractions = (_gauss_rule(n)[0] + 1.0) * 0.5
     for lo in range(0, n_panels, _CHUNK_PANELS):
+        streams = integrand(interval.lo + lo * h, h, min(_CHUNK_PANELS, n_panels - lo), fractions)
         for i in range(n):
-            yield i, integrand(starts[i] + lo * h, h, min(_CHUNK_PANELS, n_panels - lo))
+            yield i, next(streams)
 
 
 def _gauss_legendre(integrand, interval: Interval, n_panels: int,
@@ -330,7 +368,7 @@ def _refine(direct, n: int, panel: Interval, whole: float, tol: float,
             corner: bool = True, depth: int = 1) -> tuple[float, float, int]:
     """Nested subdivision of the panel, whose n-node Gauss-Legendre value is whole.
 
-    direct is a _panel_estimates integrand evaluating the density point by
+    direct is a _node_streams integrand evaluating the density point by
     point; corner says the panel was flagged.  It splits in halves, or, if
     flagged, in thirds when no half is: the corner then hides in the
     node-free gaps at the halves' shared edge, which the middle third's nodes
@@ -362,8 +400,10 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
                                  max_panel_width: float | None = None) -> QuadratureResult:
     """Expected zero count on the interval by one pass of Gauss-Legendre panels.
 
-    Panels are at most a quarter period of the fastest oscillation wide
-    (narrower if max_panel_width is given).  Each chunk's node values also
+    Panels are at most a quarter period of the fastest oscillation wide,
+    and no wider than max_panel_width if it is given; a wider value changes
+    nothing.  (The kernel's node streams need that bound: see
+    dirichlet_eval._oscillating_streams.)  Each chunk's node values also
     give every panel's Legendre tail (_panel_estimates) at no extra kernel
     call; only scalars outlive a chunk.  A flagged panel, in practice one
     holding a corner of the density (two effective terms), is integrated
@@ -384,17 +424,19 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
                          f"estimate reads c_(n-6) to c_(n-1)), got {nodes_per_panel}")
     if max_panel_width is not None and not 0 < max_panel_width < math.inf:
         raise ValueError(f"max_panel_width must be positive and finite, got {max_panel_width}")
-    width = panel_width(spec) if max_panel_width is None else max_panel_width
+    width = min(panel_width(spec), max_panel_width or math.inf)
     n_panels = max(1, math.ceil(interval.length / width))
     h = interval.length / n_panels
     table = make_weight_table(spec)
 
-    def density(start, step, count):
-        return breakdown_grid(spec, table, start, step, count, proof=False)["density"]
+    def density(start, step, count, fractions):
+        return map(operator.itemgetter("density"),
+                   _breakdown_streams(spec, table, start, step, count, fractions, proof=False))
 
-    def direct(start, step, count):
-        return np.array([breakdown_at(spec, float(t), table).density
-                         for t in start + step * np.arange(count)])
+    def direct(start, step, count, fractions):
+        for f in fractions:
+            yield np.array([breakdown_at(spec, float(t), table).density
+                            for t in start + step * (np.arange(count) + f)])
 
     value = error = 0.0
     nodes, lo = nodes_per_panel * n_panels, 0  # lo: the chunk's first panel

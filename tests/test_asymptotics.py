@@ -4,6 +4,9 @@ import mpmath as mp
 import pytest
 
 from dirichlet_roots import (
+    expected_count_deterministic,
+    experiment_interval,
+    make_spec,
     model_vs_zeta_ratio,
     predict_expected_zeros,
     stieltjes_constant,
@@ -43,18 +46,37 @@ def test_stieltjes_range():
 
 
 def test_predict_k0_matches_direct_arithmetic():
+    # the second term carries the n = 1 constant: -(gamma_0 + 1) for cosine
+    # (the default part), -(gamma_0 - 1) for sine, times T / (2 pi sqrt 3)
     T = 1000.0
-    pred = predict_expected_zeros(T, 0)
     L = math.log(T)
     main = T * L / (math.pi * math.sqrt(3.0))
-    second = -stieltjes_constant(0) * T / (2.0 * math.pi * math.sqrt(3.0))
-    assert pred.main_term == main  # bit-level k=0 specialization
-    assert pred.second_term == pytest.approx(second, rel=1e-15)
-    assert pred.total == pred.main_term + pred.second_term
-    assert pred.main_term == pytest.approx(1269.4817, abs=1e-3)
-    assert pred.second_term == pytest.approx(-53.0393, abs=1e-3)
-    assert pred.total == pytest.approx(1216.4424, abs=1e-3)
-    assert pred.error_scale == pytest.approx(T / L)
+    for part, dc, second_term, total in (("cosine", 1.0, -144.9274, 1124.5543),
+                                         ("sine", -1.0, 38.8489, 1308.3306)):
+        pred = predict_expected_zeros(T, 0, part)
+        second = -(stieltjes_constant(0) + dc) * T / (2.0 * math.pi * math.sqrt(3.0))
+        assert pred.main_term == main  # bit-level k=0 specialization
+        assert pred.second_term == pytest.approx(second, rel=1e-15)
+        assert pred.total == pred.main_term + pred.second_term
+        assert pred.main_term == pytest.approx(1269.4817, abs=1e-3)
+        assert pred.second_term == pytest.approx(second_term, abs=1e-3)
+        assert pred.total == pytest.approx(total, abs=1e-3)
+        assert pred.error_scale == pytest.approx(T / L)
+    assert predict_expected_zeros(T, 0) == predict_expected_zeros(T, 0, "cosine")
+
+
+@pytest.mark.parametrize("part", ["cosine", "sine"])
+def test_k0_remainder_does_not_drift(part):
+    # (EK - prediction) / (T / log T) stays put from T = 500 to 4000 (0.01 for
+    # cosine, 0.002 for sine); without the n = 1 constant it moves by
+    # 0.0919 ln 8 = 0.19, away from 0 for both parts
+    remainders = []
+    for T in (500.0, 4000.0):
+        spec = make_spec(T, 0, 0.5, part)
+        ek = expected_count_deterministic(spec, experiment_interval(spec)).value
+        remainders.append((ek - predict_expected_zeros(T, 0, part).total) / (T / math.log(T)))
+    assert abs(remainders[1] - remainders[0]) < 0.05
+    assert predict_expected_zeros(500.0, 1, part) == predict_expected_zeros(500.0, 1)  # w_1 = 0
 
 
 def test_predict_k1_example():
@@ -101,13 +123,13 @@ def test_ratio_linear_in_ek():
 
 
 def test_ratio_with_predicted_totals_converges():
-    # relative distance to 2/sqrt(3) shrinks as T doubles and is ~0.17/log T
+    # relative distance to 2/sqrt(3) shrinks as T grows and is ~0.35/log T
     errs = []
     for T in (1e4, 1e5, 1e6):
         ratio = model_vs_zeta_ratio(T, predict_expected_zeros(T, 0).total)
         errs.append(abs(ratio - TWO_OVER_SQRT3) / TWO_OVER_SQRT3)
     assert errs[0] > errs[1] > errs[2]
-    assert errs[2] < 0.015  # 1.22% measured at T = 1e6
+    assert errs[2] < 0.03  # 2.52% measured at T = 1e6 (1.22% without the n = 1 constant)
     with pytest.raises(ValueError):
         model_vs_zeta_ratio(50.0, 10.0)
 

@@ -15,6 +15,7 @@ from dirichlet_roots import (
 from dirichlet_roots.core import CoefficientSample
 from dirichlet_roots.dirichlet_eval import (
     _cached_plan,
+    _oscillating_streams,
     _grid_values,
     _shifted_strengths,
     oscillating_sums,
@@ -212,6 +213,61 @@ def test_kernel_shifted_rows_match_fsum(T, start, step, count, shifts, nodes):
                 bound = 1e-12 * mass + 2.0 * eps * abs(t) * spread
                 assert abs(C[r * len(shifts) + g, i] - c) < bound
                 assert abs(S[r * len(shifts) + g, i] - s) < bound
+
+
+@pytest.mark.parametrize("T", [500.0, 1000.0])
+def test_streams_match_fsum_at_gauss_legendre_fractions(T):
+    # both halves of every row at the 8 node fractions (xi + 1)/2, on EK's
+    # doubled grid (step * log T = pi/2), against the fsum evaluators
+    spec, sin_spec = make_spec(T, 0, 0.5, "cosine"), make_spec(T, 0, 0.5, "sine")
+    table, sin_table = make_weight_table(spec), make_weight_table(sin_spec)
+    X = sample_coefficients(spec, 3, 0).values
+    sq, logs = table.squared_weights, table.logs
+    rows = np.vstack([X * table.weights, sq, sq * logs * logs])
+    start, step, count = 2.0 * T, math.pi / (2.0 * math.log(T)), 700
+    fractions = (np.polynomial.legendre.leggauss(8)[0] + 1.0) / 2.0
+    streams = _oscillating_streams(logs, rows, start, step, count, fractions)
+    for f, (C, S) in zip(fractions, streams):
+        assert C.shape == S.shape == (3, count)
+        for i in (0, 1, 349, 699):
+            t = start + (i + f) * step
+            cs = [(eval_polynomial(_fixed_sample(spec, X), table, t),
+                   eval_polynomial(_fixed_sample(sin_spec, X), sin_table, t))]
+            cs += [(u_moment(table, j, t, "cosine"), u_moment(table, j, t, "sine"))
+                   for j in (0, 2)]
+            for r, (c, s) in enumerate(cs):
+                mass = math.fsum(np.abs(rows[r]))
+                assert abs(C[r, i] - c) < 1e-12 * mass
+                assert abs(S[r, i] - s) < 1e-12 * mass
+
+
+def test_streams_short_chunk_at_quarter_period():
+    # a chunk of 3 panels at step * log N = pi/2 exactly: the streams' fine
+    # grid of at least 4 kernel widths keeps the spread from wrapping
+    logs = np.log(np.arange(1, 201, dtype=np.float64))
+    coeffs = np.random.default_rng(4).standard_normal((1, 200)) / np.sqrt(np.arange(1, 201))
+    start, step = 400.0, math.pi / (2.0 * logs[-1])
+    fractions = (0.02, 0.5, 0.98)
+    mass = math.fsum(np.abs(coeffs[0]))
+    for f, (C, S) in zip(fractions, _oscillating_streams(logs, coeffs, start, step, 3, fractions)):
+        for i in range(3):
+            t = start + (i + f) * step
+            assert abs(C[0, i] - math.fsum(coeffs[0] * np.cos(t * logs))) < 1e-12 * mass
+            assert abs(S[0, i] - math.fsum(coeffs[0] * np.sin(t * logs))) < 1e-12 * mass
+
+
+@pytest.mark.parametrize("scale,count", [(0.995, 1000), (1.0, 1000), (3.0, 40), (0.8, 5)])
+def test_streams_reject_wrapping_support(scale, count):
+    # step * max log n plus the kernel's half width pi w / nf (pi/125 on the
+    # 2000-cell fine grid of 1000 modes, pi/4 on the 64-cell floor) must stay
+    # below pi; nothing is planned or spread before the check
+    logs = np.log(np.arange(1, 301, dtype=np.float64))
+    step = scale * math.pi / logs[-1]
+    before = _cached_plan.cache_info()
+    with pytest.raises(ValueError, match="wrap"):
+        next(_oscillating_streams(logs, np.ones((2, 300)), 10.0, step, count, (0.25,)))
+    after = _cached_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_moment_sums_row_mapping_on_shifted_grids():

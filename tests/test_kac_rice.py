@@ -14,7 +14,7 @@ from dirichlet_roots import (
     make_spec,
     make_weight_table,
 )
-from dirichlet_roots import kac_rice
+from dirichlet_roots import dirichlet_eval, kac_rice
 from dirichlet_roots.core import experiment_interval
 from dirichlet_roots.dirichlet_eval import WeightTable
 from dirichlet_roots.kac_rice import (
@@ -183,20 +183,28 @@ def test_gauss_legendre_rows_closed_form(monkeypatch):
                            for w in omegas[1:]]
     counts = []
 
-    def cosines(start, step, count):
+    def cosines(start, step, count, fractions):
         counts.append(count)
-        return np.cos(np.outer(omegas, start + step * np.arange(count)))
+        return (np.cos(np.outer(omegas, start + step * (np.arange(count) + f)))
+                for f in fractions)
 
     got = _gauss_legendre(cosines, iv, n_panels=40)
     assert got.shape == (4,)
     assert np.max(np.abs(got - exact)) < 1e-12
-    assert counts == [40] * 8
+    assert counts == [40]  # one integrand call per chunk serves all 8 nodes
     # 40 panels in chunks of 7: five full chunks and a last one of 5 panels
     monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 7)
     counts.clear()
     got = _gauss_legendre(cosines, iv, n_panels=40)
     assert np.max(np.abs(got - exact)) < 1e-12
-    assert counts == [7] * 8 * 5 + [5] * 8
+    assert counts == [7] * 5 + [5]
+
+
+def _streams(fn):
+    """A _node_streams integrand from a function of the abscissas."""
+    def integrand(start, step, count, fractions):
+        return (fn(start + step * (np.arange(count) + f)) for f in fractions)
+    return integrand
 
 
 def _chunks(integrand, iv, n_panels, n):
@@ -210,8 +218,8 @@ def test_legendre_rows_of_piecewise_polynomial():
     # the panels' h c_0 add up to the exact integral
     iv, e = Interval(0.0, 3.0), 1.25
 
-    def f(start, step, count):
-        t = start + step * np.arange(count)
+    @_streams
+    def f(t):
         return np.abs(t - e) ** 3 + t * t
 
     exact = (e**4 + (iv.hi - e) ** 4) / 4.0 + iv.hi**3 / 3.0
@@ -228,8 +236,9 @@ def test_kink_flags_its_panel_only(monkeypatch, chunk):
     # chunks of 4 panels that is panel 2 of the second chunk
     monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", chunk)
 
-    def kink(start, step, count):
-        return np.abs(start + step * np.arange(count) - 6.37)
+    @_streams
+    def kink(t):
+        return np.abs(t - 6.37)
 
     whole, flagged, tails, floor = _chunks(kink, Interval(0.0, 10.0), 10, 8)
     assert np.flatnonzero(flagged).tolist() == [6]
@@ -242,11 +251,13 @@ def test_streams_release_each_call_rows(monkeypatch):
     monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 5)
     alive = []
 
-    def integrand(start, step, count):
-        assert all(ref() is None for ref in alive)
-        rows = np.cos(start + step * np.arange(count)) + 2.0
-        alive.append(weakref.ref(rows))
-        return rows
+    def integrand(start, step, count, fractions):
+        for f in fractions:
+            assert all(ref() is None for ref in alive)
+            rows = np.cos(start + step * (np.arange(count) + f)) + 2.0
+            alive.append(weakref.ref(rows))
+            yield rows
+            del rows
 
     _gauss_legendre(integrand, Interval(0.0, 5.0), 12)
     assert len(alive) == 8 * 3
@@ -404,6 +415,48 @@ def test_deterministic_error_estimate_honest(T, k, part):
     ref = expected_count_deterministic(spec, iv, nodes_per_panel=16,
                                        max_panel_width=panel_width(spec) / 2.0).value
     assert abs(q.value - ref) <= q.abs_error_estimate < 1e-9 * q.value
+
+
+def test_wider_max_panel_width_changes_nothing():
+    # panels never exceed the quarter period: a wider cap (0.5 here, 4.7 times
+    # the quarter period at T = 200) gives the default result
+    spec = make_spec(200.0, 0, 0.5)
+    iv = experiment_interval(spec)
+    assert 0.5 > panel_width(spec)
+    assert (expected_count_deterministic(spec, iv, max_panel_width=0.5)
+            == expected_count_deterministic(spec, iv))
+
+
+@pytest.mark.parametrize("chunk,spreads", [(2**19, 1), (1000, 4)])
+def test_one_spreading_pass_per_chunk(monkeypatch, chunk, spreads):
+    # EK at T = 500 has 3957 panels: one spreading pass serves a chunk's 8
+    # node streams, in one chunk or in four of at most 1000 panels
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return spread(*args)
+
+    spread = dirichlet_eval._spread
+    monkeypatch.setattr(dirichlet_eval, "_spread", counted)
+    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", chunk)
+    spec = make_spec(500.0, 0, 0.5)
+    q = expected_count_deterministic(spec, experiment_interval(spec))
+    assert q.nodes_used == 8 * 3957
+    assert len(calls) == spreads
+
+
+def test_stream_term_blocks_match_one_block(monkeypatch):
+    # with the moment rows split into three blocks of terms (as from 666,667
+    # terms on one grid), each block spreads once per chunk and the blocks'
+    # sums add up to the one-block EK value up to roundoff
+    spec = make_spec(500.0, 0, 0.5)
+    iv = experiment_interval(spec)
+    whole = expected_count_deterministic(spec, iv)
+    monkeypatch.setattr(kac_rice, "_GROUP_ELEMS", 500)
+    blocks = expected_count_deterministic(spec, iv)
+    assert blocks.nodes_used == whole.nodes_used
+    assert abs(blocks.value - whole.value) <= 1e-13 * whole.value
 
 
 def test_bad_panel_parameters_rejected():
