@@ -22,7 +22,7 @@ import numpy as np
 
 from .asymptotics import stieltjes_constant
 from .core import Interval, Part, PolynomialSpec
-from .dirichlet_eval import _oscillating_streams, make_weight_table
+from .dirichlet_eval import make_weight_table, oscillating_sums
 from .kac_rice import (NODES_PER_PANEL, _breakdown_streams, _gauss_legendre, _moment_sums,
                        panel_width)
 
@@ -114,7 +114,7 @@ def l2_mean_value_check(coefficients, T: float) -> tuple[float, float, float]:
         return (c_rows[0] - s_rows[1])**2 + (s_rows[0] + c_rows[1])**2
 
     lhs = float(_gauss_legendre(lambda *grid: map(modulus_squared,
-                                                  _oscillating_streams(logs, rows, *grid)),
+                                                  oscillating_sums(logs, rows, *grid)),
                                 Interval(0.0, T), max(1, math.ceil(T / width))))
     main = T * math.fsum(np.abs(a) ** 2)
     budget = math.fsum(np.arange(1, n + 1) * np.abs(a) ** 2)

@@ -5,20 +5,18 @@ Two evaluators, cross-checked in the tests:
 * direct: one point at a time, exact trig arguments, compensated (Shewchuk)
   summation via math.fsum.  Reference-quality, used for single points, for
   bisection refinement and as the grid kernel's test oracle.
-* grid kernel (oscillating_sums): rows of values on a uniform t-grid, as a
-  type-1 nonuniform FFT (exponential-of-semicircle spreading onto a fine
-  grid, one FFT, kernel deconvolution), O(terms + grid log grid) per row.
-  Each coefficient row gives the complex sums sum_n c_n exp(i t log n), so
-  one transform returns its cosine sums (the real part) and its sine sums
-  (the imaginary part).  Error below about 3e-13 of the row's coefficient
-  L1 mass.  As in FINUFFT's plan interface, the point layout is built once
-  per point set and cached.
-* node streams (_oscillating_streams): the same rows on the grids
-  t_i = start + (i + f)*step for several fractions f, from one spreading
-  pass, then per fraction a ramp exp(2 pi i f m / nf) over signed fine
-  cells m, one FFT per row and the kernel's transform at the fractional
-  modes.  Valid while the spread cannot wrap (step * max log n plus the
-  kernel's half width below pi), which Gauss-Legendre node streams meet.
+* grid kernel (oscillating_sums): rows of values on the uniform t-grids
+  t_i = start + (i + f)*step for one or more fractions f, as a type-1
+  nonuniform FFT (exponential-of-semicircle spreading onto a fine grid,
+  one FFT, kernel deconvolution), O(terms + grid log grid) per row and
+  fraction.  Each coefficient row gives the complex sums
+  sum_n c_n exp(i t log n), so one transform returns its cosine sums (the
+  real part) and its sine sums (the imaginary part).  Error below about
+  3e-13 of the row's coefficient L1 mass.  One spreading pass serves every
+  fraction: the kernel applies a ramp after it where the spread cannot
+  wrap (Gauss-Legendre node streams), and angle addition in the strengths
+  otherwise.  As in FINUFFT's plan interface, the point layout is built
+  once per point set and cached.
 """
 
 from __future__ import annotations
@@ -38,8 +36,9 @@ __all__ = [
     "eval_polynomial",
     "u_moment",
     "log_moment_sum",
-    "oscillating_sums",
 ]
+# The grid kernel oscillating_sums is left out: perfbench traces the names
+# here and reads each call's result, and a generator works after it returns.
 
 # Grid-kernel spreading: exponential-of-semicircle kernel of _SPREAD_WIDTH
 # fine cells with shape beta = 2.30 * width, on a fine grid of at least
@@ -124,8 +123,7 @@ def _cached_plan(logs: bytes, step: float, count: int, rows: int) -> _Plan:
     """The _Plan of the points step * logs mod 2 pi, for count modes and rows transform rows.
 
     Keyed by the content of logs, so every call on one point set (chunks,
-    trial blocks) shares one plan; a chunk's node streams share one
-    spreading pass and differ only by the ramp after it (_oscillating_streams).
+    trial blocks) shares one plan.
     """
     logs = np.frombuffer(logs)
     nf, w = _fine_grid(count)[0], _SPREAD_WIDTH
@@ -180,103 +178,86 @@ def _spread(strengths: np.ndarray, plan: _Plan, nf: int) -> np.ndarray:
 
 
 def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: float,
-                     count: int, shifts: np.ndarray | tuple[float, ...] = (0.0,),
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate rows of cosine and sine sums along the uniform grid t_i = start + i*step.
+                     count: int, fractions=(0.0,)):
+    """Yield rows of cosine and sine sums along t_i = start + (i + f)*step for each f in fractions.
 
-    Returns (C, S) with
+    Yields, fraction by fraction, (C, S) with
         C[r, i] = sum_n coeffs[r, n] * cos(t_i * logs[n])
         S[r, i] = sum_n coeffs[r, n] * sin(t_i * logs[n]),
-    the real and imaginary parts of sum_n coeffs[r, n] * exp(i t_i logs[n]),
-    from one transform per row.  With t_i = mid + j*step, mid the grid's
-    middle node, every row is a type-1 NUFFT: modes j of the nonuniform
-    points x_n = step*logs[n] mod 2 pi with strengths coeffs * exp(i mid
-    logs[n]).  Points are spread onto a fine periodic grid, transformed by
-    one FFT per row and divided by the kernel's own transform; terms with
-    logs[n] = 0 are constant and are added exactly.  The error stays below
-    about 3e-13 of each row's L1 mass.  The points' sort and tiling are
-    planned once per point set, step, count and transform row count
-    (_cached_plan, keyed by the content of logs), so repeated calls on one
-    point set execute only the spreading and the FFTs.
+    the real and imaginary parts of sum_n coeffs[r, n] * exp(i t_i logs[n]);
+    the default, one zero fraction, is the plain grid.  With t_i = mid +
+    (j + f)*step, mid the grid's middle node, every row is a type-1 NUFFT:
+    modes j + f of the nonuniform points x_n = step*logs[n] mod 2 pi with
+    strengths coeffs * exp(i mid logs[n]).  Points are spread onto a fine
+    periodic grid once per call, transformed by one FFT per row and divided
+    by the kernel's own transform; terms with logs[n] = 0 are constant and
+    are added exactly.  The error stays below about 3e-13 of each row's L1
+    mass.  The points' sort and tiling are planned once per point set,
+    step, count and transform row count (_cached_plan, keyed by the content
+    of logs), so repeated calls execute only the spreading and the FFTs.
 
-    shifts, a 1-D array of S offsets, evaluates every coefficient row on
-    the S grids t_i = start + shifts[g] + i*step; row r*S + g of C (of S)
-    holds coefficient row r on grid g.  The default, one zero shift, is the
-    plain grid.  The grids share one point set, so one plan, one
-    kernel-weight table and one spreading pass serve them all.  Each shift
-    enters by angle addition, as the strength factor
-    exp(i mid logs[n]) * exp(i shifts[g] logs[n]); forming fl(start + shift)
-    instead would add its rounding, times logs[n], to every phase alike.
-    A zero shift's factor is exactly 1, so it leaves the strengths unchanged.
-    """
-    constant, fine = _spread_rows(logs, coeffs, start, step, count, count, shifts)
-    np.fft.ifft(fine, norm="forward", out=fine)
-    out_c, out_s = np.empty((fine.shape[0], count)), np.empty((fine.shape[0], count))
-    _read_modes(fine, _fine_grid(count)[1], out_c, out_s)
-    out_c += constant
-    return out_c, out_s
-
-
-def _oscillating_streams(logs: np.ndarray, coeffs: np.ndarray, start: float, step: float,
-                         count: int, fractions):
-    """Yield oscillating_sums' (C, S) along t_i = start + (i + f)*step for each f in fractions.
-
-    One plan, one strength computation and one spreading pass serve every
-    fraction.  With t_i = mid + (j + f)*step, the output at the fractional
-    mode j + f is the transform of the spread grid times the ramp
-    exp(2 pi i f m / nf) at signed fine cells m (m - nf in place of
-    m >= nf/2), over the kernel's transform at j + f (Dutt and Rokhlin,
-    1993).  Signed cells are the points' true positions only if the spread
-    cannot wrap: logs must be nonnegative and step * max(logs) plus the
-    kernel's half width pi * w / nf must stay below pi, or ValueError.
-    Gauss-Legendre node streams have step * max(logs) <= pi/2, and a fine
-    grid of at least 4 w cells keeps the half width within pi/4 at any
-    count.  Only the signed cells -w/2 .. reach + w/2 that the points cover
-    (a quarter of the grid at pi/2) are kept; each fraction ramps them back
-    into the spread grid, whose strided in-place FFT needs no work copy.
-    The generator holds no reference to what it yielded.
-    """
-    modes, wrap = max(count, 2 * _SPREAD_WIDTH), _SPREAD_WIDTH // 2
-    nf = _fine_grid(modes)[0]
-    reach = step * np.max(logs, initial=0.0) * nf / (2.0 * math.pi)  # in fine cells
-    if not (np.min(logs, initial=0.0) >= 0.0 and reach + wrap < nf / 2):
-        raise ValueError(f"logs must be nonnegative and step * max(logs) plus the kernel's "
-                         f"half width below pi, got {reach * 2.0 * math.pi / nf} + "
-                         f"{math.pi * _SPREAD_WIDTH / nf}: the spread grid would wrap")
-    constant, fine = _spread_rows(logs, coeffs, start, step, count, modes)
-    hi = int(reach) + wrap + 2  # cells hi .. nf - wrap - 1 hold no point's support
-    support = np.concatenate((fine[:, nf - wrap:], fine[:, :hi]), axis=1)
-    for f in fractions:  # each fraction's transform overwrites the spread grid
-        yield _fractional_modes(support, fine, count, f, constant)
-
-
-def _spread_rows(logs, coeffs, start, step, count, modes, shifts=(0.0,)):
-    """Checked constant terms and spread fine grid of oscillating_sums' rows.
-
-    The fine grid is that of modes >= count modes, and the strengths carry
-    the phase of the grid's middle node start + (count // 2) * step.
+    The kernel picks how the fractions enter.  Several fractions in [0, 1]
+    on a spread that cannot wrap (logs nonnegative, and step * max(logs)
+    plus the kernel's half width pi * w / nf below pi, as on Gauss-Legendre
+    node streams) ramp the spread grid by exp(2 pi i f m / nf) over signed
+    fine cells m (Dutt and Rokhlin, 1993), one fraction's transform at a
+    time; only the cells the points cover are kept between fractions.
+    Otherwise each fraction enters the strengths by angle addition, as the
+    factor exp(i f step logs[n]), and one FFT serves them all: forming
+    fl(start + f*step) instead would add its rounding, times logs[n], to
+    every phase alike, and a zero fraction's factor is exactly 1.  On the
+    ramp path the generator holds no reference to what it yielded.
     """
     if count <= 0:
         raise ValueError("count must be positive")
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
-    shifts = np.asarray(shifts, dtype=np.float64)
-    if not (math.isfinite(start) and np.isfinite(shifts).all()):
-        raise ValueError("start and shifts must be finite")
+    fractions = np.asarray(fractions, dtype=np.float64)
+    if not (math.isfinite(start) and np.isfinite(fractions).all()):
+        raise ValueError("start and fractions must be finite")
+    nf, wrap = _fine_grid(count)[0], _SPREAD_WIDTH // 2
+    reach = step * np.max(logs, initial=0.0) * nf / (2.0 * math.pi)  # in fine cells
+    ramped = (fractions.size > 1 and 0.0 <= fractions.min() and fractions.max() <= 1.0
+              and np.min(logs, initial=0.0) >= 0.0 and reach + wrap < nf / 2)
+    shifts = np.zeros(1) if ramped else fractions * step
+    constant, fine = _spread_rows(logs, coeffs, start, step, count, shifts)
+    if not ramped:
+        out_c, out_s = _transform(fine, count, 0.0, constant)
+        del fine  # not held while the sums are read
+        for g in range(shifts.size):  # row r*G + g holds coefficient row r, fraction g
+            yield out_c[g::shifts.size], out_s[g::shifts.size]
+        return
+    hi = int(reach) + wrap + 2  # cells hi .. nf - wrap - 1 hold no point's support
+    support = np.concatenate((fine[:, nf - wrap:], fine[:, :hi]), axis=1)
+    for f in fractions:  # each fraction's transform overwrites the spread grid
+        ramp = _ramp(f, nf, -wrap, support.shape[1])
+        np.multiply(support[:, wrap:], ramp[wrap:], out=fine[:, :hi])
+        np.multiply(support[:, :wrap], ramp[:wrap], out=fine[:, nf - wrap:])
+        del ramp  # not held beside the FFT's work buffer
+        fine[:, hi:nf - wrap] = 0.0
+        yield _transform(fine, count, f, constant)
+
+
+def _spread_rows(logs, coeffs, start, step, count, shifts):
+    """Constant terms and spread fine grid of oscillating_sums' rows on the shifted grids.
+
+    The strengths carry the phase of the grid's middle node start +
+    (count // 2) * step; row r*G + g holds coefficient row r and shift g.
+    """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
-    rows = coeffs.shape[0] * shifts.size
     constant = np.repeat(coeffs[:, logs == 0.0].sum(axis=1)[:, None], shifts.size, axis=0)
-    plan = _cached_plan(np.asarray(logs, dtype=np.float64).tobytes(), step, modes, rows)
+    plan = _cached_plan(np.asarray(logs, dtype=np.float64).tobytes(), step, count,
+                        coeffs.shape[0] * shifts.size)
     phase = (start + count // 2 * step) * logs[plan.terms]
     strengths = _shifted_strengths(coeffs[:, plan.terms], phase, shifts, logs[plan.terms])
-    return constant, _spread(strengths, plan, _fine_grid(modes)[0])
+    return constant, _spread(strengths, plan, _fine_grid(count)[0])
 
 
 def _shifted_strengths(coeffs: np.ndarray, phase: np.ndarray, shifts: np.ndarray,
                        logs: np.ndarray) -> np.ndarray:
     """Real parts over imaginary parts of coeffs[r] * exp(i (phase + shifts[g] logs)).
 
-    Row r*S + g of each half holds coefficient row r and shift g.  The
+    Row r*G + g of each half holds coefficient row r and shift g.  The
     shift's factor multiplies exp(i phase) by angle addition.
     """
     cp, sp = np.cos(phase), np.sin(phase)
@@ -288,34 +269,21 @@ def _shifted_strengths(coeffs: np.ndarray, phase: np.ndarray, shifts: np.ndarray
     return strengths.reshape(2 * coeffs.shape[0] * len(angles), logs.size)
 
 
-def _read_modes(spectrum: np.ndarray, scale: np.ndarray, out_c: np.ndarray,
-                out_s: np.ndarray) -> None:
-    """Modes -count//2 .. of the transformed fine grid, over scale, into out_c and out_s."""
-    nf, count = spectrum.shape[-1], out_c.shape[-1]
-    half = count // 2
-    for out, part in ((out_c, spectrum.real), (out_s, spectrum.imag)):
-        np.divide(part[..., nf - half:], scale[:half], out=out[..., :half])
-        np.divide(part[..., :count - half], scale[half:], out=out[..., half:])
+def _transform(fine: np.ndarray, count: int, f: float,
+               constant: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C, S) at modes j + f, j = -count//2 .., of the spread fine grid, transformed in place.
 
-
-def _fractional_modes(support: np.ndarray, grid: np.ndarray, count: int, f: float,
-                      constant: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One fraction's (C, S) from the support of the spread grid (see _oscillating_streams).
-
-    support holds signed fine cells -w/2 .. hi - 1 in order; grid, of nf
-    cells, receives them ramped, zeros elsewhere, and their transform.
+    The modes are divided by the kernel's transform there, cached for f = 0
+    (_fine_grid) and computed after the FFT otherwise; constant is added to C.
     """
-    wrap, nf = _SPREAD_WIDTH // 2, grid.shape[1]
-    hi = support.shape[1] - wrap
-    ramp = _ramp(f, nf, -wrap, support.shape[1])
-    np.multiply(support[:, wrap:], ramp[wrap:], out=grid[:, :hi])
-    np.multiply(support[:, :wrap], ramp[:wrap], out=grid[:, nf - wrap:])
-    del ramp  # not held beside the FFT's work buffer
-    grid[:, hi:nf - wrap] = 0.0
-    np.fft.ifft(grid, norm="forward", out=grid)
-    scale = _kernel_transform(np.arange(count) - count // 2 + f, nf)
-    out_c, out_s = np.empty((grid.shape[0], count)), np.empty((grid.shape[0], count))
-    _read_modes(grid, scale, out_c, out_s)
+    np.fft.ifft(fine, norm="forward", out=fine)
+    nf, half = fine.shape[1], count // 2
+    scale = (_kernel_transform(np.arange(count) - half + f, nf) if f
+             else _fine_grid(count)[1])
+    out_c, out_s = np.empty((fine.shape[0], count)), np.empty((fine.shape[0], count))
+    for out, part in ((out_c, fine.real), (out_s, fine.imag)):
+        np.divide(part[:, nf - half:], scale[:half], out=out[:, :half])
+        np.divide(part[:, :count - half], scale[half:], out=out[:, half:])
     out_c += constant
     return out_c, out_s
 
@@ -338,9 +306,8 @@ def _kernel_transform(modes: np.ndarray, nf: int) -> np.ndarray:
     Its w + 1 cosine terms phi(0) + 2 sum_u phi(u) cos(2 pi u mode / nf),
     u = 1 .. w/2, are a polynomial in x = cos(2 pi mode / nf) with positive
     coefficients (_kernel_poly), summed by Horner's rule with no
-    cancellation for the modes |mode| <~ nf/4 that streams read (x >~ 0);
-    at integer modes it equals _fine_grid's FFT of the sampled kernel to a
-    few ulp.
+    cancellation for the modes |mode| <= nf/4 that the kernel reads (x >= 0);
+    at integer modes it is the FFT of the sampled kernel to within 16 ulp.
     """
     poly = _kernel_poly()
     x = np.cos((2.0 * math.pi / nf) * modes)
@@ -354,30 +321,37 @@ def _kernel_transform(modes: np.ndarray, nf: int) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _kernel_poly() -> np.ndarray:
     """Monomial coefficients, lowest order first, of sum_u phi(u) cos(u theta),
-    u = -w/2 .. w/2, as a polynomial in cos(theta); read-only."""
+    u = -w/2 .. w/2, as a polynomial in x = cos(theta); read-only.
+
+    The Chebyshev series phi(0) + 2 sum_u phi(u) T_u(x) is converted by the
+    recurrence T_(u+1) = 2x T_u - T_(u-1) in Clenshaw's backward form
+    (high <- low + 2x high, low <- a_u - high), the operations of numpy's
+    cheb2poly, without loading numpy.polynomial.
+    """
     phi = _spread_kernel(np.arange(_SPREAD_WIDTH // 2 + 1.0))
     phi[1:] *= 2.0
-    poly = np.polynomial.chebyshev.cheb2poly(phi)
+    low, high = np.zeros((2, phi.size))
+    low[0], high[0] = phi[-2], phi[-1]
+    for a in phi[-3::-1]:
+        low, high = -high, low + 2.0 * np.roll(high, 1)
+        low[0] += a
+    poly = low + np.roll(high, 1)
     poly.setflags(write=False)
     return poly
 
 
 @lru_cache(maxsize=8)
 def _fine_grid(count: int) -> tuple[int, np.ndarray]:
-    """Fine-grid length for count modes, and the kernel's transform on it.
+    """Fine-grid length for count modes, and the kernel's transform at the modes i - count//2.
 
     The length is the smallest 2^a 3^b 5^c (fast for pocketfft) of at least
-    twice count and twice the kernel width.  The transform is that of the
-    kernel sampled on the fine grid, at the modes i - count//2, read-only.
+    twice count and four kernel widths, which keeps the kernel's half width
+    within pi/4 at any count; the transform is read-only.
     """
-    n = max(2 * count, 2 * _SPREAD_WIDTH)
+    n = max(2 * count, 4 * _SPREAD_WIDTH)
     nf = min(p << (-(-n // p) - 1).bit_length()
              for p in (3**b * 5**c for b in range(20) for c in range(14)))
-    wrap = _SPREAD_WIDTH // 2
-    kernel = np.zeros(nf)
-    kernel[:wrap + 1] = _spread_kernel(np.arange(wrap + 1.0))
-    kernel[nf - wrap:] = kernel[wrap:0:-1]
-    scale = np.fft.rfft(kernel).real[np.abs(np.arange(count) - count // 2)]
+    scale = _kernel_transform(np.arange(count) - count // 2, nf)
     scale.setflags(write=False)
     return nf, scale
 
@@ -398,7 +372,7 @@ def _grid_values(table: WeightTable, coeffs: np.ndarray, interval: Interval,
         raise ValueError(f"step must be positive and finite, got {step}")
     m = max(1, math.ceil(interval.length / step - 1e-12))
     actual = interval.length / m
-    sums = oscillating_sums(table.logs, coeffs, interval.lo, actual, m + 1)
+    sums = next(oscillating_sums(table.logs, coeffs, interval.lo, actual, m + 1))
     return actual, sums[table.spec.part is Part.SINE]
 
 

@@ -38,8 +38,7 @@ import numpy as np
 
 from .asymptotics import stieltjes_constant
 from .core import Interval, Part, PolynomialSpec
-from .dirichlet_eval import (WeightTable, _oscillating_streams, make_weight_table,
-                             oscillating_sums, u_moment)
+from .dirichlet_eval import WeightTable, make_weight_table, oscillating_sums, u_moment
 
 __all__ = [
     "DensityBreakdown",
@@ -75,7 +74,7 @@ _REFINE_DEPTH = 40
 _MIN_NODES = 8
 
 # Stratified EK: independent randomly shifted grids (their spread gives the
-# stderr), evaluated as shifts of one grid (see _shifted_grids).
+# stderr), evaluated as fractions of one grid's step (see _shifted_grids).
 STRATIFIED_REPLICATES = 25
 # Coefficients per block of moment rows (_moment_rows: moment rows x grids x
 # terms), which bounds the kernel's strength and spreading memory.
@@ -204,42 +203,43 @@ def _moment_rows(table: WeightTable, grids: int):
         yield logs, np.vstack([sq, sq * logs * logs, sq * logs])
 
 
-def _add_moments(block_sums, count: int) -> tuple[np.ndarray, ...]:
-    """P_0, Pt_1, P_2 from each block's kernel (C, S), added in term order.
+def _add_moments(block_sums) -> tuple[np.ndarray, ...]:
+    """P_0, Pt_1, P_2 from each block's kernel (C, S) rows, added in term order.
 
-    P_0 and P_2 are cosine sums, Pt_1 a sine sum; each is a (grids, count) array.
+    P_0 and P_2 are cosine sums, Pt_1 a sine sum.
     """
     total = None
     for c_rows, s_rows in block_sums:
-        c_rows, s_rows = c_rows.reshape(3, -1, count), s_rows.reshape(3, -1, count)
         sums = (c_rows[0], s_rows[2], c_rows[1])
         total = sums if total is None else tuple(a + b for a, b in zip(total, sums))
     return total
 
 
 def _moment_sums(table: WeightTable, start: float, step: float, count: int,
-                 shifts: np.ndarray | tuple[float, ...] = (0.0,)) -> tuple[np.ndarray, ...]:
-    """P_0, Pt_1, P_2 along the grids tau_i = start + shifts[g] + i*step.
+                 fractions=(0.0,)) -> tuple[np.ndarray, ...]:
+    """P_0, Pt_1, P_2 along the grids tau_i = start + (i + f_g)*step, as (grids, count) arrays.
 
     One kernel call per block of moment rows (_moment_rows) on all the
-    shifted grids.
+    grids, consumed before the next block is built; blocks add in term order.
     """
-    return _add_moments((oscillating_sums(logs, rows, start, step, count, shifts)
-                         for logs, rows in _moment_rows(table, len(shifts))), count)
+    total = None
+    for logs, rows in _moment_rows(table, len(fractions)):
+        block = np.array([_add_moments([sums]) for sums in  # (grids, 3, count)
+                          oscillating_sums(logs, rows, start, step, count, fractions)])
+        total = block if total is None else total + block
+    return total[:, 0], total[:, 1], total[:, 2]
 
 
 def breakdown_grid(spec: PolynomialSpec, table: WeightTable, start: float,
                    step: float, count: int, *, proof: bool = True) -> dict[str, np.ndarray]:
     """Breakdown fields as arrays along the uniform grid t_i = start + i*step.
 
-    Evaluates the moment sums with one grid-kernel call on the doubled grid
-    tau_i = 2 t_i.  proof=False leaves out x, y, z and w (EK needs only
+    Evaluates the moment sums with one grid-kernel call per block of moment
+    rows on the doubled grid tau_i = 2 t_i: _breakdown_streams' one
+    fraction f = 0.  proof=False leaves out x, y, z and w (EK needs only
     the density).
     """
-    _check_spec(spec)
-    sums = _moment_sums(table, 2.0 * start, 2.0 * step, count)
-    return _assemble(spec, table, start + step * np.arange(count),
-                     *(rows[0] for rows in sums), proof=proof)
+    return next(_breakdown_streams(spec, table, start, step, count, (0.0,), proof=proof))
 
 
 def _breakdown_streams(spec: PolynomialSpec, table: WeightTable, start: float, step: float,
@@ -247,16 +247,15 @@ def _breakdown_streams(spec: PolynomialSpec, table: WeightTable, start: float, s
     """Yield breakdown_grid's fields along t_i = start + (i + f)*step for each f in fractions.
 
     Each block of moment rows (_moment_rows) is spread once on the doubled
-    grids for all fractions (_oscillating_streams); one fraction's sums and
-    fields exist at a time.
+    grids for all fractions (oscillating_sums); one fraction's fields
+    exist at a time, and on the kernel's ramp path one fraction's sums.
     """
     _check_spec(spec)
-    blocks = [_oscillating_streams(logs, rows, 2.0 * start, 2.0 * step, count, fractions)
+    blocks = [oscillating_sums(logs, rows, 2.0 * start, 2.0 * step, count, fractions)
               for logs, rows in _moment_rows(table, 1)]
     for f in fractions:
         yield _assemble(spec, table, start + step * (np.arange(count) + f),
-                        *(rows[0] for rows in _add_moments((next(b) for b in blocks), count)),
-                        proof=proof)
+                        *_add_moments(next(b) for b in blocks), proof=proof)
 
 
 def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
@@ -264,17 +263,17 @@ def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
     """Breakdown fields but x, y, z and w on the stratified estimator's shifted grids.
 
     Replicate r is the grid t = lo + h (i + u_r), i < m, with h = length/m and
-    u_r uniform on [0, 1); row r of every field holds replicate r.  The
-    replicates' doubled shifts 2 h u_r go to the grid kernel as shifts of
-    the one grid tau_i = 2 (lo + i h), through _moment_sums.
+    u_r uniform on [0, 1); row r of every field holds replicate r.  The u_r
+    go to the grid kernel as fractions of the one doubled grid
+    tau_i = 2 lo + 2 h i, through _moment_sums.
     """
     m = -(-strata // STRATIFIED_REPLICATES)
     h = interval.length / m
     rng = np.random.Generator(np.random.PCG64(seed))
-    shifts = h * rng.random(STRATIFIED_REPLICATES)
-    sums = _moment_sums(table, 2.0 * interval.lo, 2.0 * h, m, 2.0 * shifts)
-    return _assemble(spec, table, interval.lo + shifts[:, None] + h * np.arange(m), *sums,
-                     proof=False)
+    fractions = rng.random(STRATIFIED_REPLICATES)
+    sums = _moment_sums(table, 2.0 * interval.lo, 2.0 * h, m, fractions)
+    return _assemble(spec, table, interval.lo + h * fractions[:, None] + h * np.arange(m),
+                     *sums, proof=False)
 
 
 def panel_width(spec: PolynomialSpec) -> float:
@@ -402,8 +401,9 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
 
     Panels are at most a quarter period of the fastest oscillation wide,
     and no wider than max_panel_width if it is given; a wider value changes
-    nothing.  (The kernel's node streams need that bound: see
-    dirichlet_eval._oscillating_streams.)  Each chunk's node values also
+    nothing.  (The bound keeps the doubled grid's spread from wrapping, so
+    the kernel ramps one spread grid to every node fraction: see
+    dirichlet_eval.oscillating_sums.)  Each chunk's node values also
     give every panel's Legendre tail (_panel_estimates) at no extra kernel
     call; only scalars outlive a chunk.  A flagged panel, in practice one
     holding a corner of the density (two effective terms), is integrated

@@ -311,6 +311,22 @@ def test_console_script_entrypoint(cli_env):
     assert proc.returncode == 0
 
 
+def test_simulate_and_stratified_leave_numpy_polynomial_unloaded(cli_env):
+    # the grid kernel builds its polynomial by its own recurrence: Monte
+    # Carlo and stratified EK never load numpy.polynomial, which would cost
+    # every such run peak memory
+    code = ("import contextlib, io, sys\n"
+            "from dirichlet_roots.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['simulate', '--T', '100', '--trials', '4']) == 0\n"
+            "    assert main(['expected', '--T', '500', '--method', 'stratified',\n"
+            "                 '--strata', '200']) == 0\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_threads_env_var_default(monkeypatch):
     from dirichlet_roots.cli import build_parser
 

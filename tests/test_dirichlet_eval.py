@@ -12,12 +12,15 @@ from dirichlet_roots import (
     sample_coefficients,
     u_moment,
 )
+from dirichlet_roots import dirichlet_eval
 from dirichlet_roots.core import CoefficientSample
 from dirichlet_roots.dirichlet_eval import (
+    _SPREAD_WIDTH,
     _cached_plan,
-    _oscillating_streams,
+    _fine_grid,
     _grid_values,
     _shifted_strengths,
+    _spread_kernel,
     oscillating_sums,
 )
 from dirichlet_roots.kac_rice import _moment_sums
@@ -136,7 +139,7 @@ def test_kernel_matches_fsum(T, start, step, count, n_rows, points):
     cos_table, sin_table = make_weight_table(cos_spec), make_weight_table(sin_spec)
     X = np.array([sample_coefficients(cos_spec, 5, r).values for r in range(n_rows)])
     rows = X * cos_table.weights
-    C, S = oscillating_sums(cos_table.logs, rows, start, step, count)
+    C, S = next(oscillating_sums(cos_table.logs, rows, start, step, count))
     assert C.shape == S.shape == (n_rows, count)
     mass = np.abs(rows).sum(axis=1)
     for i in range(count) if points is None else points:
@@ -149,22 +152,26 @@ def test_kernel_matches_fsum(T, start, step, count, n_rows, points):
 
 
 def test_kernel_exact_constant_and_zero_rows():
-    # the log n = 0 term is added exactly to every (shifted) cosine row, the
-    # sine rows are exact zeros, and zero rows give exact zeros
+    # the log n = 0 term is added exactly to every cosine row on every
+    # fraction's grid (ramped, then by angle addition), the sine rows are
+    # exact zeros, and zero rows give exact zeros
     rows = [[2.5], [-1.0], [1.5]]
     logs = np.log(np.arange(1, 301, dtype=np.float64))
-    for start, shifts in ((3.0, (0.0,)), (6e4, (0.0, 0.3, -7.5, 1e4))):
-        C, S = oscillating_sums(np.zeros(1), rows, start, 0.7, 40, np.array(shifts))
-        assert C.shape == S.shape == (3 * len(shifts), 40)
-        assert np.all(C == np.repeat(rows, len(shifts), axis=0)) and np.all(S == 0.0)
-        C, S = oscillating_sums(logs, np.zeros((2, 300)), -5.0, 0.1, 33, np.array(shifts))
-        assert C.shape == S.shape == (2 * len(shifts), 33)
-        assert np.all(C == 0.0) and np.all(S == 0.0)
+    for start, fractions in ((3.0, (0.0,)), (6e4, (0.0, 0.25, 1.0)),
+                             (6e4, (0.0, 0.4, -10.0, 1e4))):
+        sums = list(oscillating_sums(np.zeros(1), rows, start, 0.7, 40, fractions))
+        assert len(sums) == len(fractions)
+        for C, S in sums:
+            assert C.shape == S.shape == (3, 40)
+            assert np.all(C == np.asarray(rows)) and np.all(S == 0.0)
+        for C, S in oscillating_sums(logs, np.zeros((2, 300)), -5.0, 0.1, 33, fractions):
+            assert C.shape == S.shape == (2, 33)
+            assert np.all(C == 0.0) and np.all(S == 0.0)
 
 
 def test_kernel_zero_shift_is_unshifted_bitwise():
-    # the plain grid is one zero shift, whose angle-addition factor is exactly
-    # 1: the strengths are the unshifted coeffs * exp(i phase), bit for bit
+    # the plain grid is one zero fraction, whose angle-addition factor is
+    # exactly 1: the strengths are the unshifted coeffs * exp(i phase), bit for bit
     spec = make_spec(500.0, 0, 0.5)
     table = make_weight_table(spec)
     X = np.array([sample_coefficients(spec, 9, r).values for r in range(5)]) * table.weights
@@ -172,8 +179,8 @@ def test_kernel_zero_shift_is_unshifted_bitwise():
         phase = start * table.logs
         got = _shifted_strengths(X, phase, np.zeros(1), table.logs)
         assert np.array_equal(got, np.vstack([X * np.cos(phase), X * np.sin(phase)]))
-        plain = oscillating_sums(table.logs, X, start, 0.1, 300)
-        shifted = oscillating_sums(table.logs, X, start, 0.1, 300, np.array([0.0]))
+        plain = next(oscillating_sums(table.logs, X, start, 0.1, 300))
+        shifted = next(oscillating_sums(table.logs, X, start, 0.1, 300, np.array([0.0])))
         assert all(np.array_equal(a, b) for a, b in zip(plain, shifted))
 
 
@@ -184,18 +191,20 @@ def test_kernel_zero_shift_is_unshifted_bitwise():
     (30000.0, 60000.0, 3750.0, 16, (0.0, 7.0, 1234.5625, 3749.875), (0, 9, 15)),
 ])
 def test_kernel_shifted_rows_match_fsum(T, start, step, count, shifts, nodes):
-    # row r*S + g holds coefficient row r on the grid start + shifts[g] +
-    # i*step (every checked t is exact in binary).  Both the kernel and the
-    # fsum oracles round each phase t log n, which bounds their agreement at
-    # large |t| by about eps |t| ||c_n log n||_2 (measured 0.6-0.9 of it
-    # at all three starts); at moderate |t| the 1e-12 L1-mass term dominates
+    # the grids start + shift + i*step, from the fractions shift / step (the
+    # spreads wrap: angle addition), yield one (C, S) each.  Both the kernel
+    # and the fsum oracles round each phase t log n, which bounds their
+    # agreement at large |t| by about eps |t| ||c_n log n||_2 (measured
+    # 0.6-0.9 of it at all three starts); at moderate |t| the 1e-12 L1-mass
+    # term dominates
     spec, sin_spec = make_spec(T, 0, 0.5, "cosine"), make_spec(T, 0, 0.5, "sine")
     table, sin_table = make_weight_table(spec), make_weight_table(sin_spec)
     X = sample_coefficients(spec, 5, 0).values
     sq, logs = table.squared_weights, table.logs
     rows = np.vstack([X * table.weights, sq, sq * logs, sq * logs * logs])
-    C, S = oscillating_sums(logs, rows, start, step, count, np.array(shifts))
-    assert C.shape == S.shape == (4 * len(shifts), count)
+    sums = list(oscillating_sums(logs, rows, start, step, count, np.array(shifts) / step))
+    assert len(sums) == len(shifts)
+    assert all(C.shape == S.shape == (4, count) for C, S in sums)
 
     def direct(r, t):
         if r == 0:
@@ -206,19 +215,28 @@ def test_kernel_shifted_rows_match_fsum(T, start, step, count, shifts, nodes):
     eps = np.finfo(np.float64).eps
     for r, row in enumerate(rows):
         mass, spread = math.fsum(np.abs(row)), float(np.linalg.norm(row * logs))
-        for g, shift in enumerate(shifts):
+        for shift, (C, S) in zip(shifts, sums):
             for i in range(count) if nodes is None else nodes:
                 t = start + shift + i * step
                 c, s = direct(r, t)
                 bound = 1e-12 * mass + 2.0 * eps * abs(t) * spread
-                assert abs(C[r * len(shifts) + g, i] - c) < bound
-                assert abs(S[r * len(shifts) + g, i] - s) < bound
+                assert abs(C[r, i] - c) < bound
+                assert abs(S[r, i] - s) < bound
+
+
+@pytest.fixture
+def ramps(monkeypatch):
+    """The argument tuples of every _ramp call: the kernel's ramp path ran."""
+    calls, ramp = [], dirichlet_eval._ramp
+    monkeypatch.setattr(dirichlet_eval, "_ramp", lambda *args: calls.append(args) or ramp(*args))
+    return calls
 
 
 @pytest.mark.parametrize("T", [500.0, 1000.0])
-def test_streams_match_fsum_at_gauss_legendre_fractions(T):
+def test_streams_match_fsum_at_gauss_legendre_fractions(ramps, T):
     # both halves of every row at the 8 node fractions (xi + 1)/2, on EK's
-    # doubled grid (step * log T = pi/2), against the fsum evaluators
+    # doubled grid (step * log T = pi/2), against the fsum evaluators; the
+    # spread cannot wrap, so every fraction is ramped
     spec, sin_spec = make_spec(T, 0, 0.5, "cosine"), make_spec(T, 0, 0.5, "sine")
     table, sin_table = make_weight_table(spec), make_weight_table(sin_spec)
     X = sample_coefficients(spec, 3, 0).values
@@ -226,7 +244,7 @@ def test_streams_match_fsum_at_gauss_legendre_fractions(T):
     rows = np.vstack([X * table.weights, sq, sq * logs * logs])
     start, step, count = 2.0 * T, math.pi / (2.0 * math.log(T)), 700
     fractions = (np.polynomial.legendre.leggauss(8)[0] + 1.0) / 2.0
-    streams = _oscillating_streams(logs, rows, start, step, count, fractions)
+    streams = oscillating_sums(logs, rows, start, step, count, fractions)
     for f, (C, S) in zip(fractions, streams):
         assert C.shape == S.shape == (3, count)
         for i in (0, 1, 349, 699):
@@ -239,49 +257,72 @@ def test_streams_match_fsum_at_gauss_legendre_fractions(T):
                 mass = math.fsum(np.abs(rows[r]))
                 assert abs(C[r, i] - c) < 1e-12 * mass
                 assert abs(S[r, i] - s) < 1e-12 * mass
+    assert len(ramps) == 8
 
 
 def test_streams_short_chunk_at_quarter_period():
-    # a chunk of 3 panels at step * log N = pi/2 exactly: the streams' fine
-    # grid of at least 4 kernel widths keeps the spread from wrapping
+    # a chunk of 3 panels at step * log N = pi/2 exactly: the fine grid of
+    # at least 4 kernel widths keeps the spread from wrapping
     logs = np.log(np.arange(1, 201, dtype=np.float64))
     coeffs = np.random.default_rng(4).standard_normal((1, 200)) / np.sqrt(np.arange(1, 201))
     start, step = 400.0, math.pi / (2.0 * logs[-1])
     fractions = (0.02, 0.5, 0.98)
     mass = math.fsum(np.abs(coeffs[0]))
-    for f, (C, S) in zip(fractions, _oscillating_streams(logs, coeffs, start, step, 3, fractions)):
+    for f, (C, S) in zip(fractions, oscillating_sums(logs, coeffs, start, step, 3, fractions)):
         for i in range(3):
             t = start + (i + f) * step
             assert abs(C[0, i] - math.fsum(coeffs[0] * np.cos(t * logs))) < 1e-12 * mass
             assert abs(S[0, i] - math.fsum(coeffs[0] * np.sin(t * logs))) < 1e-12 * mass
 
 
+def _check_fractions_against_fsum(logs, coeffs, start, step, count, fractions):
+    sums = list(oscillating_sums(logs, coeffs, start, step, count, fractions))
+    assert len(sums) == len(fractions)
+    for f, (C, S) in zip(fractions, sums):
+        for i in sorted({0, count // 2, count - 1}):
+            t = start + (i + f) * step
+            for r, row in enumerate(coeffs):
+                mass = math.fsum(np.abs(row))
+                assert abs(C[r, i] - math.fsum(row * np.cos(t * logs))) < 1e-12 * mass
+                assert abs(S[r, i] - math.fsum(row * np.sin(t * logs))) < 1e-12 * mass
+
+
 @pytest.mark.parametrize("scale,count", [(0.995, 1000), (1.0, 1000), (3.0, 40), (0.8, 5)])
-def test_streams_reject_wrapping_support(scale, count):
+def test_streams_on_wrapping_spreads_match_fsum(ramps, scale, count):
     # step * max log n plus the kernel's half width pi w / nf (pi/125 on the
-    # 2000-cell fine grid of 1000 modes, pi/4 on the 64-cell floor) must stay
-    # below pi; nothing is planned or spread before the check
+    # 2000-cell fine grid of 1000 modes, pi/4 on the 64-cell floor) reaches
+    # pi, or some log n is negative (log(n / 7), n < 7): the spread could
+    # wrap, so several fractions enter by angle addition, never ramped
     logs = np.log(np.arange(1, 301, dtype=np.float64))
+    coeffs = np.random.default_rng(6).standard_normal((2, 300)) / np.sqrt(np.arange(1, 301))
     step = scale * math.pi / logs[-1]
-    before = _cached_plan.cache_info()
-    with pytest.raises(ValueError, match="wrap"):
-        next(_oscillating_streams(logs, np.ones((2, 300)), 10.0, step, count, (0.25,)))
-    after = _cached_plan.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    for points in (logs, logs - math.log(7.0)):
+        _check_fractions_against_fsum(points, coeffs, 10.0, step, count, (0.125, 0.5, 0.875))
+    assert not ramps
+
+
+def test_fractions_outside_unit_interval_are_not_ramped(ramps):
+    # a ramp reads modes j + f, which only f in [0, 1] keeps inside the
+    # kernel's band: other fractions enter by angle addition on any spread
+    logs = np.log(np.arange(1, 201, dtype=np.float64))
+    coeffs = np.random.default_rng(2).standard_normal((1, 200)) / np.sqrt(np.arange(1, 201))
+    step = math.pi / (2.0 * logs[-1])
+    _check_fractions_against_fsum(logs, coeffs, 400.0, step, 50, (0.5, -3.25, 40.0))
+    assert not ramps
 
 
 def test_moment_sums_row_mapping_on_shifted_grids():
     # _moment_sums reads P_0 and P_2 from the cosine half and Pt_1 from the
-    # sine half of its one coefficient block, on every shifted grid
+    # sine half of its one coefficient block, on every fraction's grid
     table = make_weight_table(make_spec(700.0, 1, 0.5))
-    start, step, shifts = 1400.0, 0.3, np.array([0.0, 0.5, -2.25])
-    sums = _moment_sums(table, start, step, 100, shifts)
+    start, step, fractions = 1400.0, 0.3, (0.0, 0.5, -7.5)
+    sums = _moment_sums(table, start, step, 100, fractions)
     assert all(rows.shape == (3, 100) for rows in sums)
     for j, part in enumerate(("cosine", "sine", "cosine")):
         mass = math.fsum(table.squared_weights * table.logs**j)
-        for g, shift in enumerate(shifts):
+        for g, f in enumerate(fractions):
             for i in (0, 63, 99):
-                t = start + shift + i * step
+                t = start + (i + f) * step
                 assert abs(sums[j][g, i] - u_moment(table, j, t, part)) < 1e-12 * mass
 
 
@@ -292,10 +333,10 @@ def test_kernel_plan_reuse_is_bitwise():
     table = make_weight_table(spec)
     X = np.array([sample_coefficients(spec, 4, r).values for r in range(3)]) * table.weights
     args = (X, 1000.0, 0.05, 400)
-    first = oscillating_sums(table.logs, *args)
-    warm = oscillating_sums(table.logs, *args)
-    oscillating_sums(table.logs[::-1].copy(), *args)
-    cold = oscillating_sums(table.logs, *args)
+    first = next(oscillating_sums(table.logs, *args))
+    warm = next(oscillating_sums(table.logs, *args))
+    next(oscillating_sums(table.logs[::-1].copy(), *args))
+    cold = next(oscillating_sums(table.logs, *args))
     for got in (warm, cold):
         assert all(np.array_equal(a, b) for a, b in zip(first, got))
 
@@ -309,7 +350,7 @@ def test_kernel_alternating_point_sets_match_fsum():
     coeffs = rng.standard_normal((2, 300)) / np.sqrt(np.arange(1, 301))
     start, step, count = 600.0, 0.05, 300
     for logs in (low, high, low, high):
-        C, S = oscillating_sums(logs, coeffs, start, step, count)
+        C, S = next(oscillating_sums(logs, coeffs, start, step, count))
         for r in range(2):
             mass = math.fsum(np.abs(coeffs[r]))
             for i in (0, 149, 299):
@@ -322,7 +363,7 @@ def test_kernel_plan_memory_is_linear_in_terms():
     # the cached plan keeps O(terms) arrays; the terms x kernel-width weights
     # are built per call, which keeps deterministic EK at large T in memory
     logs = np.log(np.arange(1, 2001, dtype=np.float64))
-    oscillating_sums(logs, np.ones((3, 2000)), 4000.0, 0.01, 5000)
+    next(oscillating_sums(logs, np.ones((3, 2000)), 4000.0, 0.01, 5000))
     plan = _cached_plan(logs.tobytes(), 0.01, 5000, 3)
     assert _cached_plan.cache_info().currsize == 1
     arrays = [v for v in plan if isinstance(v, np.ndarray)]
@@ -334,15 +375,34 @@ def test_kernel_plan_memory_is_linear_in_terms():
     (math.nan, 0.1, (0.0,)), (math.inf, 0.1, (0.0,)), (1.0, math.nan, (0.0,)),
     (1.0, math.inf, (0.0,)), (1.0, 0.0, (0.0,)), (1.0, 0.1, (0.0, math.nan)),
     (1.0, 0.1, (-math.inf,)),
+    # several fractions in [0, 1] but one on a spread that cannot wrap: the ramp path's
+    (1.0, 0.1, (0.25, math.nan)), (1.0, 0.1, (0.5, math.inf, 0.75)),
 ])
 def test_kernel_rejects_non_finite_grids(start, step, shifts):
-    # rejected before a plan is built or looked up
+    # shifts are the grids' offsets in steps, the kernel's fractions; every
+    # bad grid is rejected at the first next(), before a plan is built or
+    # looked up
     logs = np.log(np.arange(1, 51, dtype=np.float64))
     before = _cached_plan.cache_info()
-    with pytest.raises(ValueError):
-        oscillating_sums(logs, np.ones((1, 50)), start, step, 20, np.array(shifts))
+    with pytest.raises(ValueError, match="finite"):
+        next(oscillating_sums(logs, np.ones((1, 50)), start, step, 20, np.array(shifts)))
     after = _cached_plan.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+@pytest.mark.parametrize("count", [1, 7, 33, 400, 4591, 2**18])
+def test_fine_grid_transform_matches_sampled_kernel_fft(count):
+    # the one deconvolution: the cached integer-mode table is the kernel
+    # polynomial at modes i - count//2, equal to the FFT of the kernel
+    # sampled on the fine grid (this test's oracle) to a few ulp
+    nf, scale = _fine_grid(count)
+    assert nf >= max(2 * count, 64) and scale.shape == (count,)
+    wrap = _SPREAD_WIDTH // 2
+    kernel = np.zeros(nf)
+    kernel[:wrap + 1] = _spread_kernel(np.arange(wrap + 1.0))
+    kernel[nf - wrap:] = kernel[wrap:0:-1]
+    oracle = np.fft.rfft(kernel).real[np.abs(np.arange(count) - count // 2)]
+    assert np.all(np.abs(scale - oracle) <= 16 * np.spacing(oracle))
 
 
 def test_grid_snapping_and_errors(two_term):
