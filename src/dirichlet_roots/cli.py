@@ -4,7 +4,8 @@ Single results are printed as JSON on stdout; sweeps additionally write CSV
 via --out (plot-ready, stable headers).  Every payload embeds the spec, the
 seed, grid/node parameters and per-phase wall times, so a result is
 reproducible from the artifact alone.  Exit codes: 0 ok, 2 usage error,
-4 numerical error (the model is degenerate at some t).
+4 numerical error (the model is degenerate at some t, or a result is not
+finite: no payload carries NaN or infinity).
 
 `expected` and `compare` integrate deterministically by default, in bounded
 memory at any T but in time that grows faster than T (README, "Cost at large
@@ -16,9 +17,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -39,8 +42,14 @@ _EXIT_NUMERICAL = 4
 _SIGMA_SUITE = (0.0, 0.25, 0.5, 0.6, 0.75, 1.0)
 
 
+class _FromEnvironment(str):
+    """A default naming an environment variable, which _thread_count reads at parse time."""
+
+
 def _thread_count(text: str) -> int:
-    """Type of --threads and of its default, DIRICHLET_ROOTS_THREADS."""
+    """Type of --threads and of its default, DIRICHLET_ROOTS_THREADS (or 1)."""
+    if isinstance(text, _FromEnvironment):
+        text = os.environ.get(text, "1")
     if not (text.strip().isdigit() and int(text) >= 1):
         raise argparse.ArgumentTypeError("threads (--threads or DIRICHLET_ROOTS_THREADS) "
                                          f"must be a positive integer, got {text!r}")
@@ -174,14 +183,16 @@ def cmd_diagnostics(args):
     return body, rows, None, {"T": args.T, **model}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="dirichlet-roots",
         description="Expected real zeros of random Dirichlet polynomials: "
                     "exact Kac-Rice quadrature, asymptotics, Monte Carlo.",
         epilog="Exit codes: 0 ok, 2 usage error, 4 numerical error (the model "
-               "is degenerate at some t).  --method stratified is the fast route "
-               "at large T.")
+               "is degenerate at some t, or a result is not finite).  --method "
+               "stratified is the fast route at large T.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     # flags shared verbatim; a parent's actions are shared objects, so no
@@ -189,9 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
     threads = argparse.ArgumentParser(add_help=False)
-    # a string default goes through _thread_count only when --threads is absent
+    # argparse passes a string default through _thread_count when --threads
+    # is absent, at parse time, so every parse reads the variable afresh
     threads.add_argument("--threads", type=_thread_count,
-                         default=os.environ.get("DIRICHLET_ROOTS_THREADS", "1"),
+                         default=_FromEnvironment("DIRICHLET_ROOTS_THREADS"),
                          help="worker threads for the Monte Carlo blocks "
                               "(default: DIRICHLET_ROOTS_THREADS or 1)")
     method = argparse.ArgumentParser(add_help=False)
@@ -239,6 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps(payload: dict) -> str:
+    """The payload as JSON; a NumericalError names the fields that are not finite numbers."""
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:
+        fields = re.findall(r'"([^"]*)": (?:NaN|-?Infinity)', json.dumps(payload, sort_keys=True))
+        raise NumericalError(f"the result is not finite: {', '.join(fields)}", None) from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     folder = os.path.dirname(args.out or "") or "."  # checked before anything runs
@@ -250,14 +271,15 @@ def main(argv=None) -> int:
         return _EXIT_USAGE
     try:
         body, rows, columns, fields = args.func(args)
+        text = _dumps({"schema_version": SCHEMA_VERSION, "command": args.command,
+                       "seed": args.seed, **body})
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    print(json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command,
-                      "seed": args.seed, **body}, sort_keys=True))
+    print(text)
     if args.out:
         # a diagnostics header names its suite ahead of the common fields
         suite = f" suite={args.suite}" if args.command == "diagnostics" else ""

@@ -23,8 +23,7 @@ import numpy as np
 from .asymptotics import stieltjes_constant
 from .core import Interval, Part, PolynomialSpec
 from .dirichlet_eval import make_weight_table, oscillating_sums
-from .kac_rice import (NODES_PER_PANEL, _breakdown_streams, _gauss_legendre, _moment_sums,
-                       panel_width)
+from .kac_rice import _breakdown_streams, _gauss_legendre, _moment_sums, panel_width
 
 __all__ = [
     "StepReport",
@@ -51,13 +50,19 @@ class USupReport:
     log_power_ratios: tuple[float, float, float]
 
 
+# Gauss-Legendre nodes per panel of the proof steps and L2, on panels a
+# quarter period of their fastest oscillation wide (half of EK's
+# panel_width): step 6 integrates |y| x^2, which has corners, and moved by
+# 9.6e-5 of its scale on EK's half-period panels.
+_NODES_PER_PANEL = 8
+
 # Envelope exponents: step_id -> power of log T under T (step 1 is special).
 _STEP_LOG_POWERS = {2: 3.0, 3: 4.0, 4: 4.0, 5: 2.0, 6: 5.0 - 4.0 / 3.0,
                     7: 4.0 - 4.0 / 3.0, 8: 4.0, 9: 6.0 - 4.0 / 3.0}
 
 
 def proof_step_integrals(spec: PolynomialSpec,
-                         nodes_per_panel: int = NODES_PER_PANEL) -> list[StepReport]:
+                         nodes_per_panel: int = _NODES_PER_PANEL) -> list[StepReport]:
     """Integrate the nine proof-step integrands of k=0, sigma=1/2 over [T, 2T].
 
     Step 1 carries the signed integral -int x dt against its exact second
@@ -68,7 +73,7 @@ def proof_step_integrals(spec: PolynomialSpec,
         raise ValueError("proof-step integrals are defined for the k=0, sigma=1/2 cosine model")
     table = make_weight_table(spec)
     interval = Interval(spec.T, 2.0 * spec.T)
-    n_panels = max(1, math.ceil(interval.length / panel_width(spec)))
+    n_panels = max(1, math.ceil(interval.length / (0.5 * panel_width(spec))))
 
     def pieces(br):
         x, y, z = br["x"], br["y"], br["z"]
@@ -115,7 +120,8 @@ def l2_mean_value_check(coefficients, T: float) -> tuple[float, float, float]:
 
     lhs = float(_gauss_legendre(lambda *grid: map(modulus_squared,
                                                   oscillating_sums(logs, rows, *grid)),
-                                Interval(0.0, T), max(1, math.ceil(T / width))))
+                                Interval(0.0, T), max(1, math.ceil(T / width)),
+                                _NODES_PER_PANEL))
     main = T * math.fsum(np.abs(a) ** 2)
     budget = math.fsum(np.arange(1, n + 1) * np.abs(a) ** 2)
     return lhs, main, budget

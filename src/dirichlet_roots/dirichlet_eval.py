@@ -126,7 +126,7 @@ def _cached_plan(logs: bytes, step: float, count: int, rows: int) -> _Plan:
     trial blocks) shares one plan.
     """
     logs = np.frombuffer(logs)
-    nf, w = _fine_grid(count)[0], _SPREAD_WIDTH
+    nf, w = _fine_length(count), _SPREAD_WIDTH
     pos = np.mod(step * logs, 2.0 * math.pi) * (nf / (2.0 * math.pi))
     cell = np.floor(pos).astype(np.intp)
     frac = pos - cell
@@ -197,11 +197,13 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: f
     of logs), so repeated calls execute only the spreading and the FFTs.
 
     The kernel picks how the fractions enter.  Several fractions in [0, 1]
-    on a spread that cannot wrap (logs nonnegative, and step * max(logs)
-    plus the kernel's half width pi * w / nf below pi, as on Gauss-Legendre
-    node streams) ramp the spread grid by exp(2 pi i f m / nf) over signed
-    fine cells m (Dutt and Rokhlin, 1993), one fraction's transform at a
-    time; only the cells the points cover are kept between fractions.
+    on a spread that cannot wrap (logs nonnegative, and the signed cells
+    the points cover, -w/2 .. int(reach) + w/2 + 1 with reach = step *
+    max(logs) * nf / (2 pi), leave a gap in the periodic grid, which
+    step * max(logs) <= pi does, as on Gauss-Legendre node streams) ramp
+    the spread grid by exp(2 pi i f m / nf) over signed fine cells m
+    (Dutt and Rokhlin, 1993), one fraction's transform at a time; only the
+    cells the points cover are kept between fractions.
     Otherwise each fraction enters the strengths by angle addition, as the
     factor exp(i f step logs[n]), and one FFT serves them all: forming
     fl(start + f*step) instead would add its rounding, times logs[n], to
@@ -215,10 +217,10 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: f
     fractions = np.asarray(fractions, dtype=np.float64)
     if not (math.isfinite(start) and np.isfinite(fractions).all()):
         raise ValueError("start and fractions must be finite")
-    nf, wrap = _fine_grid(count)[0], _SPREAD_WIDTH // 2
+    nf, wrap = _fine_length(count), _SPREAD_WIDTH // 2
     reach = step * np.max(logs, initial=0.0) * nf / (2.0 * math.pi)  # in fine cells
     ramped = (fractions.size > 1 and 0.0 <= fractions.min() and fractions.max() <= 1.0
-              and np.min(logs, initial=0.0) >= 0.0 and reach + wrap < nf / 2)
+              and np.min(logs, initial=0.0) >= 0.0 and int(reach) + 2 * wrap + 2 <= nf)
     shifts = np.zeros(1) if ramped else fractions * step
     constant, fine = _spread_rows(logs, coeffs, start, step, count, shifts)
     if not ramped:
@@ -227,7 +229,7 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: f
         for g in range(shifts.size):  # row r*G + g holds coefficient row r, fraction g
             yield out_c[g::shifts.size], out_s[g::shifts.size]
         return
-    hi = int(reach) + wrap + 2  # cells hi .. nf - wrap - 1 hold no point's support
+    hi = int(reach) + wrap + 2  # cells hi .. nf - wrap - 1 (maybe none) hold no support
     support = np.concatenate((fine[:, nf - wrap:], fine[:, :hi]), axis=1)
     for f in fractions:  # each fraction's transform overwrites the spread grid
         ramp = _ramp(f, nf, -wrap, support.shape[1])
@@ -250,7 +252,7 @@ def _spread_rows(logs, coeffs, start, step, count, shifts):
                         coeffs.shape[0] * shifts.size)
     phase = (start + count // 2 * step) * logs[plan.terms]
     strengths = _shifted_strengths(coeffs[:, plan.terms], phase, shifts, logs[plan.terms])
-    return constant, _spread(strengths, plan, _fine_grid(count)[0])
+    return constant, _spread(strengths, plan, _fine_length(count))
 
 
 def _shifted_strengths(coeffs: np.ndarray, phase: np.ndarray, shifts: np.ndarray,
@@ -274,12 +276,12 @@ def _transform(fine: np.ndarray, count: int, f: float,
     """(C, S) at modes j + f, j = -count//2 .., of the spread fine grid, transformed in place.
 
     The modes are divided by the kernel's transform there, cached for f = 0
-    (_fine_grid) and computed after the FFT otherwise; constant is added to C.
+    (_integer_modes) and computed after the FFT otherwise; constant is added to C.
     """
     np.fft.ifft(fine, norm="forward", out=fine)
     nf, half = fine.shape[1], count // 2
     scale = (_kernel_transform(np.arange(count) - half + f, nf) if f
-             else _fine_grid(count)[1])
+             else _integer_modes(count))
     out_c, out_s = np.empty((fine.shape[0], count)), np.empty((fine.shape[0], count))
     for out, part in ((out_c, fine.real), (out_s, fine.imag)):
         np.divide(part[:, nf - half:], scale[:half], out=out[:, :half])
@@ -341,19 +343,28 @@ def _kernel_poly() -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _fine_grid(count: int) -> tuple[int, np.ndarray]:
-    """Fine-grid length for count modes, and the kernel's transform at the modes i - count//2.
+def _fine_length(count: int) -> int:
+    """Fine-grid length for count modes.
 
-    The length is the smallest 2^a 3^b 5^c (fast for pocketfft) of at least
-    twice count and four kernel widths, which keeps the kernel's half width
-    within pi/4 at any count; the transform is read-only.
+    The smallest 2^a 3^b 5^c (fast for pocketfft) of at least twice count
+    and four kernel widths, which keeps the kernel's half width within pi/4
+    at any count.
     """
     n = max(2 * count, 4 * _SPREAD_WIDTH)
-    nf = min(p << (-(-n // p) - 1).bit_length()
-             for p in (3**b * 5**c for b in range(20) for c in range(14)))
-    scale = _kernel_transform(np.arange(count) - count // 2, nf)
+    return min(p << (-(-n // p) - 1).bit_length()
+               for p in (3**b * 5**c for b in range(20) for c in range(14)))
+
+
+@lru_cache(maxsize=8)
+def _integer_modes(count: int) -> np.ndarray:
+    """The kernel's transform at the integer modes i - count//2 of count modes; read-only.
+
+    Only the plain grid (f = 0) reads it: the ramp path's fractions, such as
+    Gauss-Legendre nodes, never build it.
+    """
+    scale = _kernel_transform(np.arange(count) - count // 2, _fine_length(count))
     scale.setflags(write=False)
-    return nf, scale
+    return scale
 
 
 def _grid_values(table: WeightTable, coeffs: np.ndarray, interval: Interval,

@@ -56,14 +56,19 @@ __all__ = [
 # Cauchy-Schwarz slack: A/B - C^2 may round to a tiny negative.
 _NEGATIVE_TOL = 1e-12
 
-NODES_PER_PANEL = 8
+# Gauss-Legendre nodes per panel of deterministic EK (panel_width, a half
+# period): on smooth densities from T = 200 the error estimates stay at or
+# below 3e-13 relative, where 8 nodes read tail estimates up to 9e-7.  The
+# proof steps and L2 keep 8 nodes on quarter periods (diagnostics).
+NODES_PER_PANEL = 10
 # Panels per integrand call in _node_streams, which bounds one chunk's
-# memory at any T: its spread grid lives through the chunk's 8 node streams,
-# beside the FFT's work buffer and one stream's sums and fields.  2^18
-# panels keep deterministic EK at T = 1e5 at 136 MB peak RSS; 2^19 took 223 MB.
-_CHUNK_PANELS = 2**18
+# memory at any T: its spread grid lives through the chunk's node streams,
+# beside the kept support, the FFT's work buffer and one stream's sums and
+# fields.  2^17 panels keep deterministic EK at T = 1e5 at 104 MB peak RSS;
+# 2^18 took 149 MB.
+_CHUNK_PANELS = 2**17
 # Deterministic EK's error control (_panel_estimates, _refine).  Smooth
-# densities keep the tail ratio below 2e-5 on default panels from T = 200,
+# densities keep the tail ratio below 1.5e-5 on default panels from T = 200,
 # two-term corners above 1e-3.  _REFINE_RTOL is 100 times inside the 1e-9
 # contract: refining to roundoff costs levels of O(N) direct evaluations
 # for estimates no reference resolves.  Below _MIN_NODES the coefficients
@@ -85,10 +90,11 @@ class NumericalError(ValueError):
     """The model is numerically degenerate: spec at t (None: at no single t).
 
     A ValueError, so callers that catch those keep catching it; the CLI
-    reports it with its own exit code.
+    reports it with its own exit code, also for a result that is not finite
+    (spec None: a payload of one or more specs).
     """
 
-    def __init__(self, message: str, spec: PolynomialSpec, t: float | None = None):
+    def __init__(self, message: str, spec: PolynomialSpec | None, t: float | None = None):
         super().__init__(message if t is None else f"{message} at t = {t!r}")
         self.spec = spec
         self.t = t
@@ -277,8 +283,13 @@ def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
 
 
 def panel_width(spec: PolynomialSpec) -> float:
-    """Quarter period of the fastest oscillation cos(2 t log T) in the sums."""
-    return math.pi / (4.0 * math.log(spec.T))
+    """Half period of the fastest oscillation cos(2 t log T) in the sums.
+
+    Deterministic EK's panel, with NODES_PER_PANEL nodes; the proof steps
+    keep half of it (a quarter period) with 8 nodes, because step 6's
+    |y| x^2 has corners.
+    """
+    return math.pi / (2.0 * math.log(spec.T))
 
 
 @functools.cache
@@ -316,7 +327,7 @@ def _node_streams(integrand, interval: Interval, n_panels: int, n: int):
 
 
 def _gauss_legendre(integrand, interval: Interval, n_panels: int,
-                    nodes_per_panel: int = NODES_PER_PANEL) -> np.ndarray:
+                    nodes_per_panel: int) -> np.ndarray:
     """Composite Gauss-Legendre integrals of integrand rows (see _node_streams).
 
     The result has one integral per row; each stream adds its chunk sums
@@ -399,17 +410,20 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
                                  max_panel_width: float | None = None) -> QuadratureResult:
     """Expected zero count on the interval by one pass of Gauss-Legendre panels.
 
-    Panels are at most a quarter period of the fastest oscillation wide,
-    and no wider than max_panel_width if it is given; a wider value changes
-    nothing.  (The bound keeps the doubled grid's spread from wrapping, so
-    the kernel ramps one spread grid to every node fraction: see
+    Panels are at most a half period of the fastest oscillation wide
+    (panel_width), and no wider than max_panel_width if it is given; a
+    wider value changes nothing.  Each has NODES_PER_PANEL = 10 nodes by
+    default (the proof steps and L2 keep 8 on quarter periods: step 6's
+    |y| x^2 has corners).  (The bound keeps step * log N of the
+    doubled grid at most pi, so the spread leaves a gap in its periodic
+    grid and the kernel ramps one spread grid to every node fraction: see
     dirichlet_eval.oscillating_sums.)  Each chunk's node values also
     give every panel's Legendre tail (_panel_estimates) at no extra kernel
     call; only scalars outlive a chunk.  A flagged panel, in practice one
     holding a corner of the density (two effective terms), is integrated
     again as its chunk is read, by _refine with direct (fsum) evaluation,
     to _REFINE_RTOL of its integral or its roundoff floor.  A corner between
-    a panel's edge and its outer node (about 2% of the width at 8 nodes)
+    a panel's edge and its outer node (1.3% of the width at 10 nodes)
     leaves no trace in the node values and is not flagged.
 
     The value adds the panels' integrals, abs_error_estimate the refined

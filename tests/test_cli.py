@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dirichlet_roots.cli import main
@@ -128,6 +129,17 @@ def test_numerical_error_exit_four(capsys):
     from dirichlet_roots.cli import build_parser
 
     assert "4 numerical error" in build_parser().epilog
+
+
+@pytest.mark.parametrize("method", ["deterministic", "stratified"])
+def test_non_finite_result_exits_four(capsys, method):
+    # (log n)^400 overflows the weights, so the count is NaN: no payload
+    # carries it with exit 0, and the error names the fields
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(["expected", "--T", "500", "--k", "400",
+                                  "--method", method, "--strata", "200"], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("error: the result is not finite: ") and "ek_value" in err
 
 
 def test_simulate_csv_deterministic(tmp_path, capsys):
@@ -336,3 +348,16 @@ def test_threads_env_var_default(monkeypatch):
     monkeypatch.delenv("DIRICHLET_ROOTS_THREADS")
     args = build_parser().parse_args(["simulate", "--T", "100"])
     assert args.threads == 1
+
+
+def test_threads_env_var_read_by_each_main_call(capsys, monkeypatch):
+    # the parser is built once per process, but each call reads the
+    # variable as it parses
+    for threads in ("2", "1", "3"):
+        monkeypatch.setenv("DIRICHLET_ROOTS_THREADS", threads)
+        code, out, _ = run_cli(["simulate", "--T", "60", "--trials", "2"], capsys)
+        assert code == 0 and json.loads(out)["threads"] == int(threads)
+    monkeypatch.setenv("DIRICHLET_ROOTS_THREADS", "0")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--T", "60", "--trials", "2"])
+    assert exc.value.code == 2 and "DIRICHLET_ROOTS_THREADS" in capsys.readouterr().err

@@ -17,8 +17,9 @@ from dirichlet_roots.core import CoefficientSample
 from dirichlet_roots.dirichlet_eval import (
     _SPREAD_WIDTH,
     _cached_plan,
-    _fine_grid,
+    _fine_length,
     _grid_values,
+    _integer_modes,
     _shifted_strengths,
     _spread_kernel,
     oscillating_sums,
@@ -289,16 +290,36 @@ def _check_fractions_against_fsum(logs, coeffs, start, step, count, fractions):
 
 @pytest.mark.parametrize("scale,count", [(0.995, 1000), (1.0, 1000), (3.0, 40), (0.8, 5)])
 def test_streams_on_wrapping_spreads_match_fsum(ramps, scale, count):
-    # step * max log n plus the kernel's half width pi w / nf (pi/125 on the
-    # 2000-cell fine grid of 1000 modes, pi/4 on the 64-cell floor) reaches
-    # pi, or some log n is negative (log(n / 7), n < 7): the spread could
-    # wrap, so several fractions enter by angle addition, never ramped
+    # step * max log n = scale * pi.  Up to pi, as on EK's doubled grid of
+    # half-period panels, the support the ramp keeps (signed cells -w/2 ..
+    # reach + w/2 + 1) leaves a gap in the periodic fine grid, also on the
+    # 64-cell floor of 5 modes, so every fraction is ramped; at 3 pi the
+    # spread wraps and the fractions enter by angle addition.  Negative
+    # logs (log(n / 7), n < 7) never ramp.  Both paths match fsum.
     logs = np.log(np.arange(1, 301, dtype=np.float64))
     coeffs = np.random.default_rng(6).standard_normal((2, 300)) / np.sqrt(np.arange(1, 301))
-    step = scale * math.pi / logs[-1]
-    for points in (logs, logs - math.log(7.0)):
-        _check_fractions_against_fsum(points, coeffs, 10.0, step, count, (0.125, 0.5, 0.875))
+    step, fractions = scale * math.pi / logs[-1], (0.125, 0.5, 0.875)
+    _check_fractions_against_fsum(logs, coeffs, 10.0, step, count, fractions)
+    assert len(ramps) == (len(fractions) if scale <= 1.0 else 0)
+    ramps.clear()
+    _check_fractions_against_fsum(logs - math.log(7.0), coeffs, 10.0, step, count, fractions)
     assert not ramps
+
+
+@pytest.mark.parametrize("count", [1000, 40, 5])
+def test_streams_one_cell_past_the_gap_take_angle_addition(ramps, count):
+    # the ramp needs int(reach) + w + 2 <= nf fine cells, reach = step *
+    # max log n * nf / (2 pi): at the last reach inside that boundary every
+    # fraction is ramped, one cell further they enter by angle addition,
+    # and both match fsum
+    logs = np.log(np.arange(1, 301, dtype=np.float64))
+    coeffs = np.random.default_rng(6).standard_normal((2, 300)) / np.sqrt(np.arange(1, 301))
+    nf, fractions = _fine_length(count), (0.125, 0.5, 0.875)
+    for reach, ramped in ((nf - _SPREAD_WIDTH - 1.5, 3), (nf - _SPREAD_WIDTH - 0.5, 0)):
+        ramps.clear()
+        step = reach * 2.0 * math.pi / (nf * logs[-1])
+        _check_fractions_against_fsum(logs, coeffs, 10.0, step, count, fractions)
+        assert len(ramps) == ramped
 
 
 def test_fractions_outside_unit_interval_are_not_ramped(ramps):
@@ -395,7 +416,7 @@ def test_fine_grid_transform_matches_sampled_kernel_fft(count):
     # the one deconvolution: the cached integer-mode table is the kernel
     # polynomial at modes i - count//2, equal to the FFT of the kernel
     # sampled on the fine grid (this test's oracle) to a few ulp
-    nf, scale = _fine_grid(count)
+    nf, scale = _fine_length(count), _integer_modes(count)
     assert nf >= max(2 * count, 64) and scale.shape == (count,)
     wrap = _SPREAD_WIDTH // 2
     kernel = np.zeros(nf)

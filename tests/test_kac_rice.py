@@ -18,6 +18,7 @@ from dirichlet_roots import dirichlet_eval, kac_rice
 from dirichlet_roots.core import experiment_interval
 from dirichlet_roots.dirichlet_eval import WeightTable
 from dirichlet_roots.kac_rice import (
+    NODES_PER_PANEL,
     NumericalError,
     STRATIFIED_REPLICATES,
     _gauss_legendre,
@@ -188,14 +189,14 @@ def test_gauss_legendre_rows_closed_form(monkeypatch):
         return (np.cos(np.outer(omegas, start + step * (np.arange(count) + f)))
                 for f in fractions)
 
-    got = _gauss_legendre(cosines, iv, n_panels=40)
+    got = _gauss_legendre(cosines, iv, n_panels=40, nodes_per_panel=8)
     assert got.shape == (4,)
     assert np.max(np.abs(got - exact)) < 1e-12
     assert counts == [40]  # one integrand call per chunk serves all 8 nodes
     # 40 panels in chunks of 7: five full chunks and a last one of 5 panels
     monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 7)
     counts.clear()
-    got = _gauss_legendre(cosines, iv, n_panels=40)
+    got = _gauss_legendre(cosines, iv, n_panels=40, nodes_per_panel=8)
     assert np.max(np.abs(got - exact)) < 1e-12
     assert counts == [7] * 5 + [5]
 
@@ -259,11 +260,11 @@ def test_streams_release_each_call_rows(monkeypatch):
             yield rows
             del rows
 
-    _gauss_legendre(integrand, Interval(0.0, 5.0), 12)
-    assert len(alive) == 8 * 3
-    for estimates in _panel_estimates(integrand, Interval(0.0, 5.0), 12, 8):
+    _gauss_legendre(integrand, Interval(0.0, 5.0), 12, NODES_PER_PANEL)
+    assert len(alive) == NODES_PER_PANEL * 3
+    for estimates in _panel_estimates(integrand, Interval(0.0, 5.0), 12, NODES_PER_PANEL):
         del estimates
-    assert len(alive) == 2 * 8 * 3
+    assert len(alive) == 2 * NODES_PER_PANEL * 3
 
 
 def test_chunks_release_their_arrays(monkeypatch):
@@ -289,8 +290,8 @@ def test_chunks_release_their_arrays(monkeypatch):
 
 @pytest.mark.parametrize("T,k,part", [(2000.0, 0, "cosine"), (500.0, 2, "sine")])
 def test_chunked_streams_match_whole_streams(monkeypatch, T, k, part):
-    # chunking every node stream into 1000-panel kernel calls (20 chunks per
-    # stream at T = 2000, 4 at T = 500) changes EK only by roundoff
+    # chunking every node stream into 1000-panel kernel calls (10 chunks per
+    # stream at T = 2000, 2 at T = 500) changes EK only by roundoff
     spec = make_spec(T, k, 0.5, part)
     whole = expected_count_deterministic(spec, experiment_interval(spec))
     monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 1000)
@@ -367,8 +368,8 @@ def test_deterministic_error_estimate_small(ek_cache):
     q = ek_cache.get(500.0)
     assert q.method == "composite_deterministic"
     assert q.abs_error_estimate < 1e-9
-    # one pass of 8 nodes per panel; no panel is refined at T = 500
-    assert q.nodes_used == 8 * math.ceil(500.0 / panel_width(make_spec(500.0)))
+    # one pass of NODES_PER_PANEL nodes per panel; no panel is refined at T = 500
+    assert q.nodes_used == NODES_PER_PANEL * math.ceil(500.0 / panel_width(make_spec(500.0)))
 
 
 def _panels(spec, iv):
@@ -381,23 +382,24 @@ def _panels(spec, iv):
                                       (500.0, 2, "sine"), (2000.0, 2, "sine")])
 def test_smooth_density_flags_no_panel(T, k, part):
     # the Legendre tails of a smooth density decay on every default panel:
-    # no panel is refined, so the pass uses exactly 8 nodes per panel
+    # no panel is refined, so the pass uses exactly NODES_PER_PANEL nodes per panel
     spec = make_spec(T, k, 0.5, part)
     iv = experiment_interval(spec)
-    assert expected_count_deterministic(spec, iv).nodes_used == 8 * _panels(spec, iv)
+    assert (expected_count_deterministic(spec, iv).nodes_used
+            == NODES_PER_PANEL * _panels(spec, iv))
 
 
 def test_corner_panel_refined_across_chunks(monkeypatch):
-    # the two-term density's corner (t = 3 pi / log 2) lies in panel 4 of 6;
-    # in chunks of 4 panels it is panel 0 of the second chunk, so a
+    # the two-term density's corner (t = 3 pi / log 2) lies in panel 2 of 3;
+    # in chunks of 2 panels it is panel 0 of the second chunk, so a
     # chunk-local index would refine the wrong panel
     spec = make_spec(2.5, 0, 0.5, "cosine")
     iv = Interval(10.0, 10.0 + math.pi / math.log(2.0))
-    assert _panels(spec, iv) == 6
-    assert int((3.0 * math.pi / math.log(2.0) - iv.lo) / (iv.length / 6)) == 4
+    assert _panels(spec, iv) == 3
+    assert int((3.0 * math.pi / math.log(2.0) - iv.lo) / (iv.length / 3)) == 2
     whole = expected_count_deterministic(spec, iv)
-    assert whole.nodes_used > 8 * 6
-    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 4)
+    assert whole.nodes_used > NODES_PER_PANEL * 3
+    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 2)
     chunked = expected_count_deterministic(spec, iv)
     assert chunked.nodes_used == whole.nodes_used
     assert abs(chunked.value - whole.value) <= 1e-13 * whole.value
@@ -406,20 +408,21 @@ def test_corner_panel_refined_across_chunks(monkeypatch):
 @pytest.mark.parametrize("T,k,part", [(200.0, 0, "cosine"), (200.0, 1, "cosine"),
                                       (500.0, 0, "cosine"), (500.0, 2, "sine")])
 def test_deterministic_error_estimate_honest(T, k, part):
-    # against a 16-node rule on half-width panels (how the benchmark's EK
-    # references are built) the error is within the estimate, and the
-    # estimate within the 1e-9 contract
+    # against a 16-node rule on panels an eighth of a period wide, a quarter
+    # of the default (the benchmark's EK references use a quarter period),
+    # the error is within the estimate, and the estimate within the 1e-9
+    # contract
     spec = make_spec(T, k, 0.5, part)
     iv = experiment_interval(spec)
     q = expected_count_deterministic(spec, iv)
     ref = expected_count_deterministic(spec, iv, nodes_per_panel=16,
-                                       max_panel_width=panel_width(spec) / 2.0).value
+                                       max_panel_width=panel_width(spec) / 4.0).value
     assert abs(q.value - ref) <= q.abs_error_estimate < 1e-9 * q.value
 
 
 def test_wider_max_panel_width_changes_nothing():
-    # panels never exceed the quarter period: a wider cap (0.5 here, 4.7 times
-    # the quarter period at T = 200) gives the default result
+    # panels never exceed the half period: a wider cap (0.5 here, 1.7 times
+    # the half period at T = 200) gives the default result
     spec = make_spec(200.0, 0, 0.5)
     iv = experiment_interval(spec)
     assert 0.5 > panel_width(spec)
@@ -429,7 +432,7 @@ def test_wider_max_panel_width_changes_nothing():
 
 @pytest.mark.parametrize("chunk,spreads", [(2**19, 1), (1000, 4)])
 def test_one_spreading_pass_per_chunk(monkeypatch, chunk, spreads):
-    # EK at T = 500 has 3957 panels: one spreading pass serves a chunk's 8
+    # EK at T = 900 has 3898 panels: one spreading pass serves a chunk's
     # node streams, in one chunk or in four of at most 1000 panels
     calls = []
 
@@ -440,10 +443,25 @@ def test_one_spreading_pass_per_chunk(monkeypatch, chunk, spreads):
     spread = dirichlet_eval._spread
     monkeypatch.setattr(dirichlet_eval, "_spread", counted)
     monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", chunk)
-    spec = make_spec(500.0, 0, 0.5)
+    spec = make_spec(900.0, 0, 0.5)
     q = expected_count_deterministic(spec, experiment_interval(spec))
-    assert q.nodes_used == 8 * 3957
+    assert q.nodes_used == NODES_PER_PANEL * 3898
     assert len(calls) == spreads
+
+
+def test_deterministic_ek_builds_no_integer_mode_table(monkeypatch):
+    # every EK chunk takes the ramp path, whose Gauss-Legendre fractions are
+    # never 0: the plain grid's integer-mode table is never built
+    built = []
+    table = dirichlet_eval._integer_modes
+    monkeypatch.setattr(dirichlet_eval, "_integer_modes",
+                        lambda count: built.append(count) or table(count))
+    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 1000)
+    spec = make_spec(500.0, 0, 0.5)
+    expected_count_deterministic(spec, experiment_interval(spec))
+    assert built == []
+    breakdown_grid(spec, make_weight_table(spec), 500.0, 0.1, 50)
+    assert built == [50]
 
 
 def test_stream_term_blocks_match_one_block(monkeypatch):
