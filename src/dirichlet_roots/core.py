@@ -26,6 +26,7 @@ __all__ = [
     "sample_coefficients",
     "mix_seed",
     "experiment_interval",
+    "NumericalError",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -38,6 +39,20 @@ class Part(str, Enum):
 
     COSINE = "cosine"
     SINE = "sine"
+
+
+class NumericalError(ValueError):
+    """The model is numerically degenerate: spec at t (None: at no single t).
+
+    A ValueError, so callers that catch those keep catching it; the CLI
+    reports it with its own exit code, also for a result that is not finite
+    (spec None: a payload of one or more specs).
+    """
+
+    def __init__(self, message: str, spec: PolynomialSpec | None, t: float | None = None):
+        super().__init__(message if t is None else f"{message} at t = {t!r}")
+        self.spec = spec
+        self.t = t
 
 
 @dataclass(frozen=True)

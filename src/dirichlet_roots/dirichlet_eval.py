@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CoefficientSample, Interval, Part, PolynomialSpec
+from .core import CoefficientSample, Interval, NumericalError, Part, PolynomialSpec
 
 __all__ = [
     "WeightTable",
@@ -54,6 +54,7 @@ _SPREAD_BETA = 2.30 * _SPREAD_WIDTH
 _TILE_CELLS = 256
 _TILE_POINTS = 4096
 _TILE_BALANCE = 100_000
+_GROUP_ELEMS = 500_000  # strength entries (rows x terms) per term block: _spread_rows
 
 
 @dataclass(frozen=True)
@@ -79,17 +80,18 @@ class WeightTable:
         object.__setattr__(self, "m0", math.fsum(sq))
         object.__setattr__(self, "m2", math.fsum(sq * self.logs**2))
 
-    @property
-    def n_terms(self) -> int:
-        return self.logs.shape[0]
-
 
 def make_weight_table(spec: PolynomialSpec) -> WeightTable:
+    """The spec's WeightTable; a NumericalError if M_0 + M_2 overflows (large k)."""
     n = np.arange(1, spec.n_terms + 1, dtype=np.float64)
     logs = np.log(n)  # log n computed directly per n; exactness over speed
-    weights = logs**spec.k / n**spec.sigma  # 0**0 = 1 covers n=1 at k=0
-    return WeightTable(spec=spec, logs=logs, weights=weights,
-                       squared_weights=weights * weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = logs**spec.k / n**spec.sigma  # 0**0 = 1 covers n=1 at k=0
+        squared = weights * weights
+        if not math.isfinite(np.sum(squared * (1.0 + logs * logs))):
+            raise NumericalError(f"the squared weights (log n)^(2k) / n^(2 sigma) overflow "
+                                 f"at k = {spec.k}, T = {spec.T!r}", spec)
+    return WeightTable(spec=spec, logs=logs, weights=weights, squared_weights=squared)
 
 
 def eval_polynomial(sample: CoefficientSample, table: WeightTable, t: float) -> float:
@@ -119,11 +121,11 @@ class _Plan(NamedTuple):
 
 
 @lru_cache(maxsize=1)
-def _cached_plan(logs: bytes, step: float, count: int, rows: int) -> _Plan:
-    """The _Plan of the points step * logs mod 2 pi, for count modes and rows transform rows.
+def _cached_plan(logs: bytes, step: float, count: int, tile: int) -> _Plan:
+    """The _Plan of the points step * logs mod 2 pi, for count modes, in tiles of tile cells.
 
     Keyed by the content of logs, so every call on one point set (chunks,
-    trial blocks) shares one plan.
+    trial blocks) shares one plan; each term block of a call has its own.
     """
     logs = np.frombuffer(logs)
     nf, w = _fine_length(count), _SPREAD_WIDTH
@@ -134,7 +136,6 @@ def _cached_plan(logs: bytes, step: float, count: int, rows: int) -> _Plan:
     terms = np.flatnonzero(logs != 0.0)
     terms = terms[np.argsort(cell[terms], kind="stable")]
     cell, frac = cell[terms], frac[terms]
-    tile = max(1, min(_TILE_CELLS, math.isqrt(_TILE_BALANCE * nf // (rows * cell.size + 1))))
     offset, spans = cell % tile, []
     runs = np.flatnonzero(np.diff(cell // tile)) + 1
     for lo, hi in zip(np.r_[0, runs], np.r_[runs, cell.size]):
@@ -148,23 +149,25 @@ def _cached_plan(logs: bytes, step: float, count: int, rows: int) -> _Plan:
                  max((b - a for a, b, _ in spans), default=0))
 
 
-def _spread(strengths: np.ndarray, plan: _Plan, nf: int) -> np.ndarray:
-    """Spread the plan's points onto a periodic fine grid.
+def _spread(strengths: np.ndarray, plan: _Plan, nf: int, fine) -> np.ndarray:
+    """Add the plan's points, spread, into fine (new and zeroed if None) and return it.
 
     strengths holds the real parts of the point strengths over their
-    imaginary parts (2 * rows real rows, points in plan order); the result
-    is (rows, nf) complex.  A point at cell + frac covers fine cells
-    cell + 1 - w/2 + k, k < w, and each span is one dense GEMM: strengths
-    times a (points x (tile + w)) kernel block.  One zeroed block serves
-    every span: its entries are set before the GEMM and zeroed after it.
-    fine holds fine cell m at m + w/2.
+    imaginary parts (2 * rows real rows, points in plan order); fine is
+    (rows, nf + tile + w) complex and holds fine cell m at m + w/2.  It is
+    made after the kernel weights: made first, it raised deterministic EK's
+    peak RSS at T = 1e5 from 103 to 113 MB (glibc malloc, 2-vCPU VM).  A
+    point at cell + frac covers fine cells cell + 1 - w/2 + k, k < w, and
+    each span is one dense GEMM: strengths times a (points x (tile + w))
+    kernel block.  One zeroed block serves every span: its entries are set
+    before the GEMM and zeroed after it.
     """
     rows, w, tile = strengths.shape[0] // 2, _SPREAD_WIDTH, plan.tile
-    wrap = w // 2
-    values = _spread_kernel(plan.frac[:, None] + (wrap - 1 - np.arange(w)))
+    values = _spread_kernel(plan.frac[:, None] + (w // 2 - 1 - np.arange(w)))
     flat = plan.offset[:, None] + np.arange(w)
     block = np.zeros(plan.widest * (tile + w))
-    fine = np.zeros((rows, nf + tile + w), dtype=np.complex128)
+    if fine is None:
+        fine = np.zeros((rows, nf + tile + w), dtype=np.complex128)
     re, im = fine.real, fine.imag
     for a, b, f in plan.spans:
         block[flat[a:b]] = values[a:b]
@@ -172,9 +175,7 @@ def _spread(strengths: np.ndarray, plan: _Plan, nf: int) -> np.ndarray:
         block[flat[a:b]] = 0.0
         re[:, f:f + tile + w] += spread[:rows]
         im[:, f:f + tile + w] += spread[rows:]
-    fine[:, nf:nf + wrap] += fine[:, :wrap]          # cells -w/2 .. -1
-    fine[:, wrap:w] += fine[:, nf + wrap:nf + w]     # cells nf .. nf + w/2 - 1
-    return fine[:, wrap:wrap + nf]
+    return fine
 
 
 def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: float,
@@ -189,12 +190,13 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: f
     (j + f)*step, mid the grid's middle node, every row is a type-1 NUFFT:
     modes j + f of the nonuniform points x_n = step*logs[n] mod 2 pi with
     strengths coeffs * exp(i mid logs[n]).  Points are spread onto a fine
-    periodic grid once per call, transformed by one FFT per row and divided
-    by the kernel's own transform; terms with logs[n] = 0 are constant and
-    are added exactly.  The error stays below about 3e-13 of each row's L1
-    mass.  The points' sort and tiling are planned once per point set,
-    step, count and transform row count (_cached_plan, keyed by the content
-    of logs), so repeated calls execute only the spreading and the FFTs.
+    periodic grid once per call (in term blocks, _spread_rows), transformed
+    by one FFT per row and divided by the kernel's own transform; terms with
+    logs[n] = 0 are constant and are added exactly.  The error stays below
+    about 3e-13 of each row's L1 mass.  The points' sort and tiling are
+    planned once per term block, step, count and tile (_cached_plan, keyed
+    by the content of logs), so repeated calls execute only the spreading
+    and the FFTs.
 
     The kernel picks how the fractions enter.  Several fractions in [0, 1]
     on a spread that cannot wrap (logs nonnegative, and the signed cells
@@ -245,14 +247,29 @@ def _spread_rows(logs, coeffs, start, step, count, shifts):
 
     The strengths carry the phase of the grid's middle node start +
     (count // 2) * step; row r*G + g holds coefficient row r and shift g.
+    Blocks of at most _GROUP_ELEMS // rows terms, each with its own plan,
+    strengths and kernel weights, alive only while it is spread, add into
+    one fine grid, whose wrap is folded once.  One tile, from min(block
+    size, nonzero terms), serves every block.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
+    logs = np.asarray(logs, dtype=np.float64)
     constant = np.repeat(coeffs[:, logs == 0.0].sum(axis=1)[:, None], shifts.size, axis=0)
-    plan = _cached_plan(np.asarray(logs, dtype=np.float64).tobytes(), step, count,
-                        coeffs.shape[0] * shifts.size)
-    phase = (start + count // 2 * step) * logs[plan.terms]
-    strengths = _shifted_strengths(coeffs[:, plan.terms], phase, shifts, logs[plan.terms])
-    return constant, _spread(strengths, plan, _fine_length(count))
+    rows, nf, w = coeffs.shape[0] * shifts.size, _fine_length(count), _SPREAD_WIDTH
+    size = max(1, _GROUP_ELEMS // rows)
+    points = min(size, np.count_nonzero(logs))
+    tile = max(1, min(_TILE_CELLS, math.isqrt(_TILE_BALANCE * nf // (rows * points + 1))))
+    fine = None
+    for a in range(0, max(logs.size, 1), size):
+        block = logs[a:a + size]
+        plan = _cached_plan(block.tobytes(), step, count, tile)
+        phase = (start + count // 2 * step) * block[plan.terms]
+        fine = _spread(_shifted_strengths(coeffs[:, a + plan.terms], phase, shifts,
+                                          block[plan.terms]), plan, nf, fine)
+    wrap = w // 2
+    fine[:, nf:nf + wrap] += fine[:, :wrap]          # cells -w/2 .. -1
+    fine[:, wrap:w] += fine[:, nf + wrap:nf + w]     # cells nf .. nf + w/2 - 1
+    return constant, fine[:, wrap:wrap + nf]
 
 
 def _shifted_strengths(coeffs: np.ndarray, phase: np.ndarray, shifts: np.ndarray,

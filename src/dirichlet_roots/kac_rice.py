@@ -37,7 +37,7 @@ from typing import Literal
 import numpy as np
 
 from .asymptotics import stieltjes_constant
-from .core import Interval, Part, PolynomialSpec
+from .core import Interval, NumericalError, Part, PolynomialSpec
 from .dirichlet_eval import WeightTable, make_weight_table, oscillating_sums, u_moment
 
 __all__ = [
@@ -81,23 +81,6 @@ _MIN_NODES = 8
 # Stratified EK: independent randomly shifted grids (their spread gives the
 # stderr), evaluated as fractions of one grid's step (see _shifted_grids).
 STRATIFIED_REPLICATES = 25
-# Coefficients per block of moment rows (_moment_rows: moment rows x grids x
-# terms), which bounds the kernel's strength and spreading memory.
-_GROUP_ELEMS = 2_000_000
-
-
-class NumericalError(ValueError):
-    """The model is numerically degenerate: spec at t (None: at no single t).
-
-    A ValueError, so callers that catch those keep catching it; the CLI
-    reports it with its own exit code, also for a result that is not finite
-    (spec None: a payload of one or more specs).
-    """
-
-    def __init__(self, message: str, spec: PolynomialSpec | None, t: float | None = None):
-        super().__init__(message if t is None else f"{message} at t = {t!r}")
-        self.spec = spec
-        self.t = t
 
 
 @dataclass(frozen=True)
@@ -196,54 +179,36 @@ def breakdown_at(spec: PolynomialSpec, t: float,
     return DensityBreakdown(**{k: float(v) for k, v in fields.items()})
 
 
-def _moment_rows(table: WeightTable, grids: int):
-    """Yield (logs, rows) blocks of the moment rows w_n^2 (log n)^j, j = 0, 2, 1.
-
-    A block holds at most _GROUP_ELEMS coefficients over its grids (from
-    666,667 terms on one grid, 26,667 on stratified EK's 25); blocks run in
-    term order.
-    """
-    n = table.n_terms
-    for terms in np.array_split(np.arange(n), -(-3 * grids * n // _GROUP_ELEMS)):
-        sq, logs = table.squared_weights[terms], table.logs[terms]
-        yield logs, np.vstack([sq, sq * logs * logs, sq * logs])
+def _moment_rows(table: WeightTable) -> np.ndarray:
+    """The moment rows w_n^2 (log n)^j, j = 0, 2, 1, as one (3, N) array."""
+    sq, logs = table.squared_weights, table.logs
+    return np.vstack([sq, sq * logs * logs, sq * logs])
 
 
-def _add_moments(block_sums) -> tuple[np.ndarray, ...]:
-    """P_0, Pt_1, P_2 from each block's kernel (C, S) rows, added in term order.
-
-    P_0 and P_2 are cosine sums, Pt_1 a sine sum.
-    """
-    total = None
-    for c_rows, s_rows in block_sums:
-        sums = (c_rows[0], s_rows[2], c_rows[1])
-        total = sums if total is None else tuple(a + b for a, b in zip(total, sums))
-    return total
+def _moments(sums) -> tuple[np.ndarray, ...]:
+    """P_0, Pt_1, P_2 (cosine, sine and cosine sums) from the kernel's (C, S) of the moment rows."""
+    c_rows, s_rows = sums
+    return c_rows[0], s_rows[2], c_rows[1]
 
 
 def _moment_sums(table: WeightTable, start: float, step: float, count: int,
                  fractions=(0.0,)) -> tuple[np.ndarray, ...]:
     """P_0, Pt_1, P_2 along the grids tau_i = start + (i + f_g)*step, as (grids, count) arrays.
 
-    One kernel call per block of moment rows (_moment_rows) on all the
-    grids, consumed before the next block is built; blocks add in term order.
+    One kernel call on all the grids, whose term blocks bound its memory.
     """
-    total = None
-    for logs, rows in _moment_rows(table, len(fractions)):
-        block = np.array([_add_moments([sums]) for sums in  # (grids, 3, count)
-                          oscillating_sums(logs, rows, start, step, count, fractions)])
-        total = block if total is None else total + block
-    return total[:, 0], total[:, 1], total[:, 2]
+    streams = oscillating_sums(table.logs, _moment_rows(table), start, step, count, fractions)
+    sums = np.array([_moments(s) for s in streams])  # (grids, 3, count)
+    return sums[:, 0], sums[:, 1], sums[:, 2]
 
 
 def breakdown_grid(spec: PolynomialSpec, table: WeightTable, start: float,
                    step: float, count: int, *, proof: bool = True) -> dict[str, np.ndarray]:
     """Breakdown fields as arrays along the uniform grid t_i = start + i*step.
 
-    Evaluates the moment sums with one grid-kernel call per block of moment
-    rows on the doubled grid tau_i = 2 t_i: _breakdown_streams' one
-    fraction f = 0.  proof=False leaves out x, y, z and w (EK needs only
-    the density).
+    Evaluates the moment sums with one grid-kernel call on the doubled grid
+    tau_i = 2 t_i: _breakdown_streams' one fraction f = 0.  proof=False
+    leaves out x, y, z and w (EK needs only the density).
     """
     return next(_breakdown_streams(spec, table, start, step, count, (0.0,), proof=proof))
 
@@ -252,16 +217,16 @@ def _breakdown_streams(spec: PolynomialSpec, table: WeightTable, start: float, s
                        count: int, fractions, *, proof: bool = True):
     """Yield breakdown_grid's fields along t_i = start + (i + f)*step for each f in fractions.
 
-    Each block of moment rows (_moment_rows) is spread once on the doubled
-    grids for all fractions (oscillating_sums); one fraction's fields
-    exist at a time, and on the kernel's ramp path one fraction's sums.
+    One kernel call spreads the moment rows once on the doubled grids for
+    all fractions (oscillating_sums); one fraction's fields exist at a
+    time, and on the kernel's ramp path one fraction's sums.
     """
     _check_spec(spec)
-    blocks = [oscillating_sums(logs, rows, 2.0 * start, 2.0 * step, count, fractions)
-              for logs, rows in _moment_rows(table, 1)]
+    streams = oscillating_sums(table.logs, _moment_rows(table), 2.0 * start, 2.0 * step,
+                               count, fractions)
     for f in fractions:
         yield _assemble(spec, table, start + step * (np.arange(count) + f),
-                        *_add_moments(next(b) for b in blocks), proof=proof)
+                        *_moments(next(streams)), proof=proof)
 
 
 def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
@@ -429,8 +394,10 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
     The value adds the panels' integrals, abs_error_estimate the refined
     panels' estimates, the other panels' tail extrapolations and every
     panel's roundoff floor.  nodes_used is nodes_per_panel per panel plus
-    the nodes _refine evaluates.  Memory stays bounded at any T (see
-    _node_streams); the stratified method is the fast route at large T.
+    the nodes _refine evaluates.  Memory stays bounded at any T: a chunk
+    (_node_streams) spreads all N terms, in the kernel's term blocks, into
+    one fine grid, transformed once per node.  The stratified method is
+    the fast route at large T.
     """
     _check_integrable(spec)
     if nodes_per_panel < _MIN_NODES:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dirichlet_roots.cli import main
+from dirichlet_roots.kac_rice import QuadratureResult
 
 
 def run_cli(args, capsys):
@@ -132,14 +133,46 @@ def test_numerical_error_exit_four(capsys):
 
 
 @pytest.mark.parametrize("method", ["deterministic", "stratified"])
-def test_non_finite_result_exits_four(capsys, method):
-    # (log n)^400 overflows the weights, so the count is NaN: no payload
-    # carries it with exit 0, and the error names the fields
-    with np.errstate(all="ignore"):
-        code, out, err = run_cli(["expected", "--T", "500", "--k", "400",
-                                  "--method", method, "--strata", "200"], capsys)
+def test_non_finite_result_exits_four(capsys, monkeypatch, method):
+    # no payload carries a non-finite number with exit 0, and the error
+    # names the fields.  The weight table rejects the overflowing weights
+    # that once reached this backstop (below), so a NaN result stands in
+    from dirichlet_roots import cli
+
+    nan = QuadratureResult(math.nan, math.inf, "stratified_random", 1, math.nan)
+    monkeypatch.setattr(cli, "expected_count_deterministic", lambda *args: nan)
+    monkeypatch.setattr(cli, "expected_count_stratified", lambda *args, **kwargs: nan)
+    code, out, err = run_cli(["expected", "--T", "500", "--method", method], capsys)
     assert code == 4 and out == ""
-    assert err.startswith("error: the result is not finite: ") and "ek_value" in err
+    assert err.startswith("error: the result is not finite: ")
+    assert "ek_value" in err and "ek_error" in err
+
+
+@pytest.mark.parametrize("k", [200, 400])
+@pytest.mark.parametrize("args", [
+    ["expected", "--T", "500"],
+    ["expected", "--T", "500", "--method", "stratified", "--strata", "200"],
+    ["simulate", "--T", "500", "--trials", "8"],
+    ["compare", "--T-list", "500", "--trials", "8"],
+    ["diagnostics", "--suite", "sup", "--T", "500"],
+])
+def test_overflowing_weights_exit_four(capsys, args, k):
+    # (log n)^(2k) overflows: k = 200 once ended in an OverflowError
+    # traceback, and simulate at k = 400 in exit 0 with every count 0
+    code, out, err = run_cli(args + ["--k", str(k)], capsys)
+    assert code == 4 and out == ""
+    assert f"overflow at k = {k}, T = 500.0" in err
+
+
+def test_large_finite_k_still_counts(capsys):
+    # k = 150 keeps every weight finite: a finite count, near the MC mean
+    code, out, _ = run_cli(["expected", "--T", "500", "--k", "150"], capsys)
+    assert code == 0
+    ek = json.loads(out)["ek_value"]
+    code, out, _ = run_cli(["simulate", "--T", "500", "--k", "150", "--trials", "8"], capsys)
+    assert code == 0
+    mc = json.loads(out)
+    assert math.isfinite(ek) and abs(mc["mean"] - ek) < 5.0 * mc["stderr"] + 3.0
 
 
 def test_simulate_csv_deterministic(tmp_path, capsys):

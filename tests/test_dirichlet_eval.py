@@ -16,6 +16,7 @@ from dirichlet_roots import dirichlet_eval
 from dirichlet_roots.core import CoefficientSample
 from dirichlet_roots.dirichlet_eval import (
     _SPREAD_WIDTH,
+    _TILE_CELLS,
     _cached_plan,
     _fine_length,
     _grid_values,
@@ -332,6 +333,48 @@ def test_fractions_outside_unit_interval_are_not_ramped(ramps):
     assert not ramps
 
 
+@pytest.mark.parametrize("path", ["ramp", "angle", "mc"])
+def test_term_blocks_share_one_transform_per_fraction(monkeypatch, path):
+    # _GROUP_ELEMS // rows terms per spreading block: 600 terms run as 1
+    # block and as 3, which add into one fine grid.  The sums agree within
+    # 1e-13 of each row's L1 mass, and _transform runs once per fraction
+    # on the ramp path (Gauss-Legendre fractions on EK's doubled grid) and
+    # once on the angle path (stratified fractions on a wrapping spread)
+    # and on an 8-row MC block's plain grid
+    spec = make_spec(600.0, 0, 0.5)
+    table = make_weight_table(spec)
+    sq, logs = table.squared_weights, table.logs
+    moments = np.vstack([sq, sq * logs * logs, sq * logs])
+    if path == "ramp":
+        fractions = (np.polynomial.legendre.leggauss(10)[0] + 1.0) / 2.0
+        args, rows = (moments, 1200.0, math.pi / (2.0 * logs[-1]), 300, fractions), 3
+    elif path == "angle":
+        fractions = np.random.default_rng(5).random(25)
+        args, rows = (moments, 1200.0, 75.0, 16, fractions), 3 * fractions.size
+    else:
+        X = np.array([sample_coefficients(spec, 5, r).values for r in range(8)])
+        args, rows = (X * table.weights, 600.0, 0.05, 2001, (0.0,)), 8
+    spreads, transforms = [], []
+    spread, transform = dirichlet_eval._spread, dirichlet_eval._transform
+    monkeypatch.setattr(dirichlet_eval, "_spread",
+                        lambda *a: spreads.append(a[1].tile) or spread(*a))
+    monkeypatch.setattr(dirichlet_eval, "_transform",
+                        lambda *a: transforms.append(a[2]) or transform(*a))
+    one = list(oscillating_sums(logs, *args))
+    assert len(spreads) == 1
+    calls = len(transforms)
+    assert calls == (len(args[-1]) if path == "ramp" else 1)
+    monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 200 * rows)
+    three = list(oscillating_sums(logs, *args))
+    assert len(spreads) == 4 and len(set(spreads[1:])) == 1  # one tile for every block
+    assert len(transforms) == 2 * calls
+    mass = np.abs(args[0]).sum(axis=1)
+    for (C1, S1), (C3, S3) in zip(one, three, strict=True):
+        for a, b in ((C1, C3), (S1, S3)):
+            err = np.abs(a - b).reshape(-1, len(mass), a.shape[-1]).max(axis=(0, 2))
+            assert np.all(err <= 1e-13 * mass)
+
+
 def test_moment_sums_row_mapping_on_shifted_grids():
     # _moment_sums reads P_0 and P_2 from the cosine half and Pt_1 from the
     # sine half of its one coefficient block, on every fraction's grid
@@ -385,7 +428,7 @@ def test_kernel_plan_memory_is_linear_in_terms():
     # are built per call, which keeps deterministic EK at large T in memory
     logs = np.log(np.arange(1, 2001, dtype=np.float64))
     next(oscillating_sums(logs, np.ones((3, 2000)), 4000.0, 0.01, 5000))
-    plan = _cached_plan(logs.tobytes(), 0.01, 5000, 3)
+    plan = _cached_plan(logs.tobytes(), 0.01, 5000, _TILE_CELLS)  # the call's tile
     assert _cached_plan.cache_info().currsize == 1
     arrays = [v for v in plan if isinstance(v, np.ndarray)]
     assert len(arrays) == 3 and max(a.size for a in arrays) <= logs.size

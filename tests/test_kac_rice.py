@@ -322,13 +322,14 @@ def test_shifted_grids_match_pointwise(T, k, part):
 
 
 def test_shifted_grids_term_blocks(monkeypatch):
-    # with a small per-call budget the terms split into more blocks than
-    # there are replicates; the blocks' sums add up to the one-call values
+    # with a small per-call budget the terms split into more spreading
+    # blocks (43 of at most 7 terms) than there are replicates; the blocks
+    # add into one fine grid and give the one-block values
     spec = make_spec(300.0, 0, 0.5, "cosine")
     table = make_weight_table(spec)
     iv = experiment_interval(spec)
     whole = _shifted_grids(spec, table, iv, 400, seed=7)
-    monkeypatch.setattr(kac_rice, "_GROUP_ELEMS", 3 * STRATIFIED_REPLICATES * 7)
+    monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 3 * STRATIFIED_REPLICATES * 7)
     split = _shifted_grids(spec, table, iv, 400, seed=7)
     assert np.array_equal(split["t"], whole["t"])
     for name in ("A", "B", "C", "density"):
@@ -465,13 +466,14 @@ def test_deterministic_ek_builds_no_integer_mode_table(monkeypatch):
 
 
 def test_stream_term_blocks_match_one_block(monkeypatch):
-    # with the moment rows split into three blocks of terms (as from 666,667
-    # terms on one grid), each block spreads once per chunk and the blocks'
-    # sums add up to the one-block EK value up to roundoff
+    # with the 3 moment rows' terms in four spreading blocks (166, 166, 166
+    # and 2 terms, as from 166,667 terms on one grid), every block adds into
+    # one fine grid per chunk and the EK value is the one-block value up to
+    # roundoff
     spec = make_spec(500.0, 0, 0.5)
     iv = experiment_interval(spec)
     whole = expected_count_deterministic(spec, iv)
-    monkeypatch.setattr(kac_rice, "_GROUP_ELEMS", 500)
+    monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 500)
     blocks = expected_count_deterministic(spec, iv)
     assert blocks.nodes_used == whole.nodes_used
     assert abs(blocks.value - whole.value) <= 1e-13 * whole.value
