@@ -5,7 +5,7 @@ via --out (plot-ready, stable headers).  Every payload embeds the spec, the
 seed, grid/node parameters and per-phase wall times, so a result is
 reproducible from the artifact alone.  Exit codes: 0 ok, 2 usage error,
 4 numerical error (the model is degenerate at some t, or a result is not
-finite: no payload carries NaN or infinity).
+finite: no payload carries NaN or infinity), 5 out of memory.
 
 `expected` and `compare` integrate deterministically by default, in bounded
 memory at any T but in time that grows faster than T (README, "Cost at large
@@ -38,6 +38,7 @@ SCHEMA_VERSION = "2"
 
 _EXIT_USAGE = 2
 _EXIT_NUMERICAL = 4
+_EXIT_MEMORY = 5
 
 _SIGMA_SUITE = (0.0, 0.25, 0.5, 0.6, 0.75, 1.0)
 
@@ -191,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Expected real zeros of random Dirichlet polynomials: "
                     "exact Kac-Rice quadrature, asymptotics, Monte Carlo.",
         epilog="Exit codes: 0 ok, 2 usage error, 4 numerical error (the model "
-               "is degenerate at some t, or a result is not finite).  --method "
-               "stratified is the fast route at large T.")
+               "is degenerate at some t, or a result is not finite), 5 out of "
+               "memory.  --method stratified is the fast route at large T.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     # flags shared verbatim; a parent's actions are shared objects, so no
@@ -273,12 +274,13 @@ def main(argv=None) -> int:
         body, rows, columns, fields = args.func(args)
         text = _dumps({"schema_version": SCHEMA_VERSION, "command": args.command,
                        "seed": args.seed, **body})
-    except NumericalError as exc:
+    except ValueError as exc:  # a NumericalError is a ValueError with its own code
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+        return _EXIT_NUMERICAL if isinstance(exc, NumericalError) else _EXIT_USAGE
+    except MemoryError:  # compare names its largest T
+        T = getattr(args, "T", 0) or max(float(x) for x in args.T_list.split(",") if x)
+        print(f"error: out of memory at T = {T:g} ({math.floor(T):,} terms)", file=sys.stderr)
+        return _EXIT_MEMORY
     print(text)
     if args.out:
         # a diagnostics header names its suite ahead of the common fields

@@ -23,7 +23,8 @@ import numpy as np
 from .asymptotics import stieltjes_constant
 from .core import Interval, Part, PolynomialSpec
 from .dirichlet_eval import make_weight_table, oscillating_sums
-from .kac_rice import _breakdown_streams, _gauss_legendre, _moment_sums, panel_width
+from .kac_rice import (NODES_PER_PANEL, _breakdown_streams, _gauss_legendre, _moment_sums,
+                       panel_width)
 
 __all__ = [
     "StepReport",
@@ -50,10 +51,10 @@ class USupReport:
     log_power_ratios: tuple[float, float, float]
 
 
-# Gauss-Legendre nodes per panel of the proof steps and L2, on panels a
-# quarter period of their fastest oscillation wide (half of EK's
-# panel_width): step 6 integrates |y| x^2, which has corners, and moved by
-# 9.6e-5 of its scale on EK's half-period panels.
+# Gauss-Legendre nodes per panel of the proof steps only (L2 takes EK's rule),
+# on panels a quarter period of their fastest oscillation wide: step 6
+# integrates |y| x^2, which has corners, and moved by 9.6e-5 of its scale
+# on EK's half-period panels.
 _NODES_PER_PANEL = 8
 
 # Envelope exponents: step_id -> power of log T under T (step 1 is special).
@@ -75,12 +76,7 @@ def proof_step_integrals(spec: PolynomialSpec,
     interval = Interval(spec.T, 2.0 * spec.T)
     n_panels = max(1, math.ceil(interval.length / (0.5 * panel_width(spec))))
 
-    def pieces(br):
-        x, y, z = br["x"], br["y"], br["z"]
-        return np.vstack([x, y, x * y, z, x * x, np.abs(y) * x * x, x**4,
-                          x * x * y * y, y * y * x**4])
-
-    integrals = _gauss_legendre(lambda *grid: map(pieces, _breakdown_streams(spec, table, *grid)),
+    integrals = _gauss_legendre(lambda *grid: map(_pieces, _breakdown_streams(spec, table, *grid)),
                                 interval, n_panels, nodes_per_panel)
 
     L = math.log(spec.T)
@@ -97,31 +93,47 @@ def proof_step_integrals(spec: PolynomialSpec,
     return reports
 
 
+def _pieces(br) -> np.ndarray:
+    """Steps 1-9's integrands x, y, xy, z, x^2, |y| x^2, x^4, x^2 y^2, y^2 x^4, filled in place."""
+    x, y = br["x"], br["y"]
+    out = np.empty((9, x.size))
+    out[0], out[1], out[3] = x, y, br["z"]
+    np.multiply(x, y, out=out[2])
+    np.multiply(x, x, out=out[4])
+    np.power(x, 4, out=out[6])
+    np.multiply(np.abs(y, out=out[5]), x, out=out[5])  # (|y| x) x
+    np.multiply(out[5], x, out=out[5])
+    np.multiply(np.multiply(out[4], y, out=out[7]), y, out=out[7])  # ((x x) y) y
+    np.multiply(np.multiply(y, y, out=out[8]), out[6], out=out[8])  # (y y) x^4
+    return out
+
+
 def l2_mean_value_check(coefficients, T: float) -> tuple[float, float, float]:
     """lhs, main, error budget of the L2 mean-value identity on [0, T].
 
-    lhs = int_0^T |sum_n a_n n^{it}|^2 dt by composite Gauss-Legendre with
-    panels a quarter period of the fastest oscillation wide; main is
-    T sum |a_n|^2 and the budget is sum n |a_n|^2.
+    lhs = int_0^T |sum_n a_n n^{it}|^2 dt by EK's rule: NODES_PER_PANEL
+    Gauss-Legendre nodes on panels a half period of the fastest oscillation
+    cos(t log n) wide, so the kernel ramps.  Real a_n spread one row, read as
+    C^2 + S^2.  main is T sum |a_n|^2 and the budget is sum n |a_n|^2.
     """
     a = np.asarray(coefficients, dtype=np.complex128)
-    n = a.shape[0]
-    if n == 0:
-        raise ValueError("need at least one coefficient")
+    if a.ndim != 1 or a.size == 0 or not np.isfinite(a).all():
+        raise ValueError(f"need a nonempty, finite 1-D array of coefficients, got shape {a.shape}")
+    n = a.size
     if not 0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
     logs = np.log(np.arange(1, n + 1, dtype=np.float64))
-    rows = np.vstack([a.real, a.imag])
-    width = math.pi / (4.0 * math.log(max(n, 2)))
+    rows = np.vstack([a.real, a.imag]) if a.imag.any() else a.real[None]
+    width = math.pi / math.log(max(n, 2))
 
     def modulus_squared(sums):
-        c_rows, s_rows = sums
-        return (c_rows[0] - s_rows[1])**2 + (s_rows[0] + c_rows[1])**2
+        c, s = sums  # complex a_n: F = (C_re - S_im) + i (S_re + C_im)
+        return (c[0] - s[1])**2 + (s[0] + c[1])**2 if len(c) == 2 else c[0]**2 + s[0]**2
 
     lhs = float(_gauss_legendre(lambda *grid: map(modulus_squared,
                                                   oscillating_sums(logs, rows, *grid)),
                                 Interval(0.0, T), max(1, math.ceil(T / width)),
-                                _NODES_PER_PANEL))
+                                NODES_PER_PANEL))
     main = T * math.fsum(np.abs(a) ** 2)
     budget = math.fsum(np.arange(1, n + 1) * np.abs(a) ** 2)
     return lhs, main, budget

@@ -59,7 +59,7 @@ _NEGATIVE_TOL = 1e-12
 # Gauss-Legendre nodes per panel of deterministic EK (panel_width, a half
 # period): on smooth densities from T = 200 the error estimates stay at or
 # below 3e-13 relative, where 8 nodes read tail estimates up to 9e-7.  The
-# proof steps and L2 keep 8 nodes on quarter periods (diagnostics).
+# L2 check takes this rule; the proof steps keep 8 nodes on quarter periods.
 NODES_PER_PANEL = 10
 # Panels per integrand call in _node_streams, which bounds one chunk's
 # memory at any T: its spread grid lives through the chunk's node streams,
@@ -378,8 +378,8 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
     Panels are at most a half period of the fastest oscillation wide
     (panel_width), and no wider than max_panel_width if it is given; a
     wider value changes nothing.  Each has NODES_PER_PANEL = 10 nodes by
-    default (the proof steps and L2 keep 8 on quarter periods: step 6's
-    |y| x^2 has corners).  (The bound keeps step * log N of the
+    default (the proof steps keep 8 on quarter periods: step 6's |y| x^2
+    has corners).  (The bound keeps step * log N of the
     doubled grid at most pi, so the spread leaves a gap in its periodic
     grid and the kernel ramps one spread grid to every node fraction: see
     dirichlet_eval.oscillating_sums.)  Each chunk's node values also

@@ -164,6 +164,31 @@ def test_overflowing_weights_exit_four(capsys, args, k):
     assert f"overflow at k = {k}, T = 500.0" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["expected", "--T", "5000"],
+    ["expected", "--T", "5000", "--method", "stratified"],
+    ["simulate", "--T", "5000", "--trials", "8"],
+    ["compare", "--T-list", "500,5000", "--trials", "8"],
+    ["diagnostics", "--suite", "steps", "--T", "5000"],
+    ["diagnostics", "--suite", "l2", "--T", "5000"],
+])
+def test_out_of_memory_exits_five(capsys, monkeypatch, args):
+    # `expected --T 1e12` would ask for 8 TB of logs; the allocations raise
+    # here instead, so nothing large is ever allocated
+    from dirichlet_roots import cli, diagnostics, kac_rice, monte_carlo
+
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError
+
+    for module in (kac_rice, monte_carlo, diagnostics):
+        monkeypatch.setattr(module, "make_weight_table", exhausted)
+    monkeypatch.setattr(diagnostics, "oscillating_sums", exhausted)
+    code, out, err = run_cli(args, capsys)
+    assert code == 5 and out == ""
+    assert err == "error: out of memory at T = 5000 (5,000 terms)\n"
+    assert "5 out of memory" in cli.build_parser().epilog
+
+
 def test_large_finite_k_still_counts(capsys):
     # k = 150 keeps every weight finite: a finite count, near the MC mean
     code, out, _ = run_cli(["expected", "--T", "500", "--k", "150"], capsys)

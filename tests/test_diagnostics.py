@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,11 @@ from dirichlet_roots import (
     proof_step_integrals,
     u_sup_monitor,
 )
+from dirichlet_roots import diagnostics
+from dirichlet_roots.cli import main
 from dirichlet_roots.core import experiment_interval
+from dirichlet_roots.dirichlet_eval import make_weight_table
+from dirichlet_roots.kac_rice import NODES_PER_PANEL, _breakdown_streams
 
 from oracles import l2_pair_sum
 
@@ -90,6 +95,66 @@ def test_l2_log_weight_families():
         a = np.log(n) ** k / n
         lhs, main, budget = l2_mean_value_check(a, 1000.0)
         assert abs(lhs - main) <= 5.0 * budget  # realized constant ~0.15
+
+
+def test_proof_step_pieces_match_stacked_formula():
+    # the pieces fill one array in place, with the stacked formula's
+    # association in every product, so the steps stay bitwise equal
+    spec = make_spec(1000.0, 0, 0.5)
+    br = next(_breakdown_streams(spec, make_weight_table(spec), 1000.0, 0.05, 4000, (0.3, 0.8)))
+    x, y, z = br["x"], br["y"], br["z"]
+    stacked = np.vstack([x, y, x * y, z, x * x, np.abs(y) * x * x, x**4,
+                         x * x * y * y, y * y * x**4])
+    assert diagnostics._pieces(br).tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("T, n", [(1000.0, 500), (137.0, 2), (10.0, 1), (3.5, 40)])
+def test_l2_half_period_panels(monkeypatch, T, n):
+    # EK's rule against the integrand's own bandwidth: panels pi / log n wide
+    # (a half period of cos(t log n)) with NODES_PER_PANEL nodes; real
+    # coefficients spread one kernel row, complex ones two
+    layouts, shapes = [], []
+
+    def gauss_legendre(integrand, interval, n_panels, nodes):
+        layouts.append((n_panels, nodes))
+        return real_gauss_legendre(integrand, interval, n_panels, nodes)
+
+    def sums(logs, coeffs, *grid):
+        shapes.append(np.shape(coeffs))
+        return real_sums(logs, coeffs, *grid)
+
+    real_gauss_legendre, real_sums = diagnostics._gauss_legendre, diagnostics.oscillating_sums
+    monkeypatch.setattr(diagnostics, "_gauss_legendre", gauss_legendre)
+    monkeypatch.setattr(diagnostics, "oscillating_sums", sums)
+    rng = np.random.default_rng(n)
+    real = rng.normal(size=n)
+    for a in (real, real + 0j, real + 1j * rng.normal(size=n)):
+        lhs, _, _ = l2_mean_value_check(a, T)
+        assert lhs == pytest.approx(l2_pair_sum(a, T), rel=1e-12)
+    panels = max(1, math.ceil(T / (math.pi / math.log(max(n, 2)))))
+    assert layouts == [(panels, NODES_PER_PANEL)] * 3
+    assert shapes == [(1, n), (1, n), (2, n)]
+
+
+@pytest.mark.parametrize("T", ["137", "1000"])
+def test_cli_l2_families_match_pair_sum(capsys, T):
+    assert main(["diagnostics", "--suite", "l2", "--T", T]) == 0
+    n = np.arange(1, 501)
+    families = {"ones": np.ones(2), "1_over_n": 1.0 / n, "logn_over_n": np.log(n) / n}
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["family"] for r in rows] == list(families)
+    for row in rows:
+        ref = l2_pair_sum(families[row["family"]], float(T))
+        assert row["lhs"] == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [[math.nan], [math.inf, 1.0], [1.0, complex(0, math.nan)],
+                                 np.ones((2, 3)), np.ones((1, 1)), 2.0])
+def test_l2_rejects_bad_coefficients(bad):
+    # non-finite values once came back as NaN or infinite lhs, and a 2-D
+    # array raised an unclassified TypeError
+    with pytest.raises(ValueError, match="finite 1-D array"):
+        l2_mean_value_check(bad, 10.0)
 
 
 def test_l2_rejects():
