@@ -113,7 +113,8 @@ def l2_mean_value_check(coefficients, T: float) -> tuple[float, float, float]:
 
     lhs = int_0^T |sum_n a_n n^{it}|^2 dt by EK's rule: NODES_PER_PANEL
     Gauss-Legendre nodes on panels a half period of the fastest oscillation
-    cos(t log n) wide, so the kernel ramps.  Real a_n spread one row, read as
+    cos(t log n) wide, so every point lies in turn 0 and one spread serves
+    every node (oscillating_sums).  Real a_n spread one row, read as
     C^2 + S^2.  main is T sum |a_n|^2 and the budget is sum n |a_n|^2.
     """
     a = np.asarray(coefficients, dtype=np.complex128)

@@ -12,11 +12,13 @@ Two evaluators, cross-checked in the tests:
   fraction.  Each coefficient row gives the complex sums
   sum_n c_n exp(i t log n), so one transform returns its cosine sums (the
   real part) and its sine sums (the imaginary part).  Error below about
-  3e-13 of the row's coefficient L1 mass.  One spreading pass serves every
-  fraction: the kernel applies a ramp after it where the spread cannot
-  wrap (Gauss-Legendre node streams), and angle addition in the strengths
-  otherwise.  As in FINUFFT's plan interface, the point layout is built
-  once per point set and cached.
+  3e-13 of the row's coefficient L1 mass, plus the eps |t| ||c_n log n||_2
+  by which any evaluator's rounded phases t log n differ.  Every fraction
+  enters by a ramp on the spread grid, times a per-point factor of whole
+  turns from a small table where the points span several turns (stratified
+  EK); one spreading pass serves every fraction where all lie in turn 0
+  (Gauss-Legendre node streams).  As in FINUFFT's plan interface, the point
+  layout is built once per point set and cached.
 """
 
 from __future__ import annotations
@@ -186,31 +188,30 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: f
         C[r, i] = sum_n coeffs[r, n] * cos(t_i * logs[n])
         S[r, i] = sum_n coeffs[r, n] * sin(t_i * logs[n]),
     the real and imaginary parts of sum_n coeffs[r, n] * exp(i t_i logs[n]);
-    the default, one zero fraction, is the plain grid.  With t_i = mid +
-    (j + f)*step, mid the grid's middle node, every row is a type-1 NUFFT:
-    modes j + f of the nonuniform points x_n = step*logs[n] mod 2 pi with
-    strengths coeffs * exp(i mid logs[n]).  Points are spread onto a fine
-    periodic grid once per call (in term blocks, _spread_rows), transformed
-    by one FFT per row and divided by the kernel's own transform; terms with
-    logs[n] = 0 are constant and are added exactly.  The error stays below
-    about 3e-13 of each row's L1 mass.  The points' sort and tiling are
-    planned once per term block, step, count and tile (_cached_plan, keyed
-    by the content of logs), so repeated calls execute only the spreading
-    and the FFTs.
+    the default, one zero fraction, is the plain grid.  Every fraction lies
+    in [0, 1].  With t_i = mid + (j + f)*step, mid the grid's middle node,
+    every row is a type-1 NUFFT: modes j + f of the points x_n = step*logs[n]
+    with strengths coeffs * exp(i mid logs[n]).  Points are spread onto a
+    fine periodic grid once per call (in term blocks, _spread_rows),
+    transformed by one FFT per row and fraction and divided by the kernel's
+    own transform at j + f; terms with logs[n] = 0 are constant and are
+    added exactly.  The error stays below about 3e-13 of each row's L1 mass
+    plus the phase rounding eps |t| ||coeffs[r] logs||_2 that any evaluator
+    of t * logs[n] shares.  The points' sort and tiling are planned once per
+    term block, step, count and tile (_cached_plan, keyed by the content of
+    logs), so repeated calls execute only the spreading and the FFTs.
 
-    The kernel picks how the fractions enter.  Several fractions in [0, 1]
-    on a spread that cannot wrap (logs nonnegative, and the signed cells
-    the points cover, -w/2 .. int(reach) + w/2 + 1 with reach = step *
-    max(logs) * nf / (2 pi), leave a gap in the periodic grid, which
-    step * max(logs) <= pi does, as on Gauss-Legendre node streams) ramp
-    the spread grid by exp(2 pi i f m / nf) over signed fine cells m
-    (Dutt and Rokhlin, 1993), one fraction's transform at a time; only the
-    cells the points cover are kept between fractions.
-    Otherwise each fraction enters the strengths by angle addition, as the
-    factor exp(i f step logs[n]), and one FFT serves them all: forming
-    fl(start + f*step) instead would add its rounding, times logs[n], to
-    every phase alike, and a zero fraction's factor is exactly 1.  On the
-    ramp path the generator holds no reference to what it yielded.
+    A fraction enters without trig per term.  With x_n = 2 pi k_n +
+    2 pi p_n / nf, k_n the point's whole turns and p_n its fine-grid
+    position (_turns), exp(i f x_n) = exp(2 pi i f k_n) exp(2 pi i f p_n / nf)
+    exactly.  The second factor is the ramp exp(2 pi i f m / nf) over the
+    signed fine cells m = -w/2 .. nf + w/2 - 1 of the grid before its halo
+    is folded (Dutt and Rokhlin, 1993).  The first is 1 for f = 0 and for
+    points in turn 0: when every point lies there, one spread serves every
+    fraction, and only the cells the points cover are kept between
+    fractions.  Otherwise each fraction's rows are spread with the turn
+    factors in their strengths.  The generator holds no reference to what
+    it yielded.
     """
     if count <= 0:
         raise ValueError("count must be positive")
@@ -219,43 +220,60 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: f
     fractions = np.asarray(fractions, dtype=np.float64)
     if not (math.isfinite(start) and np.isfinite(fractions).all()):
         raise ValueError("start and fractions must be finite")
+    if not ((0.0 <= fractions) & (fractions <= 1.0)).all():
+        raise ValueError(f"fractions must lie in [0, 1], got {fractions}")
+    logs = np.asarray(logs, dtype=np.float64)
     nf, wrap = _fine_length(count), _SPREAD_WIDTH // 2
-    reach = step * np.max(logs, initial=0.0) * nf / (2.0 * math.pi)  # in fine cells
-    ramped = (fractions.size > 1 and 0.0 <= fractions.min() and fractions.max() <= 1.0
-              and np.min(logs, initial=0.0) >= 0.0 and int(reach) + 2 * wrap + 2 <= nf)
-    shifts = np.zeros(1) if ramped else fractions * step
-    constant, fine = _spread_rows(logs, coeffs, start, step, count, shifts)
-    if not ramped:
-        out_c, out_s = _transform(fine, count, 0.0, constant)
-        del fine  # not held while the sums are read
-        for g in range(shifts.size):  # row r*G + g holds coefficient row r, fraction g
-            yield out_c[g::shifts.size], out_s[g::shifts.size]
-        return
-    hi = int(reach) + wrap + 2  # cells hi .. nf - wrap - 1 (maybe none) hold no support
-    support = np.concatenate((fine[:, nf - wrap:], fine[:, :hi]), axis=1)
-    for f in fractions:  # each fraction's transform overwrites the spread grid
-        ramp = _ramp(f, nf, -wrap, support.shape[1])
-        np.multiply(support[:, wrap:], ramp[wrap:], out=fine[:, :hi])
-        np.multiply(support[:, :wrap], ramp[:wrap], out=fine[:, nf - wrap:])
-        del ramp  # not held beside the FFT's work buffer
-        fine[:, hi:nf - wrap] = 0.0
-        yield _transform(fine, count, f, constant)
+    ends = step * float(np.min(logs, initial=0.0)), step * float(np.max(logs, initial=0.0))
+    shared = not any(_turns(x, nf) for x in ends)  # every point in turn 0 (the ends take in 0)
+    constant, fine = _spread_rows(logs, coeffs, start, step, count, None if shared else fractions)
+    rows = constant.shape[0]
+    hi = nf + wrap  # cells -w/2 .. hi - 1 hold the support
+    if shared:
+        hi = min(int(ends[1] * nf / (2.0 * math.pi)) + wrap + 2, hi)
+    support = fine[:, :hi + wrap].copy() if shared and fractions.size > 1 else None
+    for g, f in enumerate(fractions):  # each fraction's transform overwrites its grid
+        grid = fine if shared else fine[g * rows:(g + 1) * rows]
+        if support is not None:
+            grid[:, hi + wrap:nf + wrap] = 0.0
+        if f:
+            ramp = _ramp(f, nf, -wrap, hi + wrap)
+            for r in range(rows):  # by rows: numpy broadcasts over a contiguous block at half speed
+                np.multiply(grid[r, :hi + wrap] if support is None else support[r], ramp,
+                            out=grid[r, :hi + wrap])
+            del ramp  # not held beside the FFT's work buffer
+        elif support is not None:
+            grid[:, :hi + wrap] = support
+        grid[:, nf:nf + wrap] += grid[:, :wrap]  # the halo folds onto its images
+        if hi > nf:
+            grid[:, wrap:2 * wrap] += grid[:, nf + wrap:nf + 2 * wrap]
+        yield _transform(grid[:, wrap:wrap + nf], count, f, constant)
 
 
-def _spread_rows(logs, coeffs, start, step, count, shifts):
-    """Constant terms and spread fine grid of oscillating_sums' rows on the shifted grids.
+def _turns(x, nf: int):
+    """Whole turns k of the points x = 2 pi k + 2 pi p / nf (floats or an array), with
+    fine-grid positions p as _cached_plan places them: a p that rounds up to nf is cell 0
+    of the next turn.  Python's divmod on floats is numpy's on arrays."""
+    turns, rest = divmod(x, 2.0 * math.pi)
+    return turns + (rest * (nf / (2.0 * math.pi)) >= nf)
+
+
+def _spread_rows(logs, coeffs, start, step, count, fractions):
+    """Constant terms and unfolded spread fine grid of oscillating_sums' rows.
 
     The strengths carry the phase of the grid's middle node start +
-    (count // 2) * step; row r*G + g holds coefficient row r and shift g.
-    Blocks of at most _GROUP_ELEMS // rows terms, each with its own plan,
-    strengths and kernel weights, alive only while it is spread, add into
-    one fine grid, whose wrap is folded once.  One tile, from min(block
-    size, nonzero terms), serves every block.
+    (count // 2) * step.  With fractions None one row set is spread;
+    otherwise rows g*R + r hold coefficient row r with fraction g's turn
+    factors (_strengths).  Blocks of at most _GROUP_ELEMS // rows terms,
+    each with its own plan, strengths and kernel weights, alive only while
+    it is spread, add into one fine grid of signed cells -w/2 .. nf + w/2 - 1,
+    unfolded.  One tile, from min(block size, nonzero terms), serves every
+    block.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
-    logs = np.asarray(logs, dtype=np.float64)
-    constant = np.repeat(coeffs[:, logs == 0.0].sum(axis=1)[:, None], shifts.size, axis=0)
-    rows, nf, w = coeffs.shape[0] * shifts.size, _fine_length(count), _SPREAD_WIDTH
+    constant = coeffs[:, logs == 0.0].sum(axis=1)[:, None]
+    rows = coeffs.shape[0] * (1 if fractions is None else fractions.size)
+    nf, mid = _fine_length(count), start + count // 2 * step
     size = max(1, _GROUP_ELEMS // rows)
     points = min(size, np.count_nonzero(logs))
     tile = max(1, min(_TILE_CELLS, math.isqrt(_TILE_BALANCE * nf // (rows * points + 1))))
@@ -263,29 +281,38 @@ def _spread_rows(logs, coeffs, start, step, count, shifts):
     for a in range(0, max(logs.size, 1), size):
         block = logs[a:a + size]
         plan = _cached_plan(block.tobytes(), step, count, tile)
-        phase = (start + count // 2 * step) * block[plan.terms]
-        fine = _spread(_shifted_strengths(coeffs[:, a + plan.terms], phase, shifts,
-                                          block[plan.terms]), plan, nf, fine)
-    wrap = w // 2
-    fine[:, nf:nf + wrap] += fine[:, :wrap]          # cells -w/2 .. -1
-    fine[:, wrap:w] += fine[:, nf + wrap:nf + w]     # cells nf .. nf + w/2 - 1
-    return constant, fine[:, wrap:wrap + nf]
+        fine = _spread(_strengths(coeffs[:, a + plan.terms], block[plan.terms], mid, step, nf,
+                                  fractions), plan, nf, fine)
+    return constant, fine
 
 
-def _shifted_strengths(coeffs: np.ndarray, phase: np.ndarray, shifts: np.ndarray,
-                       logs: np.ndarray) -> np.ndarray:
-    """Real parts over imaginary parts of coeffs[r] * exp(i (phase + shifts[g] logs)).
+def _strengths(coeffs: np.ndarray, logs: np.ndarray, mid: float, step: float, nf: int,
+               fractions) -> np.ndarray:
+    """Real parts over imaginary parts of coeffs[r] * exp(i mid logs) * exp(2 pi i f_g k_n).
 
-    Row r*G + g of each half holds coefficient row r and shift g.  The
-    shift's factor multiplies exp(i phase) by angle addition.
+    With fractions None, one row set: exactly coeffs cos(mid logs) over
+    coeffs sin(mid logs).  Otherwise row g*R + r of each half holds
+    coefficient row r and fraction g, whose turn factors exp(2 pi i f_g k)
+    are gathered from a table over this block's turns k (_turns of step *
+    logs): a ramp of one cell per turn.  One fraction's factors exist at a
+    time, beside the strengths.
     """
-    cp, sp = np.cos(phase), np.sin(phase)
-    angles = np.outer(shifts, logs)
-    cs, sn = np.cos(angles), np.sin(angles)
-    strengths = np.empty((2, coeffs.shape[0]) + angles.shape)
-    np.multiply(coeffs[:, None], cp * cs - sp * sn, out=strengths[0])
-    np.multiply(coeffs[:, None], sp * cs + cp * sn, out=strengths[1])
-    return strengths.reshape(2 * coeffs.shape[0] * len(angles), logs.size)
+    phase = mid * logs
+    rotation = np.empty(logs.size, dtype=np.complex128)
+    rotation.real, rotation.imag = np.cos(phase), np.sin(phase)
+    if fractions is None:
+        fractions = (None,)
+    else:
+        turns = _turns(step * logs, nf)
+        first = int(turns.min()) if turns.size else 0
+        index = (turns - first).astype(np.intp)
+        length = int(index.max(initial=0)) + 1
+    strengths = np.empty((2, len(fractions)) + coeffs.shape)
+    for g, f in enumerate(fractions):
+        turned = rotation if f is None else _ramp(f, 1, first, length)[index] * rotation
+        np.multiply(turned.real, coeffs, out=strengths[0, g])
+        np.multiply(turned.imag, coeffs, out=strengths[1, g])
+    return strengths.reshape(2 * len(fractions) * coeffs.shape[0], logs.size)
 
 
 def _transform(fine: np.ndarray, count: int, f: float,

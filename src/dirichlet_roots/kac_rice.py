@@ -217,9 +217,9 @@ def _breakdown_streams(spec: PolynomialSpec, table: WeightTable, start: float, s
                        count: int, fractions, *, proof: bool = True):
     """Yield breakdown_grid's fields along t_i = start + (i + f)*step for each f in fractions.
 
-    One kernel call spreads the moment rows once on the doubled grids for
-    all fractions (oscillating_sums); one fraction's fields exist at a
-    time, and on the kernel's ramp path one fraction's sums.
+    One kernel call on the doubled grids for all fractions
+    (oscillating_sums), which spreads the moment rows once where every
+    point lies in turn 0; one fraction's fields and sums exist at a time.
     """
     _check_spec(spec)
     streams = oscillating_sums(table.logs, _moment_rows(table), 2.0 * start, 2.0 * step,
@@ -282,9 +282,17 @@ def _node_streams(integrand, interval: Interval, n_panels: int, n: int):
     of at most _CHUNK_PANELS (boundaries fixed by n_panels), so one chunk's
     kernel work and one stream's fields stay bounded at any T if the
     consumer drops its rows before the next; no name here holds them.
+    Panels so narrow that neighbouring nodes near interval.hi would lie
+    within 4 ulp of each other, where they round onto each other, raise a
+    NumericalError first.
     """
     h = interval.length / n_panels
     fractions = (_gauss_rule(n)[0] + 1.0) * 0.5
+    gap, ulps = 2.0 * fractions[0] * h, 4.0 * math.ulp(interval.hi)  # closest across an edge
+    if not gap > ulps:
+        raise NumericalError(f"{n_panels:.4g} panels on [{interval.lo!r}, {interval.hi!r}] put "
+                             f"neighbouring nodes {gap:.3g} apart near t = {interval.hi!r}, "
+                             f"where 4 ulp are {ulps:.3g}: they would round onto each other", None)
     for lo in range(0, n_panels, _CHUNK_PANELS):
         streams = integrand(interval.lo + lo * h, h, min(_CHUNK_PANELS, n_panels - lo), fractions)
         for i in range(n):

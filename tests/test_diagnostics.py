@@ -14,7 +14,7 @@ from dirichlet_roots import (
 )
 from dirichlet_roots import diagnostics
 from dirichlet_roots.cli import main
-from dirichlet_roots.core import experiment_interval
+from dirichlet_roots.core import NumericalError, experiment_interval
 from dirichlet_roots.dirichlet_eval import make_weight_table
 from dirichlet_roots.kac_rice import NODES_PER_PANEL, _breakdown_streams
 
@@ -167,6 +167,17 @@ def test_l2_rejects():
     for T in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="T must be"):
             l2_mean_value_check([1.0], T)
+
+
+def test_l2_unresolvable_T_is_a_numerical_error(capsys):
+    # at T = 1e300 the 2.2e299 half-period panels would put neighbouring
+    # nodes near T far within 4 ulp of each other (the chunk loop over them
+    # once ran without end): a NumericalError naming T and the panel
+    # count, exit 4 from the CLI, before any kernel call
+    with pytest.raises(NumericalError, match=r"2\.206e\+299 panels on \[0\.0, 1e\+300\]"):
+        l2_mean_value_check([1, 2], 1e300)
+    assert main(["diagnostics", "--suite", "l2", "--T", "1e300"]) == 4
+    assert "2.206e+299 panels on [0.0, 1e+300]" in capsys.readouterr().err
 
 
 def test_u_sup_single_term_zero():

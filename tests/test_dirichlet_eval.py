@@ -21,8 +21,9 @@ from dirichlet_roots.dirichlet_eval import (
     _fine_length,
     _grid_values,
     _integer_modes,
-    _shifted_strengths,
     _spread_kernel,
+    _strengths,
+    _turns,
     oscillating_sums,
 )
 from dirichlet_roots.kac_rice import _moment_sums
@@ -155,32 +156,39 @@ def test_kernel_matches_fsum(T, start, step, count, n_rows, points):
 
 def test_kernel_exact_constant_and_zero_rows():
     # the log n = 0 term is added exactly to every cosine row on every
-    # fraction's grid (ramped, then by angle addition), the sine rows are
-    # exact zeros, and zero rows give exact zeros
+    # fraction's grid, the sine rows are exact zeros, and zero rows give
+    # exact zeros, on points in turn 0 (step 0.1) and in several turns (3.0).
+    # The grids 6e4 + (i - 10) 0.7 and 6e4 + (i + 1e4) 0.7 take their
+    # whole steps in the start
     rows = [[2.5], [-1.0], [1.5]]
     logs = np.log(np.arange(1, 301, dtype=np.float64))
-    for start, fractions in ((3.0, (0.0,)), (6e4, (0.0, 0.25, 1.0)),
-                             (6e4, (0.0, 0.4, -10.0, 1e4))):
+    for start, fractions in ((3.0, (0.0,)), (6e4, (0.0, 0.25, 1.0)), (6e4, (0.0, 0.4)),
+                             (6e4 - 7.0, (0.0,)), (6e4 + 7e3, (0.0,))):
         sums = list(oscillating_sums(np.zeros(1), rows, start, 0.7, 40, fractions))
         assert len(sums) == len(fractions)
         for C, S in sums:
             assert C.shape == S.shape == (3, 40)
             assert np.all(C == np.asarray(rows)) and np.all(S == 0.0)
-        for C, S in oscillating_sums(logs, np.zeros((2, 300)), -5.0, 0.1, 33, fractions):
-            assert C.shape == S.shape == (2, 33)
-            assert np.all(C == 0.0) and np.all(S == 0.0)
+        for step in (0.1, 3.0):
+            for C, S in oscillating_sums(logs, np.zeros((2, 300)), -5.0, step, 33, fractions):
+                assert C.shape == S.shape == (2, 33)
+                assert np.all(C == 0.0) and np.all(S == 0.0)
 
 
 def test_kernel_zero_shift_is_unshifted_bitwise():
-    # the plain grid is one zero fraction, whose angle-addition factor is
-    # exactly 1: the strengths are the unshifted coeffs * exp(i phase), bit for bit
+    # the plain grid is one zero fraction: its strengths are coeffs *
+    # exp(i phase) bit for bit, also where the points span several turns
+    # (step 3.0: turns 0 to 2) and a zero fraction's turn factors come from
+    # the table, where they are exactly 1
     spec = make_spec(500.0, 0, 0.5)
     table = make_weight_table(spec)
     X = np.array([sample_coefficients(spec, 9, r).values for r in range(5)]) * table.weights
     for start in (500.0, 60000.0):
         phase = start * table.logs
-        got = _shifted_strengths(X, phase, np.zeros(1), table.logs)
-        assert np.array_equal(got, np.vstack([X * np.cos(phase), X * np.sin(phase)]))
+        exact = np.vstack([X * np.cos(phase), X * np.sin(phase)])
+        for fractions in (None, np.zeros(1)):
+            got = _strengths(X, table.logs, start, 3.0, _fine_length(300), fractions)
+            assert np.array_equal(got, exact)
         plain = next(oscillating_sums(table.logs, X, start, 0.1, 300))
         shifted = next(oscillating_sums(table.logs, X, start, 0.1, 300, np.array([0.0])))
         assert all(np.array_equal(a, b) for a, b in zip(plain, shifted))
@@ -193,8 +201,9 @@ def test_kernel_zero_shift_is_unshifted_bitwise():
     (30000.0, 60000.0, 3750.0, 16, (0.0, 7.0, 1234.5625, 3749.875), (0, 9, 15)),
 ])
 def test_kernel_shifted_rows_match_fsum(T, start, step, count, shifts, nodes):
-    # the grids start + shift + i*step, from the fractions shift / step (the
-    # spreads wrap: angle addition), yield one (C, S) each.  Both the kernel
+    # the grids start + shift + i*step, from the fractions shift / step with
+    # their whole steps in the start (the spreads wrap: the points span many
+    # turns), yield one (C, S) each.  Both the kernel
     # and the fsum oracles round each phase t log n, which bounds their
     # agreement at large |t| by about eps |t| ||c_n log n||_2 (measured
     # 0.6-0.9 of it at all three starts); at moderate |t| the 1e-12 L1-mass
@@ -204,8 +213,14 @@ def test_kernel_shifted_rows_match_fsum(T, start, step, count, shifts, nodes):
     X = sample_coefficients(spec, 5, 0).values
     sq, logs = table.squared_weights, table.logs
     rows = np.vstack([X * table.weights, sq, sq * logs, sq * logs * logs])
-    sums = list(oscillating_sums(logs, rows, start, step, count, np.array(shifts) / step))
-    assert len(sums) == len(shifts)
+    whole = np.floor(np.array(shifts) / step)
+    sums = [None] * len(shifts)
+    for w in np.unique(whole):
+        at = np.flatnonzero(whole == w)
+        grids = oscillating_sums(logs, rows, start + w * step, step, count,
+                                 np.array(shifts)[at] / step - w)
+        for g, s in zip(at, grids, strict=True):
+            sums[g] = s
     assert all(C.shape == S.shape == (4, count) for C, S in sums)
 
     def direct(r, t):
@@ -226,19 +241,69 @@ def test_kernel_shifted_rows_match_fsum(T, start, step, count, shifts, nodes):
                 assert abs(S[r, i] - s) < bound
 
 
+def _wrapped_case(case):
+    """(logs, rows, start, step, count, fractions) of a spread whose points span many turns."""
+    rng = np.random.default_rng(11)
+    if case == "negative":  # log(n / 300) <= 0: turns -3 .. -1, and 0 at n = 300
+        logs = np.log(np.arange(1, 301, dtype=np.float64) / 300.0)
+        rows = rng.standard_normal((2, 300)) / np.sqrt(np.arange(1, 301))
+        return logs, rows, 50.0, 3.0, 64, (0.0, 0.3, 1.0)
+    T = 4000.0 if case == "stratified" else 600.0
+    spec = make_spec(T, 0, 0.5)
+    table = make_weight_table(spec)
+    sq, logs = table.squared_weights, table.logs
+    X = sample_coefficients(spec, 5, 0).values
+    rows = np.vstack([X * table.weights, sq, sq * logs, sq * logs * logs])
+    if case == "stratified":  # T = 4000, 10,000 strata: the doubled grid 2 lo + 2 h (i + u)
+        return logs, rows, 8000.0, 20.0, 400, rng.random(25)
+    return logs, rows, 1200.0, 40.0, 50, rng.random(4)  # 600 terms over turns 0 .. 40
+
+
+@pytest.mark.parametrize("case,block", [("stratified", None), ("negative", None),
+                                        ("blocks", 200)])
+def test_wrapped_fractions_match_fsum(monkeypatch, case, block):
+    # fractions on spreads whose points span many turns: each point's turn
+    # factor exp(2 pi i f k) comes from its block's table and its position in
+    # the turn from the ramp.  On stratified EK's T = 4000 shape, on negative
+    # logs (negative turns) and in three term blocks of 200 terms with turns
+    # 4 .. 33, 33 .. 38 and 38 .. 40, every row of both halves matches fsum
+    # within test_kernel_shifted_rows_match_fsum's bound
+    logs, rows, start, step, count, fractions = _wrapped_case(case)
+    if block:
+        monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", block * len(rows) * len(fractions))
+    sums = list(oscillating_sums(logs, rows, start, step, count, fractions))
+    assert len(sums) == len(fractions)
+    eps = np.finfo(np.float64).eps
+    for r, row in enumerate(rows):
+        mass, spread = math.fsum(np.abs(row)), float(np.linalg.norm(row * logs))
+        for f, (C, S) in zip(fractions, sums):
+            assert C.shape == S.shape == (len(rows), count)
+            for i in (0, count // 2, count - 1):
+                t = start + (i + f) * step
+                bound = 1e-12 * mass + 2.0 * eps * abs(t) * spread
+                assert abs(C[r, i] - math.fsum(row * np.cos(t * logs))) < bound
+                assert abs(S[r, i] - math.fsum(row * np.sin(t * logs))) < bound
+
+
 @pytest.fixture
 def ramps(monkeypatch):
-    """The argument tuples of every _ramp call: the kernel's ramp path ran."""
+    """The argument tuples of every _ramp call: grid ramps, and turn tables (one cell per turn)."""
     calls, ramp = [], dirichlet_eval._ramp
     monkeypatch.setattr(dirichlet_eval, "_ramp", lambda *args: calls.append(args) or ramp(*args))
     return calls
 
 
+def _ramp_kinds(calls):
+    """(grid ramps, turn tables) among recorded _ramp calls."""
+    tables = sum(args[1] == 1 for args in calls)
+    return len(calls) - tables, tables
+
+
 @pytest.mark.parametrize("T", [500.0, 1000.0])
 def test_streams_match_fsum_at_gauss_legendre_fractions(ramps, T):
     # both halves of every row at the 8 node fractions (xi + 1)/2, on EK's
-    # doubled grid (step * log T = pi/2), against the fsum evaluators; the
-    # spread cannot wrap, so every fraction is ramped
+    # doubled grid (step * log T = pi/2), against the fsum evaluators; every
+    # point lies in turn 0, so one spread serves every fraction's ramp
     spec, sin_spec = make_spec(T, 0, 0.5, "cosine"), make_spec(T, 0, 0.5, "sine")
     table, sin_table = make_weight_table(spec), make_weight_table(sin_spec)
     X = sample_coefficients(spec, 3, 0).values
@@ -259,7 +324,7 @@ def test_streams_match_fsum_at_gauss_legendre_fractions(ramps, T):
                 mass = math.fsum(np.abs(rows[r]))
                 assert abs(C[r, i] - c) < 1e-12 * mass
                 assert abs(S[r, i] - s) < 1e-12 * mass
-    assert len(ramps) == 8
+    assert _ramp_kinds(ramps) == (8, 0)
 
 
 def test_streams_short_chunk_at_quarter_period():
@@ -292,55 +357,83 @@ def _check_fractions_against_fsum(logs, coeffs, start, step, count, fractions):
 @pytest.mark.parametrize("scale,count", [(0.995, 1000), (1.0, 1000), (3.0, 40), (0.8, 5)])
 def test_streams_on_wrapping_spreads_match_fsum(ramps, scale, count):
     # step * max log n = scale * pi.  Up to pi, as on EK's doubled grid of
-    # half-period panels, the support the ramp keeps (signed cells -w/2 ..
-    # reach + w/2 + 1) leaves a gap in the periodic fine grid, also on the
-    # 64-cell floor of 5 modes, so every fraction is ramped; at 3 pi the
-    # spread wraps and the fractions enter by angle addition.  Negative
-    # logs (log(n / 7), n < 7) never ramp.  Both paths match fsum.
+    # half-period panels, every point lies in turn 0, also on the 64-cell
+    # floor of 5 modes: one spread serves the three fractions' ramps.  At
+    # 3 pi the points span turns 0 and 1, and negative logs (log(n / 7),
+    # n < 7) turns -1 and 0: each fraction's rows then take turn factors
+    # from one table per fraction.  Every fraction is ramped; all match fsum.
     logs = np.log(np.arange(1, 301, dtype=np.float64))
     coeffs = np.random.default_rng(6).standard_normal((2, 300)) / np.sqrt(np.arange(1, 301))
     step, fractions = scale * math.pi / logs[-1], (0.125, 0.5, 0.875)
     _check_fractions_against_fsum(logs, coeffs, 10.0, step, count, fractions)
-    assert len(ramps) == (len(fractions) if scale <= 1.0 else 0)
+    assert _ramp_kinds(ramps) == (3, 0 if scale <= 1.0 else 3)
     ramps.clear()
     _check_fractions_against_fsum(logs - math.log(7.0), coeffs, 10.0, step, count, fractions)
-    assert not ramps
+    assert _ramp_kinds(ramps) == (3, 3)
 
 
 @pytest.mark.parametrize("count", [1000, 40, 5])
 def test_streams_one_cell_past_the_gap_take_angle_addition(ramps, count):
-    # the ramp needs int(reach) + w + 2 <= nf fine cells, reach = step *
-    # max log n * nf / (2 pi): at the last reach inside that boundary every
-    # fraction is ramped, one cell further they enter by angle addition,
-    # and both match fsum
+    # reach = step * max log n * nf / (2 pi) fine cells.  One cell either
+    # side of nf - w - 1, where the kept support first reaches the images
+    # nf - w/2 .. nf - 1 of the halo cells -w/2 .. -1, and half a cell
+    # below nf, where it runs into the halo past cell nf, every point lies
+    # in turn 0 and one spread serves every fraction.  Half a cell past nf
+    # the last point starts turn 1, and the fractions' rows take turn
+    # factors.  All match fsum.
     logs = np.log(np.arange(1, 301, dtype=np.float64))
     coeffs = np.random.default_rng(6).standard_normal((2, 300)) / np.sqrt(np.arange(1, 301))
     nf, fractions = _fine_length(count), (0.125, 0.5, 0.875)
-    for reach, ramped in ((nf - _SPREAD_WIDTH - 1.5, 3), (nf - _SPREAD_WIDTH - 0.5, 0)):
+    for reach, tables in ((nf - _SPREAD_WIDTH - 1.5, 0), (nf - _SPREAD_WIDTH - 0.5, 0),
+                          (nf - 0.5, 0), (nf + 0.5, 3)):
         ramps.clear()
         step = reach * 2.0 * math.pi / (nf * logs[-1])
         _check_fractions_against_fsum(logs, coeffs, 10.0, step, count, fractions)
-        assert len(ramps) == ramped
+        assert _ramp_kinds(ramps) == (3, tables)
 
 
-def test_fractions_outside_unit_interval_are_not_ramped(ramps):
+def test_fractions_outside_unit_interval_are_rejected(ramps):
     # a ramp reads modes j + f, which only f in [0, 1] keeps inside the
-    # kernel's band: other fractions enter by angle addition on any spread
+    # kernel's band: other fractions raise at the first next(), before a
+    # plan is built or looked up; whole steps belong in the start
     logs = np.log(np.arange(1, 201, dtype=np.float64))
     coeffs = np.random.default_rng(2).standard_normal((1, 200)) / np.sqrt(np.arange(1, 201))
     step = math.pi / (2.0 * logs[-1])
-    _check_fractions_against_fsum(logs, coeffs, 400.0, step, 50, (0.5, -3.25, 40.0))
+    for fractions in ((0.5, -3.25, 40.0), (1.0 + 2.0**-52,), (-1e-300, 0.5)):
+        before = _cached_plan.cache_info()
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            next(oscillating_sums(logs, coeffs, 400.0, step, 50, fractions))
+        after = _cached_plan.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
     assert not ramps
+
+
+def test_turn_tables_span_their_blocks_turns(monkeypatch, ramps):
+    # each term block gathers its turn factors from a table over its own
+    # turns only, one per fraction: a table over the whole call's turns
+    # would grow with every block (about 7,000 turns for the first block
+    # of stratified EK at T = 1e6)
+    logs, rows, start, step, count, fractions = _wrapped_case("blocks")
+    monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 200 * len(rows) * len(fractions))
+    list(oscillating_sums(logs, rows, start, step, count, fractions))
+    spans = []
+    for a in range(0, logs.size, 200):
+        turns = _turns(step * logs[a:a + 200][logs[a:a + 200] != 0.0], _fine_length(count))
+        lo, hi = int(turns.min()), int(turns.max())
+        spans += [(f, 1, lo, hi - lo + 1) for f in fractions]
+    assert [args for args in ramps if args[1] == 1] == spans
+    assert len({args[2:] for args in spans}) == 3
 
 
 @pytest.mark.parametrize("path", ["ramp", "angle", "mc"])
 def test_term_blocks_share_one_transform_per_fraction(monkeypatch, path):
     # _GROUP_ELEMS // rows terms per spreading block: 600 terms run as 1
     # block and as 3, which add into one fine grid.  The sums agree within
-    # 1e-13 of each row's L1 mass, and _transform runs once per fraction
-    # on the ramp path (Gauss-Legendre fractions on EK's doubled grid) and
-    # once on the angle path (stratified fractions on a wrapping spread)
-    # and on an 8-row MC block's plain grid
+    # 1e-13 of each row's L1 mass, and _transform runs once per fraction:
+    # on Gauss-Legendre fractions on EK's doubled grid (turn 0, "ramp"),
+    # on stratified fractions on a spread of many turns ("angle", each
+    # fraction's rows with their turn factors) and on an 8-row MC block's
+    # plain grid
     spec = make_spec(600.0, 0, 0.5)
     table = make_weight_table(spec)
     sq, logs = table.squared_weights, table.logs
@@ -363,7 +456,7 @@ def test_term_blocks_share_one_transform_per_fraction(monkeypatch, path):
     one = list(oscillating_sums(logs, *args))
     assert len(spreads) == 1
     calls = len(transforms)
-    assert calls == (len(args[-1]) if path == "ramp" else 1)
+    assert calls == len(args[-1])
     monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 200 * rows)
     three = list(oscillating_sums(logs, *args))
     assert len(spreads) == 4 and len(set(spreads[1:])) == 1  # one tile for every block
@@ -378,16 +471,18 @@ def test_term_blocks_share_one_transform_per_fraction(monkeypatch, path):
 def test_moment_sums_row_mapping_on_shifted_grids():
     # _moment_sums reads P_0 and P_2 from the cosine half and Pt_1 from the
     # sine half of its one coefficient block, on every fraction's grid
+    # (the grid start + (i - 7.5) step takes its whole steps in the start)
     table = make_weight_table(make_spec(700.0, 1, 0.5))
-    start, step, fractions = 1400.0, 0.3, (0.0, 0.5, -7.5)
-    sums = _moment_sums(table, start, step, 100, fractions)
-    assert all(rows.shape == (3, 100) for rows in sums)
-    for j, part in enumerate(("cosine", "sine", "cosine")):
-        mass = math.fsum(table.squared_weights * table.logs**j)
-        for g, f in enumerate(fractions):
-            for i in (0, 63, 99):
-                t = start + (i + f) * step
-                assert abs(sums[j][g, i] - u_moment(table, j, t, part)) < 1e-12 * mass
+    step = 0.3
+    for start, fractions in ((1400.0, (0.0, 0.5)), (1400.0 - 8 * step, (0.5,))):
+        sums = _moment_sums(table, start, step, 100, fractions)
+        assert all(rows.shape == (len(fractions), 100) for rows in sums)
+        for j, part in enumerate(("cosine", "sine", "cosine")):
+            mass = math.fsum(table.squared_weights * table.logs**j)
+            for g, f in enumerate(fractions):
+                for i in (0, 63, 99):
+                    t = start + (i + f) * step
+                    assert abs(sums[j][g, i] - u_moment(table, j, t, part)) < 1e-12 * mass
 
 
 def test_kernel_plan_reuse_is_bitwise():

@@ -22,6 +22,8 @@ from dirichlet_roots.kac_rice import (
     NumericalError,
     STRATIFIED_REPLICATES,
     _gauss_legendre,
+    _gauss_rule,
+    _node_streams,
     _panel_estimates,
     _shifted_grids,
     breakdown_grid,
@@ -544,3 +546,25 @@ def test_expected_count_near_predicted_scale(ek_cache):
     q = ek_cache.get(1000.0)
     pred = predict_expected_zeros(1000.0, 0)
     assert abs(q.value - pred.total) < 1.0 * 1000.0 / math.log(1000.0)
+
+
+@pytest.mark.parametrize("ulps,resolved", [(5.0, True), (3.0, False)])
+def test_node_streams_reject_nodes_within_four_ulp(ulps, resolved):
+    # panels so narrow that neighbouring nodes (here across a panel edge,
+    # the closest pair) lie within 4 ulp of interval.hi raise before the
+    # integrand runs; at 5 ulp the first chunk is evaluated
+    iv, calls = Interval(0.0, 1e6), []
+    f = (_gauss_rule(10)[0] + 1.0) / 2.0
+    n_panels = math.floor(iv.length * 2.0 * f[0] / (ulps * math.ulp(iv.hi)))
+
+    def integrand(start, step, count, fractions):
+        calls.append(count)
+        return (np.zeros(count) for _ in fractions)
+
+    streams = _node_streams(integrand, iv, n_panels, 10)
+    if resolved:
+        assert next(streams)[0] == 0 and calls == [kac_rice._CHUNK_PANELS]
+    else:
+        with pytest.raises(NumericalError, match=re.escape(f"{n_panels:.4g} panels on")):
+            next(streams)
+        assert calls == []
