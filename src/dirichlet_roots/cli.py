@@ -28,9 +28,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .asymptotics import model_vs_zeta_ratio, predict_expected_zeros
+from .asymptotics import MAX_STIELTJES_INDEX, model_vs_zeta_ratio, predict_expected_zeros
 from .core import experiment_interval, make_spec
 from .diagnostics import l2_mean_value_check, proof_step_integrals, u_sup_monitor
+from .dirichlet_eval import make_weight_table
 from .kac_rice import NumericalError, expected_count_deterministic, expected_count_stratified
 from .monte_carlo import default_grid_step, run_trials, sigma_sweep
 
@@ -41,6 +42,8 @@ _EXIT_NUMERICAL = 4
 _EXIT_MEMORY = 5
 
 _SIGMA_SUITE = (0.0, 0.25, 0.5, 0.6, 0.75, 1.0)
+# compare's two-term prediction reads gamma_(2k), tabulated up to gamma_16
+_COMPARE_MAX_K = MAX_STIELTJES_INDEX // 2
 
 
 class _FromEnvironment(str):
@@ -122,6 +125,12 @@ def cmd_compare(args):
     t_list = [float(x) for x in args.T_list.split(",") if x]
     if not t_list:
         raise ValueError("empty --T-list")
+    if args.k > _COMPARE_MAX_K:
+        for T in t_list:  # weights that overflow are a numerical error (exit 4) first
+            make_weight_table(make_spec(T, args.k, args.sigma, "cosine"))
+        raise ValueError(f"compare supports 0 <= --k <= {_COMPARE_MAX_K}: its two-term prediction "
+                         f"needs the Stieltjes constant gamma_2k, tabulated up to "
+                         f"gamma_{MAX_STIELTJES_INDEX}; got --k {args.k}")
     rows = []
     timings = {}
     for T in t_list:
@@ -240,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("compare", cmd_compare, "EK vs asymptotics vs MC vs zeta ratio",
                     "write the comparison CSV here", [method, threads], trials=100)
     p.add_argument("--T-list", required=True, help="comma-separated T values")
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=int, default=0,
+                   help=f"derivative order, 0 to {_COMPARE_MAX_K} (the two-term prediction "
+                        f"needs gamma_2k)")
     p.add_argument("--sigma", type=float, default=0.5)
 
     p = add_command("diagnostics", cmd_diagnostics,

@@ -14,15 +14,17 @@ Two evaluators, cross-checked in the tests:
   real part) and its sine sums (the imaginary part).  Error below about
   3e-13 of the row's coefficient L1 mass, plus the eps |t| ||c_n log n||_2
   by which any evaluator's rounded phases t log n differ.  Every fraction
-  enters by a ramp on the spread grid, times a per-point factor of whole
-  turns from a small table where the points span several turns (stratified
-  EK); one spreading pass serves every fraction where all lie in turn 0
-  (Gauss-Legendre node streams).  As in FINUFFT's plan interface, the point
-  layout is built once per point set and cached.
+  enters by a ramp on the spread grid.  One spreading pass serves every
+  fraction: where all points lie in turn 0 (Gauss-Legendre node streams)
+  as it is, and where they span several turns (stratified EK) as one
+  segment per turn, which each fraction's grid adds up with its factor of
+  whole turns.  As in FINUFFT's plan interface, the point layout is built
+  once per point set and cached.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -120,24 +122,31 @@ class _Plan(NamedTuple):
     tile: int           # fine cells per tile
     spans: tuple        # (a, b, f): points a .. b - 1, one GEMM onto buffer column f on
     widest: int         # points in the largest span
+    first: int          # the whole turn of cell 0; cells count on through the later turns
 
 
 @lru_cache(maxsize=1)
 def _cached_plan(logs: bytes, step: float, count: int, tile: int) -> _Plan:
-    """The _Plan of the points step * logs mod 2 pi, for count modes, in tiles of tile cells.
+    """The _Plan of the points step * logs, for count modes, in tiles of tile cells.
 
+    A point x = 2 pi k + 2 pi p / nf (whole turns k, fine-grid position p)
+    lies in cell (k - first) nf + floor(p): cells 0 .. nf - 1 where every
+    point lies in turn 0, and one segment of nf cells per turn otherwise.
     Keyed by the content of logs, so every call on one point set (chunks,
     trial blocks) shares one plan; each term block of a call has its own.
     """
     logs = np.frombuffer(logs)
     nf, w = _fine_length(count), _SPREAD_WIDTH
-    pos = np.mod(step * logs, 2.0 * math.pi) * (nf / (2.0 * math.pi))
+    turns, pos = np.divmod(step * logs, 2.0 * math.pi)
+    pos *= nf / (2.0 * math.pi)
     cell = np.floor(pos).astype(np.intp)
     frac = pos - cell
-    cell %= nf
+    cell += turns.astype(np.intp) * nf  # a p that rounds up to nf is cell 0 of the next turn
     terms = np.flatnonzero(logs != 0.0)
     terms = terms[np.argsort(cell[terms], kind="stable")]
     cell, frac = cell[terms], frac[terms]
+    first = int(cell[0]) // nf if cell.size else 0
+    cell -= first * nf
     offset, spans = cell % tile, []
     runs = np.flatnonzero(np.diff(cell // tile)) + 1
     for lo, hi in zip(np.r_[0, runs], np.r_[runs, cell.size]):
@@ -148,35 +157,36 @@ def _cached_plan(logs: bytes, step: float, count: int, tile: int) -> _Plan:
     for arr in (terms, frac, offset):
         arr.setflags(write=False)  # shared by every caller of the cache
     return _Plan(terms, frac, offset, tile, tuple(spans),
-                 max((b - a for a, b, _ in spans), default=0))
+                 max((b - a for a, b, _ in spans), default=0), first)
 
 
-def _spread(strengths: np.ndarray, plan: _Plan, nf: int, fine) -> np.ndarray:
-    """Add the plan's points, spread, into fine (new and zeroed if None) and return it.
+def _spread(strengths: np.ndarray, plan: _Plan, nf: int, fine, spans: tuple,
+            shift: int = 0) -> np.ndarray:
+    """Add the points of the plan's spans, spread, into fine (new and zeroed if None).
 
     strengths holds the real parts of the point strengths over their
     imaginary parts (2 * rows real rows, points in plan order); fine is
-    (rows, nf + tile + w) complex and holds fine cell m at m + w/2.  It is
-    made after the kernel weights: made first, it raised deterministic EK's
-    peak RSS at T = 1e5 from 103 to 113 MB (glibc malloc, 2-vCPU VM).  A
-    point at cell + frac covers fine cells cell + 1 - w/2 + k, k < w, and
-    each span is one dense GEMM: strengths times a (points x (tile + w))
-    kernel block.  One zeroed block serves every span: its entries are set
-    before the GEMM and zeroed after it.
+    complex with rows rows and holds fine cell m at m + w/2 - shift (the
+    new grid: nf + tile + w columns, shift 0).  A point at cell + frac
+    covers fine cells cell + 1 - w/2 + k, k < w, and each span is one dense
+    GEMM: strengths times a (points x (tile + w)) kernel block.  One zeroed
+    block serves every span: its entries are set before the GEMM and zeroed
+    after it.  The kernel weights exist for the spans' points only.
     """
+    lo, hi = (spans[0][0], spans[-1][1]) if spans else (0, 0)
     rows, w, tile = strengths.shape[0] // 2, _SPREAD_WIDTH, plan.tile
-    values = _spread_kernel(plan.frac[:, None] + (w // 2 - 1 - np.arange(w)))
-    flat = plan.offset[:, None] + np.arange(w)
+    values = _spread_kernel(plan.frac[lo:hi, None] + (w // 2 - 1 - np.arange(w)))
+    flat = plan.offset[lo:hi, None] + np.arange(w)
     block = np.zeros(plan.widest * (tile + w))
-    if fine is None:
+    if fine is None:  # made after the kernel weights: README, "Cost at large T"
         fine = np.zeros((rows, nf + tile + w), dtype=np.complex128)
     re, im = fine.real, fine.imag
-    for a, b, f in plan.spans:
-        block[flat[a:b]] = values[a:b]
+    for a, b, f in spans:
+        block[flat[a - lo:b - lo]] = values[a - lo:b - lo]
         spread = strengths[:, a:b] @ block[:(b - a) * (tile + w)].reshape(b - a, tile + w)
-        block[flat[a:b]] = 0.0
-        re[:, f:f + tile + w] += spread[:rows]
-        im[:, f:f + tile + w] += spread[rows:]
+        block[flat[a - lo:b - lo]] = 0.0
+        re[:, f - shift:f - shift + tile + w] += spread[:rows]
+        im[:, f - shift:f - shift + tile + w] += spread[rows:]
     return fine
 
 
@@ -193,25 +203,28 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: f
     every row is a type-1 NUFFT: modes j + f of the points x_n = step*logs[n]
     with strengths coeffs * exp(i mid logs[n]).  Points are spread onto a
     fine periodic grid once per call (in term blocks, _spread_rows),
-    transformed by one FFT per row and fraction and divided by the kernel's
-    own transform at j + f; terms with logs[n] = 0 are constant and are
-    added exactly.  The error stays below about 3e-13 of each row's L1 mass
-    plus the phase rounding eps |t| ||coeffs[r] logs||_2 that any evaluator
-    of t * logs[n] shares.  The points' sort and tiling are planned once per
-    term block, step, count and tile (_cached_plan, keyed by the content of
-    logs), so repeated calls execute only the spreading and the FFTs.
+    transformed by FFT and divided by the kernel's own transform at j + f;
+    terms with logs[n] = 0 are constant and are added exactly.  The error
+    stays below about 3e-13 of each row's L1 mass plus the phase rounding
+    eps |t| ||coeffs[r] logs||_2 that any evaluator of t * logs[n] shares.
+    The points' sort and tiling are planned once per term block, step,
+    count and tile (_cached_plan, keyed by the content of logs), so
+    repeated calls execute only the spreading and the FFTs.
 
     A fraction enters without trig per term.  With x_n = 2 pi k_n +
-    2 pi p_n / nf, k_n the point's whole turns and p_n its fine-grid
-    position (_turns), exp(i f x_n) = exp(2 pi i f k_n) exp(2 pi i f p_n / nf)
-    exactly.  The second factor is the ramp exp(2 pi i f m / nf) over the
-    signed fine cells m = -w/2 .. nf + w/2 - 1 of the grid before its halo
-    is folded (Dutt and Rokhlin, 1993).  The first is 1 for f = 0 and for
-    points in turn 0: when every point lies there, one spread serves every
-    fraction, and only the cells the points cover are kept between
-    fractions.  Otherwise each fraction's rows are spread with the turn
-    factors in their strengths.  The generator holds no reference to what
-    it yielded.
+    2 pi p_n / nf (whole turns k_n, fine-grid position p_n),
+    exp(i f x_n) = exp(2 pi i f k_n) exp(2 pi i f p_n / nf) exactly; the
+    second factor is the ramp exp(2 pi i f m / nf) over the fine cells m
+    (Dutt and Rokhlin, 1993).  Where every point lies in turn 0, one spread
+    serves every fraction, only the cells the points cover are kept between
+    fractions, and each is ramped, halo-folded and transformed in turn; the
+    generator holds no reference to what it yielded.  Otherwise the rows
+    are spread once onto one segment of nf cells per turn (_spread_rows),
+    each fraction's grid adds the segments up with the factors
+    exp(2 pi i f k) (one complex GEMM per group of turns for all
+    fractions), and one ramp multiply, one FFT and one deconvolution serve
+    every fraction: their (C, S) are views of two (rows, fractions, count)
+    arrays.
     """
     if count <= 0:
         raise ValueError("count must be positive")
@@ -223,127 +236,133 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: f
     if not ((0.0 <= fractions) & (fractions <= 1.0)).all():
         raise ValueError(f"fractions must lie in [0, 1], got {fractions}")
     logs = np.asarray(logs, dtype=np.float64)
-    nf, wrap = _fine_length(count), _SPREAD_WIDTH // 2
+    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
+    constant = coeffs[:, logs == 0.0].sum(axis=1)[:, None]
+    rows, nf, wrap = coeffs.shape[0], _fine_length(count), _SPREAD_WIDTH // 2
     ends = step * float(np.min(logs, initial=0.0)), step * float(np.max(logs, initial=0.0))
-    shared = not any(_turns(x, nf) for x in ends)  # every point in turn 0 (the ends take in 0)
-    constant, fine = _spread_rows(logs, coeffs, start, step, count, None if shared else fractions)
-    rows = constant.shape[0]
-    hi = nf + wrap  # cells -w/2 .. hi - 1 hold the support
-    if shared:
-        hi = min(int(ends[1] * nf / (2.0 * math.pi)) + wrap + 2, hi)
-    support = fine[:, :hi + wrap].copy() if shared and fractions.size > 1 else None
-    for g, f in enumerate(fractions):  # each fraction's transform overwrites its grid
-        grid = fine if shared else fine[g * rows:(g + 1) * rows]
+    turns = int(_turns(ends[1], nf) - _turns(ends[0], nf)) + 1  # the ends take in turn 0
+    if turns > 1:
+        column, grids = fractions[:, None], np.zeros((rows, fractions.size, nf), dtype=np.complex128)
+        for first, segments in _spread_rows(logs, coeffs, start, step, count, turns):
+            grids += _ramp(column, 1, first, segments.shape[1]) @ segments  # whole turns
+        grids *= _ramp(column, nf, 0, nf)
+        C, S = _transform(grids, count, column, constant[:, None])
+        for g in range(fractions.size):
+            yield C[:, g], S[:, g]
+        return
+    (_, fine), = _spread_rows(logs, coeffs, start, step, count, turns)
+    hi = min(int(ends[1] * nf / (2.0 * math.pi)) + wrap + 2, nf + wrap)  # cells -w/2 .. hi - 1
+    support = fine[:, :hi + wrap].copy() if fractions.size > 1 else None  # hold the support
+    for f in fractions:  # each fraction's transform overwrites the grid
         if support is not None:
-            grid[:, hi + wrap:nf + wrap] = 0.0
+            fine[:, hi + wrap:nf + wrap] = 0.0
         if f:
             ramp = _ramp(f, nf, -wrap, hi + wrap)
             for r in range(rows):  # by rows: numpy broadcasts over a contiguous block at half speed
-                np.multiply(grid[r, :hi + wrap] if support is None else support[r], ramp,
-                            out=grid[r, :hi + wrap])
+                np.multiply(fine[r, :hi + wrap] if support is None else support[r], ramp,
+                            out=fine[r, :hi + wrap])
             del ramp  # not held beside the FFT's work buffer
         elif support is not None:
-            grid[:, :hi + wrap] = support
-        grid[:, nf:nf + wrap] += grid[:, :wrap]  # the halo folds onto its images
+            fine[:, :hi + wrap] = support
+        fine[:, nf:nf + wrap] += fine[:, :wrap]  # the halo folds onto its images
         if hi > nf:
-            grid[:, wrap:2 * wrap] += grid[:, nf + wrap:nf + 2 * wrap]
-        yield _transform(grid[:, wrap:wrap + nf], count, f, constant)
+            fine[:, wrap:2 * wrap] += fine[:, nf + wrap:nf + 2 * wrap]
+        yield _transform(fine[:, wrap:wrap + nf], count, f, constant)
 
 
-def _turns(x, nf: int):
-    """Whole turns k of the points x = 2 pi k + 2 pi p / nf (floats or an array), with
-    fine-grid positions p as _cached_plan places them: a p that rounds up to nf is cell 0
+def _turns(x: float, nf: int) -> float:
+    """Whole turns k of the point x = 2 pi k + 2 pi p / nf, with its fine-grid
+    position p as _cached_plan places it: a p that rounds up to nf is cell 0
     of the next turn.  Python's divmod on floats is numpy's on arrays."""
     turns, rest = divmod(x, 2.0 * math.pi)
     return turns + (rest * (nf / (2.0 * math.pi)) >= nf)
 
 
-def _spread_rows(logs, coeffs, start, step, count, fractions):
-    """Constant terms and unfolded spread fine grid of oscillating_sums' rows.
+def _spread_rows(logs, coeffs, start, step, count, turns):
+    """Yield (first turn, grid) pairs: oscillating_sums' rows, spread but not folded.
 
-    The strengths carry the phase of the grid's middle node start +
-    (count // 2) * step.  With fractions None one row set is spread;
-    otherwise rows g*R + r hold coefficient row r with fraction g's turn
-    factors (_strengths).  Blocks of at most _GROUP_ELEMS // rows terms,
-    each with its own plan, strengths and kernel weights, alive only while
-    it is spread, add into one fine grid of signed cells -w/2 .. nf + w/2 - 1,
-    unfolded.  One tile, from min(block size, nonzero terms), serves every
-    block.
+    The strengths are coeffs * exp(i mid logs), mid = start + (count // 2)
+    * step (_strengths).  Terms run in blocks, each with its own plan,
+    strengths and kernel weights, alive only while it is spread.  Where the
+    points lie in turn 0 (turns == 1), blocks of at most _GROUP_ELEMS //
+    rows terms add into one grid of signed cells -w/2 .. nf + w/2 - 1,
+    yielded once.  Otherwise the kernel weights count too (_GROUP_ELEMS //
+    (rows * w) terms), and a block's spans run in groups of at most
+    _GROUP_ELEMS // (2 * rows * nf) turns, each spread into one reused
+    buffer and yielded as (rows, segments, nf) before the next: segment j
+    holds cells 0 .. nf - 1 of turn first + j, halos included.  One tile,
+    from min(block size, nonzero terms) and their nf * turns cells, serves
+    every block.
     """
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
-    constant = coeffs[:, logs == 0.0].sum(axis=1)[:, None]
-    rows = coeffs.shape[0] * (1 if fractions is None else fractions.size)
+    rows, w = coeffs.shape[0], _SPREAD_WIDTH
     nf, mid = _fine_length(count), start + count // 2 * step
-    size = max(1, _GROUP_ELEMS // rows)
+    size = max(1, _GROUP_ELEMS // (rows * (1 if turns == 1 else w)))
     points = min(size, np.count_nonzero(logs))
-    tile = max(1, min(_TILE_CELLS, math.isqrt(_TILE_BALANCE * nf // (rows * points + 1))))
-    fine = None
+    tile = max(1, min(_TILE_CELLS,
+                      math.isqrt(_TILE_BALANCE * nf * turns // (rows * points + 1))))
+    group = nf * max(1, min(turns, _GROUP_ELEMS // (2 * rows * nf)))  # cells per group of turns
+    fine = None if turns == 1 else np.zeros(
+        (rows, -(-(group + nf + tile + w // 2) // nf) * nf), dtype=np.complex128)
     for a in range(0, max(logs.size, 1), size):
         block = logs[a:a + size]
         plan = _cached_plan(block.tobytes(), step, count, tile)
-        fine = _spread(_strengths(coeffs[:, a + plan.terms], block[plan.terms], mid, step, nf,
-                                  fractions), plan, nf, fine)
-    return constant, fine
+        strengths = _strengths(coeffs[:, a + plan.terms], block[plan.terms], mid)
+        if turns == 1:
+            fine = _spread(strengths, plan, nf, fine, plan.spans)
+        else:
+            for g, spans in itertools.groupby(plan.spans, lambda span: (span[2] - 1) // group):
+                spans, shift = tuple(spans), g * group - nf + w // 2  # column 0: a turn before
+                _spread(strengths, plan, nf, fine, spans, shift)
+                used = -(-(spans[-1][2] - shift + tile + w) // nf) * nf
+                yield plan.first + g * group // nf - 1, fine[:, :used].reshape(rows, -1, nf)
+                fine[:, :used] = 0.0
+        del strengths  # not held beside the next block's
+    if turns == 1:
+        yield 0, fine
 
 
-def _strengths(coeffs: np.ndarray, logs: np.ndarray, mid: float, step: float, nf: int,
-               fractions) -> np.ndarray:
-    """Real parts over imaginary parts of coeffs[r] * exp(i mid logs) * exp(2 pi i f_g k_n).
-
-    With fractions None, one row set: exactly coeffs cos(mid logs) over
-    coeffs sin(mid logs).  Otherwise row g*R + r of each half holds
-    coefficient row r and fraction g, whose turn factors exp(2 pi i f_g k)
-    are gathered from a table over this block's turns k (_turns of step *
-    logs): a ramp of one cell per turn.  One fraction's factors exist at a
-    time, beside the strengths.
-    """
+def _strengths(coeffs: np.ndarray, logs: np.ndarray, mid: float) -> np.ndarray:
+    """Real parts over imaginary parts of coeffs[r] * exp(i mid logs): exactly
+    coeffs cos(mid logs) over coeffs sin(mid logs), as 2 * rows real rows."""
     phase = mid * logs
-    rotation = np.empty(logs.size, dtype=np.complex128)
-    rotation.real, rotation.imag = np.cos(phase), np.sin(phase)
-    if fractions is None:
-        fractions = (None,)
-    else:
-        turns = _turns(step * logs, nf)
-        first = int(turns.min()) if turns.size else 0
-        index = (turns - first).astype(np.intp)
-        length = int(index.max(initial=0)) + 1
-    strengths = np.empty((2, len(fractions)) + coeffs.shape)
-    for g, f in enumerate(fractions):
-        turned = rotation if f is None else _ramp(f, 1, first, length)[index] * rotation
-        np.multiply(turned.real, coeffs, out=strengths[0, g])
-        np.multiply(turned.imag, coeffs, out=strengths[1, g])
-    return strengths.reshape(2 * len(fractions) * coeffs.shape[0], logs.size)
+    strengths = np.empty((2,) + coeffs.shape)
+    np.multiply(np.cos(phase), coeffs, out=strengths[0])
+    np.multiply(np.sin(phase), coeffs, out=strengths[1])
+    return strengths.reshape(2 * coeffs.shape[0], logs.size)
 
 
-def _transform(fine: np.ndarray, count: int, f: float,
-               constant: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(C, S) at modes j + f, j = -count//2 .., of the spread fine grid, transformed in place.
+def _transform(fine: np.ndarray, count: int, f, constant: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(C, S) at modes j + f, j = -count//2 .., of the spread fine grids, transformed in place.
 
-    The modes are divided by the kernel's transform there, cached for f = 0
+    fine holds grids along its last axis; f is one fraction, or one per
+    grid of a (rows, fractions, nf) fine as a (fractions, 1) array.  The
+    modes are divided by the kernel's transform there, cached for f = 0
     (_integer_modes) and computed after the FFT otherwise; constant is added to C.
     """
     np.fft.ifft(fine, norm="forward", out=fine)
-    nf, half = fine.shape[1], count // 2
-    scale = (_kernel_transform(np.arange(count) - half + f, nf) if f
+    nf, half = fine.shape[-1], count // 2
+    scale = (_kernel_transform(np.arange(count) - half + f, nf) if np.ndim(f) or f
              else _integer_modes(count))
-    out_c, out_s = np.empty((fine.shape[0], count)), np.empty((fine.shape[0], count))
+    out_c, out_s = np.empty(fine.shape[:-1] + (count,)), np.empty(fine.shape[:-1] + (count,))
     for out, part in ((out_c, fine.real), (out_s, fine.imag)):
-        np.divide(part[:, nf - half:], scale[:half], out=out[:, :half])
-        np.divide(part[:, :count - half], scale[half:], out=out[:, half:])
+        np.divide(part[..., nf - half:], scale[..., :half], out=out[..., :half])
+        np.divide(part[..., :count - half], scale[..., half:], out=out[..., half:])
     out_c += constant
     return out_c, out_s
 
 
-def _ramp(f: float, nf: int, first: int, length: int) -> np.ndarray:
+def _ramp(f, nf: int, first: int, length: int) -> np.ndarray:
     """exp(2 pi i f m / nf) for m = first .. first + length - 1, as an outer product.
 
     The product of a coarse and a fine exponential costs about
     2 sqrt(length) complex exponentials; every angle stays as small as m.
+    A column of fractions, (fractions, 1), gives one row each.
     """
     width = math.isqrt(length - 1) + 1
     theta = 2.0 * math.pi * f / nf
     coarse = np.exp(1j * theta * (width * np.arange(-(-length // width)) + first))
-    return np.multiply.outer(coarse, np.exp(1j * theta * np.arange(width))).ravel()[:length]
+    ramp = coarse[..., None] * np.exp(1j * theta * np.arange(width))[..., None, :]
+    return ramp.reshape(ramp.shape[:-2] + (-1,))[..., :length]
 
 
 def _kernel_transform(modes: np.ndarray, nf: int) -> np.ndarray:

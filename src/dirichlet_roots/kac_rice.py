@@ -55,6 +55,8 @@ __all__ = [
 
 # Cauchy-Schwarz slack: A/B - C^2 may round to a tiny negative.
 _NEGATIVE_TOL = 1e-12
+# The moment sums P_0, Pt_1, P_2 that _assemble reads: (order j, part) of u_moment.
+_MOMENT_PARTS = ((0, Part.COSINE), (1, Part.SINE), (2, Part.COSINE))
 
 # Gauss-Legendre nodes per panel of deterministic EK (panel_width, a half
 # period): on smooth densities from T = 200 the error estimates stay at or
@@ -112,18 +114,28 @@ def _check_spec(spec: PolynomialSpec) -> None:
         raise ValueError("identically-zero (degenerate) spec has no zero density")
 
 
-def _check_integrable(spec: PolynomialSpec) -> None:
-    """_check_spec, and reject a lone oscillating term for the EK integrals.
+def _integrable_table(spec: PolynomialSpec) -> WeightTable:
+    """The spec's WeightTable, after _check_spec, rejecting a lone oscillating term.
 
-    Sine with 2 <= T < 3, or cosine with k >= 1 there, keeps only the n = 2
-    term: every realization vanishes on one fixed lattice, which the
-    Kac-Rice density (zero between lattice points) does not count.
+    Where the n = 1 term vanishes (sine, or cosine with k >= 1) and the
+    other terms' squared weights add up to at most eps times the largest,
+    every realization vanishes, to rounding, on the zeros of that one term:
+    with no other term (2 <= T < 3) the density, zero between them, does
+    not count them, and with others that small (large k at small T) its
+    mass sits in spikes narrower than the rounding of the covariance B.
     """
     _check_spec(spec)
-    if spec.n_terms == 2 and (spec.part is Part.SINE or spec.k >= 1):
+    table = make_weight_table(spec)
+    if spec.part is Part.COSINE and spec.k == 0:
+        return table
+    oscillating = table.squared_weights[1:]
+    m = int(np.argmax(oscillating))
+    if np.sum(oscillating) - oscillating[m] <= np.finfo(float).eps * oscillating[m]:
         lattice = "j pi" if spec.part is Part.SINE else "(j + 1/2) pi"
-        raise NumericalError(f"only the n = 2 term oscillates: every realization "
-                             f"vanishes on the fixed lattice t = {lattice} / log 2", spec)
+        others = " to within rounding" if spec.n_terms > 2 else ""
+        raise NumericalError(f"only the n = {m + 2} term oscillates{others}: every realization "
+                             f"vanishes on the fixed lattice t = {lattice} / log {m + 2}", spec)
+    return table
 
 
 def _assemble(spec: PolynomialSpec, table: WeightTable, t, p0, p1s, p2, proof: bool = True):
@@ -172,10 +184,8 @@ def breakdown_at(spec: PolynomialSpec, t: float,
     _check_spec(spec)
     if table is None:
         table = make_weight_table(spec)
-    p0 = u_moment(table, 0, 2.0 * t, Part.COSINE)
-    p1s = u_moment(table, 1, 2.0 * t, Part.SINE)
-    p2 = u_moment(table, 2, 2.0 * t, Part.COSINE)
-    fields = _assemble(spec, table, t, p0, p1s, p2)
+    fields = _assemble(spec, table, t, *(u_moment(table, j, 2.0 * t, part)
+                                         for j, part in _MOMENT_PARTS))
     return DensityBreakdown(**{k: float(v) for k, v in fields.items()})
 
 
@@ -407,7 +417,7 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
     one fine grid, transformed once per node.  The stratified method is
     the fast route at large T.
     """
-    _check_integrable(spec)
+    table = _integrable_table(spec)
     if nodes_per_panel < _MIN_NODES:
         raise ValueError(f"nodes_per_panel must be at least {_MIN_NODES} (the error "
                          f"estimate reads c_(n-6) to c_(n-1)), got {nodes_per_panel}")
@@ -416,16 +426,16 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
     width = min(panel_width(spec), max_panel_width or math.inf)
     n_panels = max(1, math.ceil(interval.length / width))
     h = interval.length / n_panels
-    table = make_weight_table(spec)
 
     def density(start, step, count, fractions):
         return map(operator.itemgetter("density"),
                    _breakdown_streams(spec, table, start, step, count, fractions, proof=False))
 
-    def direct(start, step, count, fractions):
+    def direct(start, step, count, fractions):  # the density only: no Stieltjes constant
         for f in fractions:
-            yield np.array([breakdown_at(spec, float(t), table).density
-                            for t in start + step * (np.arange(count) + f)])
+            t = start + step * (np.arange(count) + f)
+            sums = [[u_moment(table, j, 2.0 * x, part) for x in t] for j, part in _MOMENT_PARTS]
+            yield _assemble(spec, table, t, *map(np.array, sums), proof=False)["density"]
 
     value = error = 0.0
     nodes, lo = nodes_per_panel * n_panels, 0  # lo: the chunk's first panel
@@ -456,10 +466,9 @@ def expected_count_stratified(spec: PolynomialSpec, interval: Interval,
     not an upper bound.  nodes_used is strata rounded up to a multiple of
     25; abs_error_estimate repeats stderr.
     """
-    _check_integrable(spec)
+    table = _integrable_table(spec)
     if strata < 100:
         raise ValueError("use at least 100 strata")
-    table = make_weight_table(spec)
     density = _shifted_grids(spec, table, interval, strata, seed)["density"]
     replicates = interval.length * np.mean(density, axis=1)
     value = float(np.mean(replicates))

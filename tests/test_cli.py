@@ -132,6 +132,42 @@ def test_numerical_error_exit_four(capsys):
     assert "4 numerical error" in build_parser().epilog
 
 
+@pytest.mark.parametrize("k", [8, 9, 150])
+def test_large_k_gives_a_value_or_exits_four(capsys, k):
+    # EK reads no Stieltjes constant: the refined panels of T = 3.5 (sine)
+    # assemble the density only.  k = 8 and 9 give finite values, the
+    # deterministic one within 5 stderr of the stratified one; at k = 150
+    # the n = 2 term's squared weight is below rounding of the n = 3 term's,
+    # and both methods exit 4
+    results = {}
+    for method in ("deterministic", "stratified"):
+        code, out, err = run_cli(["expected", "--T", "3.5", "--k", str(k), "--part", "sine",
+                                  "--method", method], capsys)
+        if k == 150:
+            assert code == 4 and out == "" and "n = 3 term oscillates" in err
+        else:
+            assert code == 0, err
+            results[method] = json.loads(out)
+            assert math.isfinite(results[method]["ek_value"])
+    if results:
+        det, strat = results["deterministic"], results["stratified"]
+        assert abs(det["ek_value"] - strat["ek_value"]) <= 5 * strat["stderr"]
+        assert det["nodes_used"] > 10 * math.ceil(3.5 / (math.pi / (2 * math.log(3.5))))
+
+
+def test_compare_rejects_k_above_the_stieltjes_table(capsys):
+    # the two-term prediction needs gamma_(2k), tabulated up to gamma_16:
+    # --k 9 is a usage error naming the range, before any quadrature runs
+    code, out, err = run_cli(["compare", "--T-list", "100", "--k", "9", "--trials", "4"], capsys)
+    assert code == 2 and out == ""
+    assert "0 <= --k <= 8" in err and "gamma_16" in err
+    from dirichlet_roots.cli import build_parser
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["compare", "--help"])
+    assert "0 to 8" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("method", ["deterministic", "stratified"])
 def test_non_finite_result_exits_four(capsys, monkeypatch, method):
     # no payload carries a non-finite number with exit 0, and the error

@@ -21,9 +21,9 @@ from dirichlet_roots.dirichlet_eval import (
     _fine_length,
     _grid_values,
     _integer_modes,
+    _ramp,
     _spread_kernel,
     _strengths,
-    _turns,
     oscillating_sums,
 )
 from dirichlet_roots.kac_rice import _moment_sums
@@ -176,19 +176,16 @@ def test_kernel_exact_constant_and_zero_rows():
 
 
 def test_kernel_zero_shift_is_unshifted_bitwise():
-    # the plain grid is one zero fraction: its strengths are coeffs *
-    # exp(i phase) bit for bit, also where the points span several turns
-    # (step 3.0: turns 0 to 2) and a zero fraction's turn factors come from
-    # the table, where they are exactly 1
+    # the plain grid is one zero fraction, and the strengths are coeffs *
+    # exp(i phase) bit for bit: one row set, which spreads where the points
+    # lie in turn 0 and where they span several turns alike
     spec = make_spec(500.0, 0, 0.5)
     table = make_weight_table(spec)
     X = np.array([sample_coefficients(spec, 9, r).values for r in range(5)]) * table.weights
     for start in (500.0, 60000.0):
         phase = start * table.logs
         exact = np.vstack([X * np.cos(phase), X * np.sin(phase)])
-        for fractions in (None, np.zeros(1)):
-            got = _strengths(X, table.logs, start, 3.0, _fine_length(300), fractions)
-            assert np.array_equal(got, exact)
+        assert np.array_equal(_strengths(X, table.logs, start), exact)
         plain = next(oscillating_sums(table.logs, X, start, 0.1, 300))
         shifted = next(oscillating_sums(table.logs, X, start, 0.1, 300, np.array([0.0])))
         assert all(np.array_equal(a, b) for a, b in zip(plain, shifted))
@@ -262,15 +259,16 @@ def _wrapped_case(case):
 @pytest.mark.parametrize("case,block", [("stratified", None), ("negative", None),
                                         ("blocks", 200)])
 def test_wrapped_fractions_match_fsum(monkeypatch, case, block):
-    # fractions on spreads whose points span many turns: each point's turn
-    # factor exp(2 pi i f k) comes from its block's table and its position in
-    # the turn from the ramp.  On stratified EK's T = 4000 shape, on negative
-    # logs (negative turns) and in three term blocks of 200 terms with turns
-    # 4 .. 33, 33 .. 38 and 38 .. 40, every row of both halves matches fsum
-    # within test_kernel_shifted_rows_match_fsum's bound
+    # fractions on spreads whose points span many turns: each turn's factor
+    # exp(2 pi i f k) multiplies its segment of the spread grid, and a
+    # point's position in its turn enters by the ramp.  On stratified EK's
+    # T = 4000 shape, on negative logs (negative turns) and in three term
+    # blocks of 200 terms with turns 4 .. 33, 33 .. 38 and 38 .. 40, every
+    # row of both halves matches fsum within
+    # test_kernel_shifted_rows_match_fsum's bound
     logs, rows, start, step, count, fractions = _wrapped_case(case)
     if block:
-        monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", block * len(rows) * len(fractions))
+        monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", block * len(rows) * _SPREAD_WIDTH)
     sums = list(oscillating_sums(logs, rows, start, step, count, fractions))
     assert len(sums) == len(fractions)
     eps = np.finfo(np.float64).eps
@@ -287,7 +285,11 @@ def test_wrapped_fractions_match_fsum(monkeypatch, case, block):
 
 @pytest.fixture
 def ramps(monkeypatch):
-    """The argument tuples of every _ramp call: grid ramps, and turn tables (one cell per turn)."""
+    """The argument tuples of every _ramp call: grid ramps, and turn tables (one cell per turn).
+
+    Where every point lies in turn 0, each fraction takes its own grid ramp;
+    otherwise one grid ramp and one turn table per group of turns serve
+    every fraction."""
     calls, ramp = [], dirichlet_eval._ramp
     monkeypatch.setattr(dirichlet_eval, "_ramp", lambda *args: calls.append(args) or ramp(*args))
     return calls
@@ -360,16 +362,16 @@ def test_streams_on_wrapping_spreads_match_fsum(ramps, scale, count):
     # half-period panels, every point lies in turn 0, also on the 64-cell
     # floor of 5 modes: one spread serves the three fractions' ramps.  At
     # 3 pi the points span turns 0 and 1, and negative logs (log(n / 7),
-    # n < 7) turns -1 and 0: each fraction's rows then take turn factors
-    # from one table per fraction.  Every fraction is ramped; all match fsum.
+    # n < 7) turns -1 and 0: the turns' segments then fold in by one turn
+    # table and one ramp for all fractions.  All match fsum.
     logs = np.log(np.arange(1, 301, dtype=np.float64))
     coeffs = np.random.default_rng(6).standard_normal((2, 300)) / np.sqrt(np.arange(1, 301))
     step, fractions = scale * math.pi / logs[-1], (0.125, 0.5, 0.875)
     _check_fractions_against_fsum(logs, coeffs, 10.0, step, count, fractions)
-    assert _ramp_kinds(ramps) == (3, 0 if scale <= 1.0 else 3)
+    assert _ramp_kinds(ramps) == ((3, 0) if scale <= 1.0 else (1, 1))
     ramps.clear()
     _check_fractions_against_fsum(logs - math.log(7.0), coeffs, 10.0, step, count, fractions)
-    assert _ramp_kinds(ramps) == (3, 3)
+    assert _ramp_kinds(ramps) == (1, 1)
 
 
 @pytest.mark.parametrize("count", [1000, 40, 5])
@@ -379,17 +381,17 @@ def test_streams_one_cell_past_the_gap_take_angle_addition(ramps, count):
     # nf - w/2 .. nf - 1 of the halo cells -w/2 .. -1, and half a cell
     # below nf, where it runs into the halo past cell nf, every point lies
     # in turn 0 and one spread serves every fraction.  Half a cell past nf
-    # the last point starts turn 1, and the fractions' rows take turn
-    # factors.  All match fsum.
+    # the last point starts turn 1, and the two turns' segments fold in by
+    # one turn table for all fractions.  All match fsum.
     logs = np.log(np.arange(1, 301, dtype=np.float64))
     coeffs = np.random.default_rng(6).standard_normal((2, 300)) / np.sqrt(np.arange(1, 301))
     nf, fractions = _fine_length(count), (0.125, 0.5, 0.875)
-    for reach, tables in ((nf - _SPREAD_WIDTH - 1.5, 0), (nf - _SPREAD_WIDTH - 0.5, 0),
-                          (nf - 0.5, 0), (nf + 0.5, 3)):
+    for reach, kinds in ((nf - _SPREAD_WIDTH - 1.5, (3, 0)), (nf - _SPREAD_WIDTH - 0.5, (3, 0)),
+                         (nf - 0.5, (3, 0)), (nf + 0.5, (1, 1))):
         ramps.clear()
         step = reach * 2.0 * math.pi / (nf * logs[-1])
         _check_fractions_against_fsum(logs, coeffs, 10.0, step, count, fractions)
-        assert _ramp_kinds(ramps) == (3, tables)
+        assert _ramp_kinds(ramps) == kinds
 
 
 def test_fractions_outside_unit_interval_are_rejected(ramps):
@@ -408,32 +410,99 @@ def test_fractions_outside_unit_interval_are_rejected(ramps):
     assert not ramps
 
 
-def test_turn_tables_span_their_blocks_turns(monkeypatch, ramps):
-    # each term block gathers its turn factors from a table over its own
-    # turns only, one per fraction: a table over the whole call's turns
-    # would grow with every block (about 7,000 turns for the first block
-    # of stratified EK at T = 1e6)
-    logs, rows, start, step, count, fractions = _wrapped_case("blocks")
-    monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 200 * len(rows) * len(fractions))
-    list(oscillating_sums(logs, rows, start, step, count, fractions))
-    spans = []
-    for a in range(0, logs.size, 200):
-        turns = _turns(step * logs[a:a + 200][logs[a:a + 200] != 0.0], _fine_length(count))
-        lo, hi = int(turns.min()), int(turns.max())
-        spans += [(f, 1, lo, hi - lo + 1) for f in fractions]
-    assert [args for args in ramps if args[1] == 1] == spans
-    assert len({args[2:] for args in spans}) == 3
+@pytest.fixture
+def turn_groups(monkeypatch):
+    """(first turn, segments) of every group of turns that _spread_rows yields."""
+    groups, spread_rows = [], dirichlet_eval._spread_rows
+
+    def recorded(*args):
+        for first, segments in spread_rows(*args):
+            groups.append((first, segments.shape[1]))
+            yield first, segments
+
+    monkeypatch.setattr(dirichlet_eval, "_spread_rows", recorded)
+    return groups
 
 
-@pytest.mark.parametrize("path", ["ramp", "angle", "mc"])
+@pytest.mark.parametrize("case,count", [("positive", 40), ("negative", 40), ("positive", 5)])
+def test_turn_blocks_span_a_bounded_number_of_turns(monkeypatch, turn_groups, case, count):
+    # with a budget of two turns' cells per complex row, 600 terms over
+    # about 20 turns (log(n / 300): turns -19 .. 2) run in term blocks of
+    # 4 nf / w terms, each spread in groups of two turns plus their halos,
+    # whose segments fold in with their own turns' factors.  Fractions 0
+    # and 1 (the same grid shifted a step) and 0.3 match fsum within 1e-12
+    # of each row's L1 mass on every mode checked, also on 5 modes (nf = 64
+    # < tile)
+    n = np.arange(1, 601, dtype=np.float64)
+    logs = np.log(n / 300.0) if case == "negative" else np.log(n)
+    coeffs = np.random.default_rng(12).standard_normal((2, 600)) / np.sqrt(n)
+    nf, fractions = _fine_length(count), (0.0, 0.3, 1.0)
+    monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 2 * 2 * len(coeffs) * nf)
+    start, step = 50.0, 20.0
+    sums = list(oscillating_sums(logs, coeffs, start, step, count, fractions))
+    assert len(sums) == len(fractions)
+    firsts = sorted({first for first, _ in turn_groups})
+    assert len(turn_groups) >= 5 and len(firsts) >= 5
+    assert (firsts[0] < -1) == (case == "negative")
+    tail = -(-(_TILE_CELLS + _SPREAD_WIDTH) // nf)  # the last span's tile and halo
+    assert all(segments <= 2 + 1 + tail for _, segments in turn_groups)
+    for f, (C, S) in zip(fractions, sums):
+        assert C.shape == S.shape == (2, count)
+        for i in sorted({0, count // 2, count - 1}):
+            t = start + (i + f) * step
+            for r, row in enumerate(coeffs):
+                mass = math.fsum(np.abs(row))
+                assert abs(C[r, i] - math.fsum(row * np.cos(t * logs))) < 1e-12 * mass
+                assert abs(S[r, i] - math.fsum(row * np.sin(t * logs))) < 1e-12 * mass
+
+
+def test_turn_blocks_share_one_transform(monkeypatch, turn_groups):
+    # stratified fractions on a spread of about 76 turns: the 3 moment rows
+    # are spread once, whole turns fold in after the spread, and one
+    # _transform serves all 25 fractions.  In one term block of one group of
+    # turns, and in 3 term blocks of 200 terms with groups of 25 turns, the
+    # sums agree within 1e-13 of each row's L1 mass
+    table = make_weight_table(make_spec(600.0, 0, 0.5))
+    sq, logs = table.squared_weights, table.logs
+    moments = np.vstack([sq, sq * logs * logs, sq * logs])
+    fractions = np.random.default_rng(5).random(25)
+    args = (moments, 1200.0, 75.0, 16, fractions)
+    spreads, transforms = [], []
+    spread, transform = dirichlet_eval._spread, dirichlet_eval._transform
+    monkeypatch.setattr(dirichlet_eval, "_spread", lambda *a: spreads.append(a) or spread(*a))
+    monkeypatch.setattr(dirichlet_eval, "_transform",
+                        lambda *a: transforms.append(a[0].shape) or transform(*a))
+    one = list(oscillating_sums(logs, *args))
+    assert len(spreads) == len(turn_groups) == 1
+    assert transforms == [(3, 25, _fine_length(16))]
+    monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 200 * 3 * _SPREAD_WIDTH)
+    three = list(oscillating_sums(logs, *args))
+    assert len(spreads) == len(turn_groups) >= 1 + 4 and len(transforms) == 2
+    assert all(a[0].shape[1] <= 200 for a in spreads[1:])
+    mass = np.abs(moments).sum(axis=1)
+    for (C1, S1), (C3, S3) in zip(one, three, strict=True):
+        for a, b in ((C1, C3), (S1, S3)):
+            assert np.all(np.abs(a - b).max(axis=1) <= 1e-13 * mass)
+
+
+def test_ramp_rows_equal_one_fraction_ramps():
+    # the multi-turn path takes every fraction's grid ramp, and each group's
+    # turn table, in one call: row g is fraction g's own ramp bit for bit
+    fractions = np.random.default_rng(3).random(5)
+    for nf, first, length in ((800, 0, 800), (1, -19, 7), (64, -8, 80)):
+        rows = _ramp(fractions[:, None], nf, first, length)
+        assert rows.shape == (5, length)
+        for g, f in enumerate(fractions):
+            assert np.array_equal(rows[g], _ramp(f, nf, first, length))
+
+
+@pytest.mark.parametrize("path", ["ramp", "mc"])
 def test_term_blocks_share_one_transform_per_fraction(monkeypatch, path):
     # _GROUP_ELEMS // rows terms per spreading block: 600 terms run as 1
     # block and as 3, which add into one fine grid.  The sums agree within
     # 1e-13 of each row's L1 mass, and _transform runs once per fraction:
-    # on Gauss-Legendre fractions on EK's doubled grid (turn 0, "ramp"),
-    # on stratified fractions on a spread of many turns ("angle", each
-    # fraction's rows with their turn factors) and on an 8-row MC block's
-    # plain grid
+    # on Gauss-Legendre fractions on EK's doubled grid (turn 0, "ramp") and
+    # on an 8-row MC block's plain grid
     spec = make_spec(600.0, 0, 0.5)
     table = make_weight_table(spec)
     sq, logs = table.squared_weights, table.logs
@@ -441,9 +510,6 @@ def test_term_blocks_share_one_transform_per_fraction(monkeypatch, path):
     if path == "ramp":
         fractions = (np.polynomial.legendre.leggauss(10)[0] + 1.0) / 2.0
         args, rows = (moments, 1200.0, math.pi / (2.0 * logs[-1]), 300, fractions), 3
-    elif path == "angle":
-        fractions = np.random.default_rng(5).random(25)
-        args, rows = (moments, 1200.0, 75.0, 16, fractions), 3 * fractions.size
     else:
         X = np.array([sample_coefficients(spec, 5, r).values for r in range(8)])
         args, rows = (X * table.weights, 600.0, 0.05, 2001, (0.0,)), 8

@@ -325,13 +325,14 @@ def test_shifted_grids_match_pointwise(T, k, part):
 
 def test_shifted_grids_term_blocks(monkeypatch):
     # with a small per-call budget the terms split into more spreading
-    # blocks (43 of at most 7 terms) than there are replicates; the blocks
-    # add into one fine grid and give the one-block values
+    # blocks (43 of at most 7 terms) than there are replicates, each spread
+    # one turn at a time; the groups fold into the replicates' grids and
+    # give the one-block values
     spec = make_spec(300.0, 0, 0.5, "cosine")
     table = make_weight_table(spec)
     iv = experiment_interval(spec)
     whole = _shifted_grids(spec, table, iv, 400, seed=7)
-    monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 3 * STRATIFIED_REPLICATES * 7)
+    monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 3 * 7 * dirichlet_eval._SPREAD_WIDTH)
     split = _shifted_grids(spec, table, iv, 400, seed=7)
     assert np.array_equal(split["t"], whole["t"])
     for name in ("A", "B", "C", "density"):
