@@ -59,6 +59,9 @@ _TILE_CELLS = 256
 _TILE_POINTS = 4096
 _TILE_BALANCE = 100_000
 _GROUP_ELEMS = 500_000  # strength entries (rows x terms) per term block: _spread_rows
+# Points per kernel call on a long grid (_chunks: Monte Carlo's grid points,
+# deterministic EK's panels), which bounds a chunk's memory at any T (README).
+_CHUNK_PANELS = 2**17
 
 
 @dataclass(frozen=True)
@@ -297,7 +300,7 @@ def _spread_rows(logs, coeffs, start, step, count, turns):
     rows, w = coeffs.shape[0], _SPREAD_WIDTH
     nf, mid = _fine_length(count), start + count // 2 * step
     size = max(1, _GROUP_ELEMS // (rows * (1 if turns == 1 else w)))
-    points = min(size, np.count_nonzero(logs))
+    points = min(size, int(np.count_nonzero(logs)))
     tile = max(1, min(_TILE_CELLS,
                       math.isqrt(_TILE_BALANCE * nf * turns // (rows * points + 1))))
     group = nf * max(1, min(turns, _GROUP_ELEMS // (2 * rows * nf)))  # cells per group of turns
@@ -430,24 +433,18 @@ def _integer_modes(count: int) -> np.ndarray:
     return scale
 
 
-def _grid_values(table: WeightTable, coeffs: np.ndarray, interval: Interval,
-                 step: float) -> tuple[float, np.ndarray]:
-    """Rows of S on a uniform grid covering the interval, from one kernel call.
-
-    coeffs holds one row of X_n w_n per realization.  The step is snapped
-    down to length / ceil(length / step), so the grid lo + i * step ends
-    exactly at interval.hi and halving the snapped step gives a nested grid
-    (the root counts' monotonicity under refinement rests on it).  Returns
-    the snapped step and the (rows, points) values; the kernel's tile width
-    depends on the row count, so callers that need values independent of
-    how rows are grouped keep that count fixed.
-    """
-    if not 0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
-    m = max(1, math.ceil(interval.length / step - 1e-12))
-    actual = interval.length / m
-    sums = next(oscillating_sums(table.logs, coeffs, interval.lo, actual, m + 1))
-    return actual, sums[table.spec.part is Part.SINE]
+def _chunks(interval: Interval, step: float, count: int, gap: float, what: str):
+    """Yield (first, start = interval.lo + first * step, length) per chunk of at most
+    _CHUNK_PANELS points of the grid interval.lo + i * step, i < count.  Evaluation
+    points gap apart within 4 ulp of interval.hi, which round onto each other,
+    raise a NumericalError first (what names count)."""
+    ulps = 4.0 * math.ulp(interval.hi)
+    if not gap > ulps:
+        raise NumericalError(f"{count:.4g} {what} on [{interval.lo!r}, {interval.hi!r}] put "
+                             f"neighbouring points {gap:.3g} apart near t = {interval.hi!r}, "
+                             f"where 4 ulp are {ulps:.3g}: they would round onto each other", None)
+    for first in range(0, count, _CHUNK_PANELS):
+        yield first, interval.lo + first * step, min(_CHUNK_PANELS, count - first)
 
 
 def u_moment(table: WeightTable, j: int, t: float, part: Part | str = Part.COSINE) -> float:

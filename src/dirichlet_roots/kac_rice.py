@@ -38,7 +38,7 @@ import numpy as np
 
 from .asymptotics import stieltjes_constant
 from .core import Interval, NumericalError, Part, PolynomialSpec
-from .dirichlet_eval import WeightTable, make_weight_table, oscillating_sums, u_moment
+from .dirichlet_eval import WeightTable, _chunks, make_weight_table, oscillating_sums, u_moment
 
 __all__ = [
     "DensityBreakdown",
@@ -63,12 +63,6 @@ _MOMENT_PARTS = ((0, Part.COSINE), (1, Part.SINE), (2, Part.COSINE))
 # below 3e-13 relative, where 8 nodes read tail estimates up to 9e-7.  The
 # L2 check takes this rule; the proof steps keep 8 nodes on quarter periods.
 NODES_PER_PANEL = 10
-# Panels per integrand call in _node_streams, which bounds one chunk's
-# memory at any T: its spread grid lives through the chunk's node streams,
-# beside the kept support, the FFT's work buffer and one stream's sums and
-# fields.  2^17 panels keep deterministic EK at T = 1e5 at 104 MB peak RSS;
-# 2^18 took 149 MB.
-_CHUNK_PANELS = 2**17
 # Deterministic EK's error control (_panel_estimates, _refine).  Smooth
 # densities keep the tail ratio below 1.5e-5 on default panels from T = 200,
 # two-term corners above 1e-3.  _REFINE_RTOL is 100 times inside the 1e-9
@@ -288,23 +282,16 @@ def _node_streams(integrand, interval: Interval, n_panels: int, n: int):
     the chunk's first panel edge, the panel width, the chunk's panel count
     and the node fractions f_i = (xi_i + 1)/2; it yields, fraction by
     fraction, rows along the grid start + (j + f_i)*step, j < count, which
-    node i's abscissas across the chunk's panels form.  Panels run in chunks
-    of at most _CHUNK_PANELS (boundaries fixed by n_panels), so one chunk's
-    kernel work and one stream's fields stay bounded at any T if the
-    consumer drops its rows before the next; no name here holds them.
-    Panels so narrow that neighbouring nodes near interval.hi would lie
-    within 4 ulp of each other, where they round onto each other, raise a
-    NumericalError first.
+    node i's abscissas across the chunk's panels form.  Panels run in the
+    chunks of _chunks, after its 4-ulp check on the closest nodes (across a
+    panel edge), so a chunk's kernel work and a stream's fields stay bounded
+    at any T if the consumer drops its rows before the next; no name here
+    holds them.
     """
     h = interval.length / n_panels
     fractions = (_gauss_rule(n)[0] + 1.0) * 0.5
-    gap, ulps = 2.0 * fractions[0] * h, 4.0 * math.ulp(interval.hi)  # closest across an edge
-    if not gap > ulps:
-        raise NumericalError(f"{n_panels:.4g} panels on [{interval.lo!r}, {interval.hi!r}] put "
-                             f"neighbouring nodes {gap:.3g} apart near t = {interval.hi!r}, "
-                             f"where 4 ulp are {ulps:.3g}: they would round onto each other", None)
-    for lo in range(0, n_panels, _CHUNK_PANELS):
-        streams = integrand(interval.lo + lo * h, h, min(_CHUNK_PANELS, n_panels - lo), fractions)
+    for _, start, count in _chunks(interval, h, n_panels, 2.0 * fractions[0] * h, "panels"):
+        streams = integrand(start, h, count, fractions)
         for i in range(n):
             yield i, next(streams)
 

@@ -2,16 +2,15 @@
 
 A trial evaluates one coefficient sample on a uniform grid over the target
 interval and counts sign changes (the Gaussian law puts zero probability on
-tangential zeros).  Both entry points count through _count_rows, one
-grid-kernel call on rows of coefficients: count_roots passes one row and can
-refine each bracketed root by bisection; run_trials passes fixed blocks of 8
-consecutive trial indices, [0, 8), [8, 16), ....  A short last block is
-padded with zero rows, so every kernel call has the same shape and a
-trial's count is a pure function of (spec, master_seed, trial_index,
-interval, step): the block size depends on neither the trial count nor the
+tangential zeros).  Both entry points count through _count_rows, which walks
+the grid in chunks of at most _CHUNK_PANELS points, one kernel call each on
+rows of coefficients: count_roots passes one row and can bisect each
+bracketed root; run_trials passes fixed blocks of 8 consecutive trial
+indices, [0, 8), [8, 16), ..., a short last block padded with zero rows, so
+every kernel call has the same shape and a trial's count is a pure function
+of (spec, master_seed, trial_index, interval, step), whatever the trial or
 worker count.  The blocks run on a thread pool in the calling process, one
-path for any worker count; the kernel's FFTs, GEMMs and trig release the
-GIL, so the workers overlap.
+path for any worker count; the kernel's FFTs, GEMMs and trig release the GIL.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ from .core import (
     make_spec,
     sample_coefficients,
 )
-from .dirichlet_eval import WeightTable, _grid_values, eval_polynomial, make_weight_table
+from .dirichlet_eval import (WeightTable, _chunks, eval_polynomial, make_weight_table,
+                             oscillating_sums)
 
 __all__ = [
     "RootCountResult",
@@ -45,7 +45,7 @@ __all__ = [
 # Grid values below this fraction of the coefficient L1 mass count as exact zeros.
 _GRID_ZERO_REL = 1e-13
 
-# Trials per run_trials block, one kernel call of this many rows.  Fixed: the
+# Trials per run_trials block, the rows of its kernel calls.  Fixed: the
 # kernel's tile width, so the last bits of a row's values, depends on the row
 # count.  16 rows ran the mc_trials benchmark 7-11% faster, but their fine
 # grids put its peak RSS 5.4-6.0% above one call per trial (8 rows: 3.8%).
@@ -118,16 +118,30 @@ def _bisect_root(sample: CoefficientSample, table: WeightTable,
     return 0.5 * (lo + hi)
 
 
-def _count_rows(table: WeightTable, x: np.ndarray, interval: Interval,
-                step: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Roots of the coefficient rows x, from one _grid_values call on x * w.
+def _count_rows(table: WeightTable, x: np.ndarray, interval: Interval, step: float):
+    """Roots of the coefficient rows x on a uniform grid covering the interval.
 
-    Returns the snapped step, the (rows, points) values and _sign_events'
-    (counts, zero, flips) at each row's _GRID_ZERO_REL L1-mass tolerance.
+    The step snaps down to length / ceil(length / step): the grid lo + i * step
+    ends at interval.hi, and halving the snapped step nests it.  Yields per
+    chunk (_chunks, one kernel call on x * w) the snapped step, the grid index
+    of values[:, 0], the (rows, points) values and _sign_events' (counts, zero,
+    flips) at each row's _GRID_ZERO_REL L1-mass tolerance.  A later chunk starts
+    with the last value column before it, whose zero is cleared: it counted there.
     """
-    actual, values = _grid_values(table, x * table.weights, interval, step)
-    mass = np.abs(x) @ table.weights
-    return actual, values, *_sign_events(values, _GRID_ZERO_REL * mass[:, None])
+    if not (0 < step < math.inf and interval.length / step < math.inf):
+        raise ValueError(f"step must be positive and finite, and length / step finite, got {step}")
+    m = max(1, math.ceil(interval.length / step - 1e-12))
+    actual, sine, carry = interval.length / m, table.spec.part is Part.SINE, None
+    coeffs, tol = x * table.weights, _GRID_ZERO_REL * (np.abs(x) @ table.weights)[:, None]
+    for first, start, count in _chunks(interval, actual, m + 1, actual, "grid points"):
+        values = next(oscillating_sums(table.logs, coeffs, start, actual, count))[sine]
+        if carry is not None:
+            values, first = np.concatenate((carry, values), axis=1), first - 1
+        counts, zero, flips = _sign_events(values, tol)
+        if carry is not None:
+            counts, zero[:, 0] = counts - zero[:, 0], False
+        carry = values[:, -1:]
+        yield actual, first, values, counts, zero, flips
 
 
 def count_roots(sample: CoefficientSample, interval: Interval,
@@ -149,16 +163,17 @@ def count_roots(sample: CoefficientSample, interval: Interval,
     if step is None:
         step = default_grid_step(spec)
     table = make_weight_table(spec)
-    actual, values, counts, zero, flips = _count_rows(table, sample.values[None, :],
-                                                      interval, step)
-    roots = None
-    if keep_roots:
-        grid = interval.lo + actual * np.arange(values.shape[1])
-        located = [*grid[zero[0]]] + [
-            _bisect_root(sample, table, grid[i], grid[i + 1], values[0, i], refine_tol)
-            for i in np.flatnonzero(flips[0])]
-        roots = np.sort(np.asarray(located, dtype=np.float64))
-    return RootCountResult(trial_index=sample.trial_index, count=int(counts[0]),
+    count, located = 0, []
+    for actual, first, values, counts, zero, flips in _count_rows(
+            table, sample.values[None, :], interval, step):
+        count += int(counts[0])
+        if keep_roots:
+            grid = interval.lo + actual * np.arange(first, first + values.shape[1])
+            located += [*grid[zero[0]]] + [
+                _bisect_root(sample, table, grid[i], grid[i + 1], values[0, i], refine_tol)
+                for i in np.flatnonzero(flips[0])]
+    roots = np.sort(np.asarray(located, dtype=np.float64)) if keep_roots else None
+    return RootCountResult(trial_index=sample.trial_index, count=count,
                            roots=roots, grid_step=actual,
                            step_warning=step > 0.5 * mean_zero_spacing(spec))
 
@@ -191,7 +206,7 @@ def run_trials(spec: PolynomialSpec, interval: Interval, trials: int,
         x = np.zeros((_BLOCK_TRIALS, spec.n_terms))
         for row, index in enumerate(range(first, stop)):
             x[row] = sample_coefficients(spec, master_seed, index).values
-        return _count_rows(table, x, interval, step)[2][:stop - first]
+        return sum(chunk[3] for chunk in _count_rows(table, x, interval, step))[:stop - first]
 
     firsts = range(0, trials, _BLOCK_TRIALS)
     with ThreadPoolExecutor(max_workers=min(threads, len(firsts))) as pool:

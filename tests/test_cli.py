@@ -43,11 +43,11 @@ def test_expected_degenerate_is_zero(capsys):
 def test_expected_deterministic_in_chunks(capsys, monkeypatch):
     # the default method stays deterministic when the node streams run in
     # chunks; the chunked value matches the one-call value to roundoff
-    from dirichlet_roots import kac_rice
+    from dirichlet_roots import dirichlet_eval
 
     code, out, _ = run_cli(["expected", "--T", "2000"], capsys)
     whole = json.loads(out)
-    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 5000)
+    monkeypatch.setattr(dirichlet_eval, "_CHUNK_PANELS", 5000)
     code, out, _ = run_cli(["expected", "--T", "2000"], capsys)
     assert code == 0
     payload = json.loads(out)
@@ -182,6 +182,16 @@ def test_non_finite_result_exits_four(capsys, monkeypatch, method):
     assert code == 4 and out == ""
     assert err.startswith("error: the result is not finite: ")
     assert "ek_value" in err and "ek_error" in err
+
+
+@pytest.mark.parametrize("step", ["1e-14", "1e-300"])
+def test_grid_points_within_four_ulp_exit_four(capsys, step):
+    # --step 1e-14 once ended in an OverflowError traceback (exit 1): grid
+    # points 1e-14 apart round onto each other near t = 200 (4 ulp: 1.1e-13)
+    code, out, err = run_cli(["simulate", "--T", "100", "--trials", "2", "--step", step], capsys)
+    assert code == 4 and out == ""
+    assert "grid points on [100.0, 200.0] put neighbouring points" in err
+    assert "they would round onto each other" in err
 
 
 @pytest.mark.parametrize("k", [200, 400])

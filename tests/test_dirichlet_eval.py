@@ -19,7 +19,6 @@ from dirichlet_roots.dirichlet_eval import (
     _TILE_CELLS,
     _cached_plan,
     _fine_length,
-    _grid_values,
     _integer_modes,
     _ramp,
     _spread_kernel,
@@ -27,6 +26,7 @@ from dirichlet_roots.dirichlet_eval import (
     oscillating_sums,
 )
 from dirichlet_roots.kac_rice import _moment_sums
+from dirichlet_roots.monte_carlo import _count_rows
 
 from oracles import direct_power_sum
 
@@ -91,10 +91,17 @@ def test_cosine_parity():
             eval_polynomial(sample, table, -t), rel=1e-13, abs=1e-13)
 
 
+def _grid_values(table, x, iv, step):
+    """The snapped step and the (rows, points) values of Monte Carlo's grid
+    chunks (_count_rows), joined; a later chunk repeats the value before it."""
+    chunks = list(_count_rows(table, x, iv, step))
+    return chunks[0][0], np.concatenate([c[2][:, i > 0:] for i, c in enumerate(chunks)], axis=1)
+
+
 def test_grid_matches_two_term_closed_form(two_term):
     spec, table = two_term
     iv = Interval(5.0, 9.0)
-    step, values = _grid_values(table, np.array([[0.0, 1.0]]) * table.weights, iv, 0.01)
+    step, values = _grid_values(table, np.array([[0.0, 1.0]]), iv, 0.01)
     grid = iv.lo + step * np.arange(values.shape[1])
     expected = np.cos(grid * math.log(2.0)) / math.sqrt(2.0)
     assert np.max(np.abs(values[0] - expected)) < 1e-10
@@ -106,7 +113,7 @@ def test_grid_matches_direct_random():
     table = make_weight_table(spec)
     sample = sample_coefficients(spec, 11, 0)
     iv = Interval(500.0, 600.0)
-    step, values = _grid_values(table, (sample.values * table.weights)[None, :], iv, 0.1)
+    step, values = _grid_values(table, sample.values[None, :], iv, 0.1)
     assert values.shape[1] >= 1000
     mass = math.fsum(np.abs(sample.values) * table.weights)
     idx = np.linspace(0, values.shape[1] - 1, 101).astype(int)
@@ -121,7 +128,7 @@ def test_grid_long_run_accuracy():
     table = make_weight_table(spec)
     sample = sample_coefficients(spec, 4, 2)
     iv = Interval(200.0, 400.0)
-    step, values = _grid_values(table, (sample.values * table.weights)[None, :], iv, 0.02)
+    step, values = _grid_values(table, sample.values[None, :], iv, 0.02)
     assert values.shape[1] > 9000
     mass = math.fsum(np.abs(sample.values) * table.weights)
     i = values.shape[1] - 1
@@ -634,14 +641,14 @@ def test_grid_snapping_and_errors(two_term):
     # the step snaps down to length / ceil(length / step): 4 cells of 0.25
     _, table = two_term
     iv = Interval(0.0, 1.0)
-    coeffs = np.array([[1.0, 1.0]]) * table.weights
+    coeffs = np.array([[1.0, 1.0]])
     step, values = _grid_values(table, coeffs, iv, 0.3)
     grid = iv.lo + step * np.arange(values.shape[1])
     assert grid[0] == 0.0 and grid[-1] == pytest.approx(1.0, abs=1e-15)
     assert step <= 0.3
     assert values.shape == (1, 5)
     assert np.max(np.abs(np.diff(grid) - step)) < 1e-15
-    for bad in (0.0, math.nan, math.inf):
+    for bad in (0.0, -0.3, math.nan, math.inf, 1e-310):
         with pytest.raises(ValueError):
             _grid_values(table, coeffs, iv, bad)
 

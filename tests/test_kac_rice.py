@@ -196,7 +196,7 @@ def test_gauss_legendre_rows_closed_form(monkeypatch):
     assert np.max(np.abs(got - exact)) < 1e-12
     assert counts == [40]  # one integrand call per chunk serves all 8 nodes
     # 40 panels in chunks of 7: five full chunks and a last one of 5 panels
-    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 7)
+    monkeypatch.setattr(dirichlet_eval, "_CHUNK_PANELS", 7)
     counts.clear()
     got = _gauss_legendre(cosines, iv, n_panels=40, nodes_per_panel=8)
     assert np.max(np.abs(got - exact)) < 1e-12
@@ -237,7 +237,7 @@ def test_legendre_rows_of_piecewise_polynomial():
 def test_kink_flags_its_panel_only(monkeypatch, chunk):
     # |t - t0| is linear on every panel but panel 6, which holds t0; in
     # chunks of 4 panels that is panel 2 of the second chunk
-    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", chunk)
+    monkeypatch.setattr(dirichlet_eval, "_CHUNK_PANELS", chunk)
 
     @_streams
     def kink(t):
@@ -251,7 +251,7 @@ def test_kink_flags_its_panel_only(monkeypatch, chunk):
 def test_streams_release_each_call_rows(monkeypatch):
     # no name holds a call's rows while the next call is computed, in the
     # plain integrals and in EK's Legendre rows alike
-    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 5)
+    monkeypatch.setattr(dirichlet_eval, "_CHUNK_PANELS", 5)
     alive = []
 
     def integrand(start, step, count, fractions):
@@ -273,7 +273,7 @@ def test_chunks_release_their_arrays(monkeypatch):
     # four chunks of 4000 panels peak no higher than one: nothing of a chunk
     # is held while the next one is computed.  Both runs have the same exact
     # panel width, so they share the grid kernel's cached plan.
-    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 4000)
+    monkeypatch.setattr(dirichlet_eval, "_CHUNK_PANELS", 4000)
     spec, h = make_spec(2000.0, 0, 0.5), 2.0**-5
     intervals = [Interval(spec.T, spec.T + 4000 * chunks * h) for chunks in (1, 4)]
 
@@ -296,7 +296,7 @@ def test_chunked_streams_match_whole_streams(monkeypatch, T, k, part):
     # stream at T = 2000, 2 at T = 500) changes EK only by roundoff
     spec = make_spec(T, k, 0.5, part)
     whole = expected_count_deterministic(spec, experiment_interval(spec))
-    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 1000)
+    monkeypatch.setattr(dirichlet_eval, "_CHUNK_PANELS", 1000)
     chunked = expected_count_deterministic(spec, experiment_interval(spec))
     assert chunked.nodes_used == whole.nodes_used
     assert abs(chunked.value - whole.value) <= 1e-13 * whole.value
@@ -403,7 +403,7 @@ def test_corner_panel_refined_across_chunks(monkeypatch):
     assert int((3.0 * math.pi / math.log(2.0) - iv.lo) / (iv.length / 3)) == 2
     whole = expected_count_deterministic(spec, iv)
     assert whole.nodes_used > NODES_PER_PANEL * 3
-    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 2)
+    monkeypatch.setattr(dirichlet_eval, "_CHUNK_PANELS", 2)
     chunked = expected_count_deterministic(spec, iv)
     assert chunked.nodes_used == whole.nodes_used
     assert abs(chunked.value - whole.value) <= 1e-13 * whole.value
@@ -446,7 +446,7 @@ def test_one_spreading_pass_per_chunk(monkeypatch, chunk, spreads):
 
     spread = dirichlet_eval._spread
     monkeypatch.setattr(dirichlet_eval, "_spread", counted)
-    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", chunk)
+    monkeypatch.setattr(dirichlet_eval, "_CHUNK_PANELS", chunk)
     spec = make_spec(900.0, 0, 0.5)
     q = expected_count_deterministic(spec, experiment_interval(spec))
     assert q.nodes_used == NODES_PER_PANEL * 3898
@@ -460,7 +460,7 @@ def test_deterministic_ek_builds_no_integer_mode_table(monkeypatch):
     table = dirichlet_eval._integer_modes
     monkeypatch.setattr(dirichlet_eval, "_integer_modes",
                         lambda count: built.append(count) or table(count))
-    monkeypatch.setattr(kac_rice, "_CHUNK_PANELS", 1000)
+    monkeypatch.setattr(dirichlet_eval, "_CHUNK_PANELS", 1000)
     spec = make_spec(500.0, 0, 0.5)
     expected_count_deterministic(spec, experiment_interval(spec))
     assert built == []
@@ -564,7 +564,7 @@ def test_node_streams_reject_nodes_within_four_ulp(ulps, resolved):
 
     streams = _node_streams(integrand, iv, n_panels, 10)
     if resolved:
-        assert next(streams)[0] == 0 and calls == [kac_rice._CHUNK_PANELS]
+        assert next(streams)[0] == 0 and calls == [dirichlet_eval._CHUNK_PANELS]
     else:
         with pytest.raises(NumericalError, match=re.escape(f"{n_panels:.4g} panels on")):
             next(streams)

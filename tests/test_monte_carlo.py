@@ -15,9 +15,9 @@ from dirichlet_roots import (
     sample_coefficients,
     sigma_sweep,
 )
-from dirichlet_roots import monte_carlo
+from dirichlet_roots import dirichlet_eval, monte_carlo
 from dirichlet_roots.core import CoefficientSample, experiment_interval
-from dirichlet_roots.dirichlet_eval import _grid_values
+from dirichlet_roots.dirichlet_eval import oscillating_sums
 from dirichlet_roots.monte_carlo import (
     _sign_events,
     default_grid_step,
@@ -25,6 +25,12 @@ from dirichlet_roots.monte_carlo import (
 )
 
 from oracles import sign_pattern_events
+
+
+def _grid_values(table, x, interval, step):
+    """The snapped step and the (rows, points) grid values of every chunk, joined."""
+    chunks = list(monte_carlo._count_rows(table, x, interval, step))
+    return chunks[0][0], np.concatenate([c[2][:, i > 0:] for i, c in enumerate(chunks)], axis=1)
 
 
 def _fixed_sample(spec, values):
@@ -90,6 +96,18 @@ def test_grid_zero_tie_breaks_left():
     assert res.roots[0] == 0.0
 
 
+@pytest.mark.parametrize("chunk", range(1, 10))
+def test_grid_zero_tie_breaks_left_across_chunks(monkeypatch, chunk):
+    # the zero at grid point 4 of 9 is a chunk's last point (chunk 1 or 5),
+    # its first (4), or inside one; the -, 0, + pattern counts once
+    monkeypatch.setattr(dirichlet_eval, "_CHUNK_PANELS", chunk)
+    spec = make_spec(2.5, 0, 0.5, "sine")
+    sample = _fixed_sample(spec, [5.0, 1.0])
+    res = count_roots(sample, Interval(-1.0, 1.0), step=0.25, keep_roots=True)
+    assert res.count == 1
+    assert res.roots.tolist() == [0.0]
+
+
 def _events(values, zero_tol):
     _, zero, flips = _sign_events(values, zero_tol)
     return sorted([(int(i), True) for i in np.flatnonzero(zero)]
@@ -117,6 +135,55 @@ def test_sign_pattern_adjacent_and_end_zeros():
     tols = rng.choice([0.25, 1.0], size=40)
     counts = _sign_events(rows, tols[:, None])[0]
     assert counts.tolist() == [len(sign_pattern_events(r, t)) for r, t in zip(rows, tols)]
+
+
+def test_chunk_carry_matches_sign_pattern_oracle(monkeypatch):
+    # _count_rows on fixed grid values, split by the chunk rule at every
+    # chunk size: grid zeros on a chunk's last or first point, the -, 0, +
+    # pattern and adjacent zeros across a boundary give the oracle's events
+    # on the whole row, each once, at their grid indices
+    table = make_weight_table(make_spec(2.5, 0, 0.5, "cosine"))
+    x = np.array([[1.0, 0.0]])  # L1 mass 1: grid zeros below 1e-13
+
+    def kernel_on(values):  # oscillating_sums on the grid 0, 1, ..., values.size - 1
+        return lambda logs, coeffs, start, step, count: iter(
+            [(values[None, int(start):int(start) + count],) * 2])
+
+    rng = np.random.default_rng(8)
+    patterns = [np.array([1.0, -1.0, 0.0, 1.0, 2.0, -3.0, 0.0, 0.0, 5.0, -1.0])]
+    patterns += [rng.choice([-1.0, 0.0, 1.0], size=rng.integers(2, 14)) for _ in range(60)]
+    for values in patterns:
+        expected = sign_pattern_events(values, 1e-13)
+        monkeypatch.setattr(monte_carlo, "oscillating_sums", kernel_on(values))
+        iv = Interval(0.0, values.size - 1.0)
+        for chunk in range(1, values.size + 1):
+            monkeypatch.setattr(dirichlet_eval, "_CHUNK_PANELS", chunk)
+            events, total = [], 0
+            for _, first, _, counts, zero, flips in monte_carlo._count_rows(table, x, iv, 1.0):
+                total += int(counts[0])
+                events += [(first + int(i), True) for i in np.flatnonzero(zero[0])]
+                events += [(first + int(i), False) for i in np.flatnonzero(flips[0])]
+            assert sorted(events, key=lambda e: e[0] + (not e[1])) == expected
+            assert total == len(expected)
+
+
+@pytest.mark.parametrize("chunk", [7, 500])
+def test_chunked_counts_match_one_chunk(monkeypatch, chunk):
+    # about 1,560 grid points at T = 200: counts, bisected roots and
+    # run_trials' per-trial counts do not depend on where chunks end
+    spec = make_spec(200.0)
+    iv = experiment_interval(spec)
+    samples = [sample_coefficients(spec, 9, i) for i in range(6)]
+    whole = [count_roots(sample, iv, keep_roots=True) for sample in samples]
+    trials = run_trials(spec, iv, trials=12, master_seed=9).per_trial_counts
+    assert iv.length / whole[0].grid_step > 3 * chunk
+    monkeypatch.setattr(dirichlet_eval, "_CHUNK_PANELS", chunk)
+    for sample, one in zip(samples, whole):
+        res = count_roots(sample, iv, keep_roots=True)
+        assert (res.count, res.grid_step) == (one.count, one.grid_step)
+        assert np.array_equal(res.roots, one.roots)
+    assert np.array_equal(run_trials(spec, iv, trials=12, master_seed=9).per_trial_counts,
+                          trials)
 
 
 def test_near_grid_zero_still_counts_once(cos_lattice):
@@ -184,8 +251,7 @@ def test_grid_signs_match_direct_evaluation():
     iv = experiment_interval(spec)
     for i in range(20):
         sample = sample_coefficients(spec, 7, i)
-        step, values = _grid_values(table, (sample.values * table.weights)[None, :],
-                                    iv, default_grid_step(spec))
+        step, values = _grid_values(table, sample.values[None, :], iv, default_grid_step(spec))
         grid = iv.lo + step * np.arange(values.shape[1])
         direct = [eval_polynomial(sample, table, t) for t in grid]
         assert np.array_equal(np.sign(values[0]), np.sign(direct))
@@ -235,23 +301,22 @@ def test_run_trials_blocks_do_not_depend_on_trial_count(monkeypatch):
     # the row count, so an unpadded block would round differently
     shapes = []
 
-    def recorded(table, coeffs, interval, step):
+    def recorded(logs, coeffs, *args):
         shapes.append(coeffs.shape)
-        return _grid_values(table, coeffs, interval, step)
+        return oscillating_sums(logs, coeffs, *args)
 
-    monkeypatch.setattr(monte_carlo, "_grid_values", recorded)
+    monkeypatch.setattr(monte_carlo, "oscillating_sums", recorded)
     spec = make_spec(200.0)
     table = make_weight_table(spec)
     iv = experiment_interval(spec)
-    rows = np.array([sample_coefficients(spec, 13, i).values
-                     for i in range(32, 40)]) * table.weights
+    rows = np.array([sample_coefficients(spec, 13, i).values for i in range(32, 40)])
     padded = np.where(np.arange(8)[:, None] < 5, rows, 0.0)
     for step in (default_grid_step(spec), 8.0 * default_grid_step(spec)):
+        shapes.clear()
         short = run_trials(spec, iv, trials=37, master_seed=13, step=step)
         full = run_trials(spec, iv, trials=64, master_seed=13, step=step)
         assert np.array_equal(short.per_trial_counts, full.per_trial_counts[:37])
         assert shapes == [(8, 200)] * 13
-        shapes.clear()
         assert np.array_equal(_grid_values(table, padded, iv, step)[1][:5],
                               _grid_values(table, rows, iv, step)[1][:5])
 
