@@ -23,7 +23,7 @@ import numpy as np
 from .asymptotics import stieltjes_constant
 from .core import Interval, Part, PolynomialSpec
 from .dirichlet_eval import make_weight_table, oscillating_sums
-from .kac_rice import (NODES_PER_PANEL, _breakdown_streams, _gauss_legendre, _moment_sums,
+from .kac_rice import (NODES_PER_PANEL, _breakdown_streams, _gauss_legendre, _moment_streams,
                        panel_width)
 
 __all__ = [
@@ -154,7 +154,7 @@ def u_sup_monitor(spec: PolynomialSpec, interval: Interval,
         raise ValueError("use at least 1000 grid points for a meaningful supremum")
     table = make_weight_table(spec)
     step = interval.length / (gridpoints - 1)
-    p0, p1s, p2 = _moment_sums(table, 2.0 * interval.lo, 2.0 * step, gridpoints)
+    p0, p1s, p2 = next(_moment_streams(table, interval.lo, step, gridpoints))
     sup_u = float(np.max(np.abs(p0 - table.squared_weights[0])))
     sup_u1 = float(np.max(np.abs(p1s)))
     sup_u2 = float(np.max(np.abs(p2)))

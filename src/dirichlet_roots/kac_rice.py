@@ -55,8 +55,6 @@ __all__ = [
 
 # Cauchy-Schwarz slack: A/B - C^2 may round to a tiny negative.
 _NEGATIVE_TOL = 1e-12
-# The moment sums P_0, Pt_1, P_2 that _assemble reads: (order j, part) of u_moment.
-_MOMENT_PARTS = ((0, Part.COSINE), (1, Part.SINE), (2, Part.COSINE))
 
 # Gauss-Legendre nodes per panel of deterministic EK (panel_width, a half
 # period): on smooth densities from T = 200 the error estimates stay at or
@@ -178,41 +176,40 @@ def breakdown_at(spec: PolynomialSpec, t: float,
     _check_spec(spec)
     if table is None:
         table = make_weight_table(spec)
-    fields = _assemble(spec, table, t, *(u_moment(table, j, 2.0 * t, part)
-                                         for j, part in _MOMENT_PARTS))
+    fields = _assemble(spec, table, t, *_direct_moments(table, t))
     return DensityBreakdown(**{k: float(v) for k, v in fields.items()})
 
 
-def _moment_rows(table: WeightTable) -> np.ndarray:
-    """The moment rows w_n^2 (log n)^j, j = 0, 2, 1, as one (3, N) array."""
-    sq, logs = table.squared_weights, table.logs
-    return np.vstack([sq, sq * logs * logs, sq * logs])
+def _direct_moments(table: WeightTable, t: float) -> tuple[float, float, float]:
+    """P_0, Pt_1, P_2 at tau = 2t by u_moment (fsum): _moment_streams at one point."""
+    tau = 2.0 * t
+    return (u_moment(table, 0, tau, Part.COSINE), u_moment(table, 1, tau, Part.SINE),
+            u_moment(table, 2, tau, Part.COSINE))
 
 
-def _moments(sums) -> tuple[np.ndarray, ...]:
-    """P_0, Pt_1, P_2 (cosine, sine and cosine sums) from the kernel's (C, S) of the moment rows."""
-    c_rows, s_rows = sums
-    return c_rows[0], s_rows[2], c_rows[1]
+def _moment_streams(table: WeightTable, start: float, step: float, count: int,
+                    fractions=(0.0,)):
+    """Yield P_0, Pt_1, P_2 at tau = 2t along t_i = start + (i + f)*step for each f in fractions.
 
-
-def _moment_sums(table: WeightTable, start: float, step: float, count: int,
-                 fractions=(0.0,)) -> tuple[np.ndarray, ...]:
-    """P_0, Pt_1, P_2 along the grids tau_i = start + (i + f_g)*step, as (grids, count) arrays.
-
-    One kernel call on all the grids, whose term blocks bound its memory.
+    The moment rows w_n^2 (log n)^j, j = 0, 2, 1, fill one (3, N) array,
+    and one kernel call on the doubled grids tau_i = 2 t_i serves every
+    fraction: P_0 and P_2 are cosine sums, Pt_1 a sine sum.
     """
-    streams = oscillating_sums(table.logs, _moment_rows(table), start, step, count, fractions)
-    sums = np.array([_moments(s) for s in streams])  # (grids, 3, count)
-    return sums[:, 0], sums[:, 1], sums[:, 2]
+    sq, logs = table.squared_weights, table.logs
+    rows = np.empty((3, sq.size))
+    rows[0] = sq
+    np.multiply(sq, logs, out=rows[2])
+    np.multiply(rows[2], logs, out=rows[1])
+    for c, s in oscillating_sums(logs, rows, 2.0 * start, 2.0 * step, count, fractions):
+        yield c[0], s[2], c[1]
 
 
 def breakdown_grid(spec: PolynomialSpec, table: WeightTable, start: float,
                    step: float, count: int, *, proof: bool = True) -> dict[str, np.ndarray]:
     """Breakdown fields as arrays along the uniform grid t_i = start + i*step.
 
-    Evaluates the moment sums with one grid-kernel call on the doubled grid
-    tau_i = 2 t_i: _breakdown_streams' one fraction f = 0.  proof=False
-    leaves out x, y, z and w (EK needs only the density).
+    _breakdown_streams' one fraction f = 0, from one grid-kernel call;
+    proof=False leaves out x, y, z and w (EK needs only the density).
     """
     return next(_breakdown_streams(spec, table, start, step, count, (0.0,), proof=proof))
 
@@ -221,16 +218,13 @@ def _breakdown_streams(spec: PolynomialSpec, table: WeightTable, start: float, s
                        count: int, fractions, *, proof: bool = True):
     """Yield breakdown_grid's fields along t_i = start + (i + f)*step for each f in fractions.
 
-    One kernel call on the doubled grids for all fractions
-    (oscillating_sums), which spreads the moment rows once where every
-    point lies in turn 0; one fraction's fields and sums exist at a time.
+    One kernel call for all fractions (_moment_streams), which spreads the
+    moment rows once where every point lies in turn 0; one fraction's
+    fields and sums exist at a time.
     """
     _check_spec(spec)
-    streams = oscillating_sums(table.logs, _moment_rows(table), 2.0 * start, 2.0 * step,
-                               count, fractions)
-    for f in fractions:
-        yield _assemble(spec, table, start + step * (np.arange(count) + f),
-                        *_moments(next(streams)), proof=proof)
+    for f, sums in zip(fractions, _moment_streams(table, start, step, count, fractions)):
+        yield _assemble(spec, table, start + step * (np.arange(count) + f), *sums, proof=proof)
 
 
 def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
@@ -239,16 +233,16 @@ def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
 
     Replicate r is the grid t = lo + h (i + u_r), i < m, with h = length/m and
     u_r uniform on [0, 1); row r of every field holds replicate r.  The u_r
-    go to the grid kernel as fractions of the one doubled grid
-    tau_i = 2 lo + 2 h i, through _moment_sums.
+    go to the grid kernel as fractions of the grid lo + h i (_moment_streams),
+    and the seed counts modulo 2^64, as Monte Carlo's master seed does.
     """
     m = -(-strata // STRATIFIED_REPLICATES)
     h = interval.length / m
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(seed % 2**64))
     fractions = rng.random(STRATIFIED_REPLICATES)
-    sums = _moment_sums(table, 2.0 * interval.lo, 2.0 * h, m, fractions)
+    sums = np.array(list(_moment_streams(table, interval.lo, h, m, fractions)))
     return _assemble(spec, table, interval.lo + h * fractions[:, None] + h * np.arange(m),
-                     *sums, proof=False)
+                     *sums.swapaxes(0, 1), proof=False)
 
 
 def panel_width(spec: PolynomialSpec) -> float:
@@ -421,8 +415,8 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
     def direct(start, step, count, fractions):  # the density only: no Stieltjes constant
         for f in fractions:
             t = start + step * (np.arange(count) + f)
-            sums = [[u_moment(table, j, 2.0 * x, part) for x in t] for j, part in _MOMENT_PARTS]
-            yield _assemble(spec, table, t, *map(np.array, sums), proof=False)["density"]
+            sums = np.array([_direct_moments(table, x) for x in t]).T
+            yield _assemble(spec, table, t, *sums, proof=False)["density"]
 
     value = error = 0.0
     nodes, lo = nodes_per_panel * n_panels, 0  # lo: the chunk's first panel

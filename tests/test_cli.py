@@ -65,6 +65,20 @@ def test_expected_stratified_at_large_T(capsys):
     assert payload["stderr"] > 0
 
 
+def test_expected_stratified_seed_modulo_two_to_the_64(capsys):
+    # the stratified offsets take the seed modulo 2^64, as the Monte Carlo
+    # sampler does: -1 runs as 2^64 - 1, and 2^64 + 1 as 1
+    def value(seed):
+        code, out, _ = run_cli(["expected", "--T", "100", "--method", "stratified",
+                                "--strata", "200", "--seed", str(seed)], capsys)
+        assert code == 0
+        return json.loads(out)["ek_value"]
+
+    assert value(-1) == value(2**64 - 1)
+    assert value(2**64 + 1) == value(1)
+    assert value(1) != value(2)
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(["expected", "--T", "0.5"], capsys)[0] == 2
     assert run_cli(["simulate", "--T", "100", "--trials", "1"], capsys)[0] == 2

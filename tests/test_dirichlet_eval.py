@@ -25,7 +25,7 @@ from dirichlet_roots.dirichlet_eval import (
     _strengths,
     oscillating_sums,
 )
-from dirichlet_roots.kac_rice import _moment_sums
+from dirichlet_roots.kac_rice import _moment_streams
 from dirichlet_roots.monte_carlo import _count_rows
 
 from oracles import direct_power_sum
@@ -542,20 +542,22 @@ def test_term_blocks_share_one_transform_per_fraction(monkeypatch, path):
 
 
 def test_moment_sums_row_mapping_on_shifted_grids():
-    # _moment_sums reads P_0 and P_2 from the cosine half and Pt_1 from the
-    # sine half of its one coefficient block, on every fraction's grid
-    # (the grid start + (i - 7.5) step takes its whole steps in the start)
+    # _moment_streams reads P_0 and P_2 from the cosine half and Pt_1 from
+    # the sine half of its one coefficient block, on every fraction's grid
+    # (the grid start + (i - 7.5) step takes its whole steps in the start).
+    # It takes the t-grid and doubles it: halving tau's start and step is exact
     table = make_weight_table(make_spec(700.0, 1, 0.5))
     step = 0.3
     for start, fractions in ((1400.0, (0.0, 0.5)), (1400.0 - 8 * step, (0.5,))):
-        sums = _moment_sums(table, start, step, 100, fractions)
-        assert all(rows.shape == (len(fractions), 100) for rows in sums)
-        for j, part in enumerate(("cosine", "sine", "cosine")):
-            mass = math.fsum(table.squared_weights * table.logs**j)
-            for g, f in enumerate(fractions):
+        streams = list(_moment_streams(table, start / 2, step / 2, 100, fractions))
+        assert len(streams) == len(fractions)
+        for g, f in enumerate(fractions):
+            assert all(rows.shape == (100,) for rows in streams[g])
+            for j, part in enumerate(("cosine", "sine", "cosine")):
+                mass = math.fsum(table.squared_weights * table.logs**j)
                 for i in (0, 63, 99):
-                    t = start + (i + f) * step
-                    assert abs(sums[j][g, i] - u_moment(table, j, t, part)) < 1e-12 * mass
+                    tau = start + (i + f) * step
+                    assert abs(streams[g][j][i] - u_moment(table, j, tau, part)) < 1e-12 * mass
 
 
 def test_kernel_plan_reuse_is_bitwise():

@@ -130,6 +130,34 @@ def test_numerical_errors_are_classified():
     assert exc.value.t == 0.25  # t = 0 has sin(t log 2) = 0, so A = 0 there
 
 
+@pytest.mark.parametrize("T", [2.5, 2.9])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_near_degenerate_sine_inputs_are_classified(T, k):
+    # near the lattice t = j pi / log 2, where the lone term sin(t log 2)
+    # vanishes, every point ends in a NumericalError (B rounds to 0) or in a
+    # finite density >= 0, never in NaN, infinity or another exception; the
+    # grid over +-1e-3 around each lattice point stays finite
+    spec = make_spec(T, k, 0.5, "sine")
+    table = make_weight_table(spec)
+    outcomes = set()
+    for j in (1, 3, 17, 1000):
+        t0 = j * math.pi / math.log(2.0)
+        for ulps in (0, 1, -1, 4, -4, 64):
+            for shift in (0.0, 1e-12, -1e-9, 1e-6):
+                t = t0 + ulps * math.ulp(t0) + shift
+                try:
+                    density = breakdown_at(spec, t, table).density
+                except NumericalError as exc:
+                    assert exc.t == t
+                    outcomes.add("error")
+                else:
+                    assert math.isfinite(density) and density >= 0.0, (j, ulps, shift)
+                    outcomes.add("finite")
+        fields = breakdown_grid(spec, table, t0 - 1e-3, 1e-5, 201)
+        assert all(np.isfinite(v).all() for v in fields.values()), j
+    assert outcomes == {"error", "finite"}
+
+
 def test_two_term_integral_vs_brute_force():
     # one full period against a 1e6-node trapezoid reference; the density has
     # a corner (|sin|) at each lattice zero, so the default panel rule is
@@ -288,6 +316,23 @@ def test_chunks_release_their_arrays(monkeypatch):
     expected_count_deterministic(spec, intervals[0], max_panel_width=h)  # builds the plan
     one, four = (peak(iv) for iv in intervals)
     assert four <= 1.02 * one
+
+
+def test_moment_rows_take_one_array(monkeypatch):
+    # the moment rows w_n^2 (log n)^j fill one (3, N) array: one N-length
+    # temporary beside it would add a third to the peak
+    def zeros(logs, coeffs, start, step, count, fractions):
+        yield np.zeros((3, count)), np.zeros((3, count))
+
+    monkeypatch.setattr(kac_rice, "oscillating_sums", zeros)
+    table = make_weight_table(make_spec(2e5, 0, 0.5))
+    tracemalloc.start()
+    try:
+        next(kac_rice._moment_streams(table, 2e5, 0.01, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 3 * table.logs.size * 8
 
 
 @pytest.mark.parametrize("T,k,part", [(2000.0, 0, "cosine"), (500.0, 2, "sine")])
