@@ -125,6 +125,9 @@ def cmd_compare(args):
     t_list = [float(x) for x in args.T_list.split(",") if x]
     if not t_list:
         raise ValueError("empty --T-list")
+    for T in t_list:  # the zeta ratio is gated on T >= 100: checked before anything runs
+        if not (math.isfinite(T) and T >= 100):
+            raise ValueError(f"--T-list takes finite T >= 100, got {T!r}")
     if args.k > _COMPARE_MAX_K:
         for T in t_list:  # weights that overflow are a numerical error (exit 4) first
             make_weight_table(make_spec(T, args.k, args.sigma, "cosine"))
@@ -248,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("compare", cmd_compare, "EK vs asymptotics vs MC vs zeta ratio",
                     "write the comparison CSV here", [method, threads], trials=100)
-    p.add_argument("--T-list", required=True, help="comma-separated T values")
+    p.add_argument("--T-list", required=True, help="comma-separated T values, each T >= 100")
     p.add_argument("--k", type=int, default=0,
                    help=f"derivative order, 0 to {_COMPARE_MAX_K} (the two-term prediction "
                         f"needs gamma_2k)")

@@ -12,7 +12,7 @@ defined here plus the reproducible coefficient sampler.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -57,23 +57,22 @@ class NumericalError(ValueError):
 
 @dataclass(frozen=True)
 class PolynomialSpec:
-    """The family (T, k, sigma, part) defining one random polynomial.
-
-    ``degenerate`` is True exactly when the polynomial is identically zero:
-    with T < 2 only the n = 1 term is kept, and it vanishes for the sine
-    part (sin(t log 1) = 0) and for k >= 1 (w_1 = (log 1)^k = 0).
-    """
+    """The family (T, k, sigma, part) defining one random polynomial."""
 
     T: float
     k: int
     sigma: float
     part: Part
-    degenerate: bool = field(default=False)
 
     @property
     def n_terms(self) -> int:
         """Number of coefficients: the sum runs over integers 1..floor(T)."""
         return int(math.floor(self.T))
+
+    @property
+    def degenerate(self) -> bool:
+        """Identically zero: T < 2 keeps only n = 1, whose term vanishes for sine or k >= 1."""
+        return self.T < 2.0 and (self.part is Part.SINE or self.k >= 1)
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,6 @@ def make_spec(T: float, k: int = 0, sigma: float = 0.5,
 
     Rejects T <= 1 (empty or trivial sum), non-finite T, negative k, and
     negative or non-finite sigma.
-    Flags the identically-zero cases (T < 2 with the sine part or k >= 1)
-    as degenerate.
     """
     part = Part(part)
     if not (T > 1.0):
@@ -126,9 +123,7 @@ def make_spec(T: float, k: int = 0, sigma: float = 0.5,
         raise ValueError(f"derivative order k must be a nonnegative integer, got {k}")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
-    degenerate = T < 2.0 and (part is Part.SINE or k >= 1)
-    return PolynomialSpec(T=float(T), k=int(k), sigma=float(sigma), part=part,
-                          degenerate=degenerate)
+    return PolynomialSpec(T=float(T), k=int(k), sigma=float(sigma), part=part)
 
 
 def _splitmix64(state: int) -> int:

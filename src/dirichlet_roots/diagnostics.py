@@ -155,7 +155,7 @@ def u_sup_monitor(spec: PolynomialSpec, interval: Interval,
     table = make_weight_table(spec)
     step = interval.length / (gridpoints - 1)
     p0, p1s, p2 = next(_moment_streams(table, interval.lo, step, gridpoints))
-    sup_u = float(np.max(np.abs(p0 - table.squared_weights[0])))
+    sup_u = float(np.max(np.abs(p0 - table.weights[0] * table.weights[0])))
     sup_u1 = float(np.max(np.abs(p1s)))
     sup_u2 = float(np.max(np.abs(p2)))
     L = math.log(spec.T)

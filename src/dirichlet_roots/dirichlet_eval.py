@@ -68,20 +68,23 @@ _CHUNK_PANELS = 2**17
 class WeightTable:
     """Per-spec amplitude tables, precomputed once and shared read-only.
 
-    weights[n-1] = (log n)^k / n^sigma; squared_weights are their squares.
-    The m0/m2 scalars are the t = 0 moment sums sum w_n^2 (log n)^j, j = 0
-    and 2, accumulated with math.fsum.
+    weights[n-1] = (log n)^k / n^sigma; squared_weights squares them anew
+    on each read.  The m0/m2 scalars are the t = 0 moment sums
+    sum w_n^2 (log n)^j, j = 0 and 2, accumulated with math.fsum.
     """
 
     spec: PolynomialSpec
     logs: np.ndarray
     weights: np.ndarray
-    squared_weights: np.ndarray
     m0: float = field(init=False)
     m2: float = field(init=False)
 
+    @property
+    def squared_weights(self) -> np.ndarray:
+        return self.weights * self.weights
+
     def __post_init__(self) -> None:
-        for arr in (self.logs, self.weights, self.squared_weights):
+        for arr in (self.logs, self.weights):
             arr.setflags(write=False)
         sq = self.squared_weights
         object.__setattr__(self, "m0", math.fsum(sq))
@@ -94,11 +97,11 @@ def make_weight_table(spec: PolynomialSpec) -> WeightTable:
     logs = np.log(n)  # log n computed directly per n; exactness over speed
     with np.errstate(over="ignore", invalid="ignore"):
         weights = logs**spec.k / n**spec.sigma  # 0**0 = 1 covers n=1 at k=0
-        squared = weights * weights
-        if not math.isfinite(np.sum(squared * (1.0 + logs * logs))):
+        del n  # so the sums below and the table's m0/m2 peak at four N-length arrays
+        if not math.isfinite(np.sum(weights * weights * (1.0 + logs * logs))):
             raise NumericalError(f"the squared weights (log n)^(2k) / n^(2 sigma) overflow "
                                  f"at k = {spec.k}, T = {spec.T!r}", spec)
-    return WeightTable(spec=spec, logs=logs, weights=weights, squared_weights=squared)
+    return WeightTable(spec=spec, logs=logs, weights=weights)
 
 
 def eval_polynomial(sample: CoefficientSample, table: WeightTable, t: float) -> float:

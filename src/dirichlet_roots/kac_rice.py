@@ -161,7 +161,7 @@ def _assemble(spec: PolynomialSpec, table: WeightTable, t, p0, p1s, p2, proof: b
     L = math.log(spec.T)
     k1, k3 = 2 * spec.k + 1, 2 * spec.k + 3
     g0, g2 = stieltjes_constant(2 * spec.k), stieltjes_constant(2 * spec.k + 2)
-    dc = float(table.squared_weights[0])  # n=1 weight; 1 for k=0, else 0
+    dc = float(table.weights[0] * table.weights[0])  # n=1 weight; 1 for k=0, else 0
     x = k1 * (g0 + s * (p0 - dc)) / L**k1
     y = k3 * (g2 - s * p2) / L**k3
     z = k3 * (C * C) / (k1 * L * L)
@@ -195,23 +195,22 @@ def _moment_streams(table: WeightTable, start: float, step: float, count: int,
     and one kernel call on the doubled grids tau_i = 2 t_i serves every
     fraction: P_0 and P_2 are cosine sums, Pt_1 a sine sum.
     """
-    sq, logs = table.squared_weights, table.logs
-    rows = np.empty((3, sq.size))
-    rows[0] = sq
-    np.multiply(sq, logs, out=rows[2])
+    weights, logs = table.weights, table.logs
+    rows = np.empty((3, logs.size))
+    np.multiply(weights, weights, out=rows[0])
+    np.multiply(rows[0], logs, out=rows[2])
     np.multiply(rows[2], logs, out=rows[1])
     for c, s in oscillating_sums(logs, rows, 2.0 * start, 2.0 * step, count, fractions):
         yield c[0], s[2], c[1]
 
 
 def breakdown_grid(spec: PolynomialSpec, table: WeightTable, start: float,
-                   step: float, count: int, *, proof: bool = True) -> dict[str, np.ndarray]:
+                   step: float, count: int) -> dict[str, np.ndarray]:
     """Breakdown fields as arrays along the uniform grid t_i = start + i*step.
 
-    _breakdown_streams' one fraction f = 0, from one grid-kernel call;
-    proof=False leaves out x, y, z and w (EK needs only the density).
+    _breakdown_streams' one fraction f = 0, from one grid-kernel call.
     """
-    return next(_breakdown_streams(spec, table, start, step, count, (0.0,), proof=proof))
+    return next(_breakdown_streams(spec, table, start, step, count, (0.0,)))
 
 
 def _breakdown_streams(spec: PolynomialSpec, table: WeightTable, start: float, step: float,

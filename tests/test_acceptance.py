@@ -196,9 +196,7 @@ def test_criterion_10_property_suite():
         spec = make_spec(T, int(rng.integers(0, 3)), 0.5, "cosine")
         base = make_weight_table(spec)
         c = float(np.exp(rng.uniform(-10, 10)))
-        scaled = WeightTable(spec=spec, logs=base.logs.copy(),
-                             weights=base.weights * c,
-                             squared_weights=base.squared_weights * c * c)
+        scaled = WeightTable(spec=spec, logs=base.logs.copy(), weights=base.weights * c)
         for t in rng.uniform(0, 3 * T, size=10):
             d0 = breakdown_at(spec, float(t), base).density
             d1 = breakdown_at(spec, float(t), scaled).density

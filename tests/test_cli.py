@@ -182,6 +182,25 @@ def test_compare_rejects_k_above_the_stieltjes_table(capsys):
     assert "0 to 8" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bad", ["50", "nan", "inf"])
+def test_compare_checks_its_whole_t_list_first(capsys, monkeypatch, bad):
+    # a T the zeta ratio cannot take is a usage error naming --T-list and
+    # the value, before EK or any Monte Carlo trial runs at the valid T = 200
+    from dirichlet_roots import cli
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("compare ran before checking its --T-list")
+
+    for name in ("expected_count_deterministic", "expected_count_stratified", "run_trials"):
+        monkeypatch.setattr(cli, name, never)
+    code, out, err = run_cli(["compare", "--T-list", f"200,{bad}", "--trials", "100"], capsys)
+    assert code == 2 and out == ""
+    assert "--T-list" in err and f"got {float(bad)!r}" in err
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["compare", "--help"])
+    assert "T >= 100" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("method", ["deterministic", "stratified"])
 def test_non_finite_result_exits_four(capsys, monkeypatch, method):
     # no payload carries a non-finite number with exit 0, and the error

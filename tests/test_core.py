@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dirichlet_roots import Interval, Part, make_spec, mix_seed, sample_coefficients
+from dirichlet_roots import (Interval, Part, PolynomialSpec, count_roots,
+                             expected_count_deterministic, make_spec, mix_seed, run_trials,
+                             sample_coefficients)
 from dirichlet_roots.core import experiment_interval
 
 
@@ -28,6 +30,21 @@ def test_make_spec_degenerate_weightless_term():
     assert make_spec(1.5, 1, 0.5, "cosine").degenerate
     assert make_spec(1.9, 3, 0.0, "cosine").degenerate
     assert not make_spec(2.0, 1, 0.5, "cosine").degenerate
+
+
+def test_directly_built_spec_derives_its_degeneracy():
+    # the spec stores only (T, k, sigma, part): a directly built spec equals
+    # make_spec's and is flagged degenerate, so every estimator refuses it
+    assert [f.name for f in dataclasses.fields(PolynomialSpec)] == ["T", "k", "sigma", "part"]
+    assert isinstance(PolynomialSpec.degenerate, property)
+    spec = PolynomialSpec(1.5, 1, 0.5, Part.COSINE)
+    assert spec == make_spec(1.5, 1) and spec.degenerate
+    with pytest.raises(ValueError, match="identically-zero"):
+        expected_count_deterministic(spec, experiment_interval(spec))
+    with pytest.raises(ValueError, match="cannot count roots"):
+        run_trials(spec, experiment_interval(spec), trials=4, master_seed=0)
+    with pytest.raises(ValueError, match="cannot count roots"):
+        count_roots(sample_coefficients(spec, 0, 0), experiment_interval(spec))
 
 
 @pytest.mark.parametrize("bad", [

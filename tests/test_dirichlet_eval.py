@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dirichlet_roots import (
     Interval,
+    WeightTable,
     eval_polynomial,
     log_moment_sum,
     make_spec,
@@ -49,6 +52,25 @@ def test_weight_table_invariants():
     assert table.weights[0] == 0.0  # (log 1)^k kills n=1 for k >= 1
     k0 = make_weight_table(make_spec(50.0, 0, 0.5))
     assert k0.weights[0] == 1.0
+    assert np.array_equal(table.squared_weights, table.weights * table.weights)
+
+
+def test_weight_table_holds_two_arrays():
+    # the table keeps logs and weights and squares the weights on each read:
+    # a stored third array, or n kept alive while the sums run, shows here
+    assert [f.name for f in dataclasses.fields(WeightTable) if f.init] == ["spec", "logs",
+                                                                          "weights"]
+    assert isinstance(WeightTable.squared_weights, property)
+    spec = make_spec(2e5)
+    tracemalloc.start()
+    try:
+        table = make_weight_table(spec)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = 8 * spec.n_terms
+    assert held <= 2.05 * size and peak <= 4.2 * size
+    assert not table.weights.flags.writeable and not table.logs.flags.writeable
 
 
 def test_eval_cos_quarter_period(two_term):

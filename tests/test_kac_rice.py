@@ -21,6 +21,7 @@ from dirichlet_roots.kac_rice import (
     NODES_PER_PANEL,
     NumericalError,
     STRATIFIED_REPLICATES,
+    _assemble,
     _gauss_legendre,
     _gauss_rule,
     _node_streams,
@@ -118,16 +119,17 @@ def test_numerical_errors_are_classified():
     with pytest.raises(NumericalError, match="lattice") as exc:
         expected_count_deterministic(spec, experiment_interval(spec))
     assert (exc.value.spec, exc.value.t) == (spec, None)
-    # a negative squared weight breaks Cauchy-Schwarz: A < 0 < B
+    # sums that break Cauchy-Schwarz, P_2 = 2 M_2 (so A < 0 < B), at a
+    # scalar t and at the second t of a grid
     spec = make_spec(2.5, 0, 0.5, "cosine")
-    bad = WeightTable(spec=spec, logs=np.log([1.0, 2.0]), weights=np.ones(2),
-                      squared_weights=np.array([1.0, -0.5]))
+    table = make_weight_table(spec)
     with pytest.raises(NumericalError, match="Cauchy-Schwarz") as exc:
-        breakdown_at(spec, 1.0, bad)
+        _assemble(spec, table, 1.0, 0.0, 0.0, 2.0 * table.m2)
     assert exc.value.t == 1.0 and isinstance(exc.value, ValueError)
+    p2 = np.array([0.0, 2.0 * table.m2, 2.0 * table.m2])
     with pytest.raises(NumericalError, match="Cauchy-Schwarz") as exc:
-        breakdown_grid(spec, bad, 0.0, 0.25, 20)
-    assert exc.value.t == 0.25  # t = 0 has sin(t log 2) = 0, so A = 0 there
+        _assemble(spec, table, np.array([0.0, 0.25, 0.5]), np.zeros(3), np.zeros(3), p2)
+    assert exc.value.t == 0.25 and isinstance(exc.value, ValueError)
 
 
 @pytest.mark.parametrize("T", [2.5, 2.9])
@@ -389,9 +391,7 @@ def test_weight_scale_invariance():
     spec = make_spec(120.0, 0, 0.5, "cosine")
     base = make_weight_table(spec)
     for c in (1e-6, 3.0, 1e6):
-        scaled = WeightTable(spec=spec, logs=base.logs.copy(),
-                             weights=base.weights * c,
-                             squared_weights=base.squared_weights * c * c)
+        scaled = WeightTable(spec=spec, logs=base.logs.copy(), weights=base.weights * c)
         for t in (0.5, 130.0, 777.7):
             d0 = breakdown_at(spec, t, base).density
             d1 = breakdown_at(spec, t, scaled).density
