@@ -57,12 +57,25 @@ class NumericalError(ValueError):
 
 @dataclass(frozen=True)
 class PolynomialSpec:
-    """The family (T, k, sigma, part) defining one random polynomial."""
+    """The family (T, k, sigma, part) defining one random polynomial, checked however built."""
 
     T: float
-    k: int
-    sigma: float
-    part: Part
+    k: int = 0
+    sigma: float = 0.5
+    part: Part = Part.COSINE
+
+    def __post_init__(self) -> None:
+        """Validate, and store T and sigma as floats, k as an int, part as a Part."""
+        part = Part(self.part)
+        if not (self.T > 1.0 and math.isfinite(self.T)):
+            raise ValueError(f"T must exceed 1 and be finite, got {self.T}")
+        if not (self.k >= 0 and float(self.k).is_integer()):
+            raise ValueError(f"derivative order k must be a nonnegative integer, got {self.k}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        for name, value in zip(("T", "k", "sigma", "part"),
+                               (float(self.T), int(self.k), float(self.sigma), part)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_terms(self) -> int:
@@ -81,8 +94,8 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (self.lo < self.hi):
-            raise ValueError(f"degenerate interval [{self.lo}, {self.hi}]")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise ValueError(f"interval ends must be finite with lo < hi, got [{self.lo}, {self.hi}]")
 
     @property
     def length(self) -> float:
@@ -107,23 +120,7 @@ class CoefficientSample:
         self.values.setflags(write=False)
 
 
-def make_spec(T: float, k: int = 0, sigma: float = 0.5,
-              part: Part | str = Part.COSINE) -> PolynomialSpec:
-    """Validate and build a PolynomialSpec.
-
-    Rejects T <= 1 (empty or trivial sum), non-finite T, negative k, and
-    negative or non-finite sigma.
-    """
-    part = Part(part)
-    if not (T > 1.0):
-        raise ValueError(f"T must exceed 1, got {T}")
-    if not math.isfinite(T):
-        raise ValueError("T must be finite")
-    if k < 0 or int(k) != k:
-        raise ValueError(f"derivative order k must be a nonnegative integer, got {k}")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
-    return PolynomialSpec(T=float(T), k=int(k), sigma=float(sigma), part=part)
+make_spec = PolynomialSpec
 
 
 def _splitmix64(state: int) -> int:

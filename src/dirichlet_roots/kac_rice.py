@@ -101,9 +101,11 @@ class QuadratureResult:
     stderr: float | None = None
 
 
-def _check_spec(spec: PolynomialSpec) -> None:
+def _check_spec(spec: PolynomialSpec, table: WeightTable | None = None) -> None:
     if spec.degenerate:
         raise ValueError("identically-zero (degenerate) spec has no zero density")
+    if table is not None and table.spec != spec:
+        raise ValueError("the weight table was built for another spec")
 
 
 def _integrable_table(spec: PolynomialSpec) -> WeightTable:
@@ -173,7 +175,7 @@ def _assemble(spec: PolynomialSpec, table: WeightTable, t, p0, p1s, p2, proof: b
 def breakdown_at(spec: PolynomialSpec, t: float,
                  table: WeightTable | None = None) -> DensityBreakdown:
     """Density and proof decomposition at a single point."""
-    _check_spec(spec)
+    _check_spec(spec, table)
     if table is None:
         table = make_weight_table(spec)
     fields = _assemble(spec, table, t, *_direct_moments(table, t))
@@ -221,7 +223,7 @@ def _breakdown_streams(spec: PolynomialSpec, table: WeightTable, start: float, s
     moment rows once where every point lies in turn 0; one fraction's
     fields and sums exist at a time.
     """
-    _check_spec(spec)
+    _check_spec(spec, table)
     for f, sums in zip(fractions, _moment_streams(table, start, step, count, fractions)):
         yield _assemble(spec, table, start + step * (np.arange(count) + f), *sums, proof=proof)
 

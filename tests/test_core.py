@@ -47,24 +47,47 @@ def test_directly_built_spec_derives_its_degeneracy():
         count_roots(sample_coefficients(spec, 0, 0), experiment_interval(spec))
 
 
-@pytest.mark.parametrize("bad", [
+_BAD_SPECS = [
     dict(T=0.5), dict(T=1.0), dict(T=-3.0),
     dict(T=10.0, k=-1), dict(T=10.0, sigma=-0.1),
     dict(T=float("nan")), dict(T=10.0, sigma=float("nan")), dict(T=10.0, sigma=float("inf")),
+    dict(T=10.0, k=1.5), dict(T=10.0, part="tangent"),
+    dict(T=float("inf")), dict(T=10.0, k=float("inf")), dict(T=10.0, k=float("nan")),
+]
+
+
+# each case through make_spec and through the dataclass itself: a directly
+# built spec is checked as make_spec's is (the make_spec ids stay bad<i>)
+@pytest.mark.parametrize("build, bad", [
+    pytest.param(build, bad, id=f"{prefix}bad{i}")
+    for prefix, build in (("", make_spec), ("direct-", PolynomialSpec))
+    for i, bad in enumerate(_BAD_SPECS)
 ])
-def test_make_spec_rejects(bad):
+def test_make_spec_rejects(build, bad):
     with pytest.raises(ValueError):
-        make_spec(**{"k": 0, "sigma": 0.5, "part": "cosine", **bad})
+        build(**{"k": 0, "sigma": 0.5, "part": "cosine", **bad})
 
 
-def test_make_spec_rejects_unknown_part():
-    with pytest.raises(ValueError):
-        make_spec(10.0, 0, 0.5, "tangent")
+def test_string_part_builds_the_enum():
+    # Part is a str Enum, so a plain string once built a spec that compared
+    # equal to make_spec's while every `part is Part...` test failed on it:
+    # EK on the cosine string gave the sine value, and MC counted cosine for
+    # the sine string
+    spec = PolynomialSpec(500.0, 0, 0.5, "cosine")
+    assert spec.part is Part.COSINE
+    assert expected_count_deterministic(spec, experiment_interval(spec)).value == 510.74800319645936
+    sine = PolynomialSpec(100.0, 0, 0.5, "sine")
+    assert sine.part is Part.SINE
+    by_name, by_enum = (run_trials(s, Interval(100.0, 200.0), 8, 1).per_trial_counts
+                        for s in (sine, make_spec(100.0, 0, 0.5, Part.SINE)))
+    assert np.array_equal(by_name, by_enum)
 
 
 def test_interval_validation():
-    with pytest.raises(ValueError):
-        Interval(2.0, 2.0)
+    inf, nan = float("inf"), float("nan")
+    for lo, hi in [(2.0, 2.0), (3.0, 2.0), (nan, 2.0), (50.0, inf), (-inf, 2.0), (-inf, inf)]:
+        with pytest.raises(ValueError):
+            Interval(lo, hi)
     iv = experiment_interval(make_spec(250.0))
     assert (iv.lo, iv.hi) == (250.0, 500.0)
 

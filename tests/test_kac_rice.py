@@ -66,6 +66,18 @@ def test_degenerate_spec_rejected():
         expected_count_deterministic(spec, Interval(1.5, 3.0))
 
 
+def test_breakdown_rejects_a_table_of_another_spec():
+    # such a table once fed another spec's moments into this spec's
+    # assembly: 0.9669 at t = 700, where the density is 1.0603
+    spec, other = make_spec(500.0), make_weight_table(make_spec(300.0, 0, 0.5, "sine"))
+    with pytest.raises(ValueError, match="another spec"):
+        breakdown_at(spec, 700.0, other)
+    with pytest.raises(ValueError, match="another spec"):
+        breakdown_grid(spec, other, 500.0, 0.1, 5)
+    own = breakdown_at(spec, 700.0, make_weight_table(make_spec(500.0)))
+    assert own.density == breakdown_at(spec, 700.0).density == pytest.approx(1.0603, abs=1e-4)
+
+
 def test_two_term_density_matches_closed_form():
     spec = make_spec(2.5, 0, 0.5, "cosine")
     for t in np.linspace(0.0, 9.0, 57):
