@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "write per-trial CSV here", [threads], trials=100)
     add_spec_flags(p)
     p.add_argument("--step", type=float, default=None,
-                   help="grid step (default: mean zero spacing / 8)")
+                   help="grid step (default: mean zero spacing / 8), at most 2^32 points per trial")
 
     p = add_command("compare", cmd_compare, "EK vs asymptotics vs MC vs zeta ratio",
                     "write the comparison CSV here", [method, threads], trials=100)

@@ -12,6 +12,7 @@ defined here plus the reproducible coefficient sampler.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -69,8 +70,9 @@ class PolynomialSpec:
         part = Part(self.part)
         if not (self.T > 1.0 and math.isfinite(self.T)):
             raise ValueError(f"T must exceed 1 and be finite, got {self.T}")
-        if not (self.k >= 0 and float(self.k).is_integer()):
-            raise ValueError(f"derivative order k must be a nonnegative integer, got {self.k}")
+        if not (0 <= self.k <= sys.float_info.max and float(self.k).is_integer()):
+            raise ValueError(f"derivative order k must be a nonnegative integer that a float "
+                             f"can hold, got {self.k}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         for name, value in zip(("T", "k", "sigma", "part"),

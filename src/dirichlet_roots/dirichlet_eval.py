@@ -18,8 +18,8 @@ Two evaluators, cross-checked in the tests:
   fraction: where all points lie in turn 0 (Gauss-Legendre node streams)
   as it is, and where they span several turns (stratified EK) as one
   segment per turn, which each fraction's grid adds up with its factor of
-  whole turns.  As in FINUFFT's plan interface, the point layout is built
-  once per point set and cached.
+  whole turns.  As in FINUFFT's plan interface, the point layout and the
+  deconvolution factors are built once per point set and grid, and cached.
 """
 
 from __future__ import annotations
@@ -113,10 +113,11 @@ def eval_polynomial(sample: CoefficientSample, table: WeightTable, t: float) -> 
     return math.fsum(sample.values * table.weights * osc)
 
 
-def _spread_kernel(offsets: np.ndarray) -> np.ndarray:
-    """Exponential-of-semicircle kernel at offsets measured in fine-grid cells."""
-    r = 2.0 * offsets / _SPREAD_WIDTH
-    return np.exp(_SPREAD_BETA * (np.sqrt(np.maximum(1.0 - r * r, 0.0)) - 1.0))
+def _spread_kernel(x: np.ndarray) -> np.ndarray:
+    """Exponential-of-semicircle kernel at offsets x in fine-grid cells, computed in place in x."""
+    x *= 2.0 / _SPREAD_WIDTH  # a power of two: exactly 2 x / width
+    np.sqrt(np.maximum(np.subtract(1.0, np.square(x, out=x), out=x), 0.0, out=x), out=x)
+    return np.exp(np.multiply(np.subtract(x, 1.0, out=x), _SPREAD_BETA, out=x), out=x)
 
 
 class _Plan(NamedTuple):
@@ -131,7 +132,7 @@ class _Plan(NamedTuple):
     first: int          # the whole turn of cell 0; cells count on through the later turns
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=8)
 def _cached_plan(logs: bytes, step: float, count: int, tile: int) -> _Plan:
     """The _Plan of the points step * logs, for count modes, in tiles of tile cells.
 
@@ -139,7 +140,7 @@ def _cached_plan(logs: bytes, step: float, count: int, tile: int) -> _Plan:
     lies in cell (k - first) nf + floor(p): cells 0 .. nf - 1 where every
     point lies in turn 0, and one segment of nf cells per turn otherwise.
     Keyed by the content of logs, so every call on one point set (chunks,
-    trial blocks) shares one plan; each term block of a call has its own.
+    trial blocks) shares one plan; each term block has its own, up to 8.
     """
     logs = np.frombuffer(logs)
     nf, w = _fine_length(count), _SPREAD_WIDTH
@@ -177,20 +178,20 @@ def _spread(strengths: np.ndarray, plan: _Plan, nf: int, fine, spans: tuple,
     covers fine cells cell + 1 - w/2 + k, k < w, and each span is one dense
     GEMM: strengths times a (points x (tile + w)) kernel block.  One zeroed
     block serves every span: its entries are set before the GEMM and zeroed
-    after it.  The kernel weights exist for the spans' points only.
+    after it.  Kernel weights exist for the spans' points only, scatter indices per span.
     """
     lo, hi = (spans[0][0], spans[-1][1]) if spans else (0, 0)
     rows, w, tile = strengths.shape[0] // 2, _SPREAD_WIDTH, plan.tile
-    values = _spread_kernel(plan.frac[lo:hi, None] + (w // 2 - 1 - np.arange(w)))
-    flat = plan.offset[lo:hi, None] + np.arange(w)
     block = np.zeros(plan.widest * (tile + w))
-    if fine is None:  # made after the kernel weights: README, "Cost at large T"
+    values = _spread_kernel(plan.frac[lo:hi, None] + (w // 2 - 1 - np.arange(w)))
+    if fine is None:  # made after the block and the weights: README, "Cost at large T"
         fine = np.zeros((rows, nf + tile + w), dtype=np.complex128)
     re, im = fine.real, fine.imag
     for a, b, f in spans:
-        block[flat[a - lo:b - lo]] = values[a - lo:b - lo]
+        flat = plan.offset[a:b, None] + np.arange(w)
+        block[flat] = values[a - lo:b - lo]
         spread = strengths[:, a:b] @ block[:(b - a) * (tile + w)].reshape(b - a, tile + w)
-        block[flat[a - lo:b - lo]] = 0.0
+        block[flat] = 0.0
         re[:, f - shift:f - shift + tile + w] += spread[:rows]
         im[:, f - shift:f - shift + tile + w] += spread[rows:]
     return fine
@@ -213,9 +214,9 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: f
     terms with logs[n] = 0 are constant and are added exactly.  The error
     stays below about 3e-13 of each row's L1 mass plus the phase rounding
     eps |t| ||coeffs[r] logs||_2 that any evaluator of t * logs[n] shares.
-    The points' sort and tiling are planned once per term block, step,
-    count and tile (_cached_plan, keyed by the content of logs), so
-    repeated calls execute only the spreading and the FFTs.
+    The points' sort and tiling are planned once per term block and grid
+    (_cached_plan, keyed by the content of logs) and the deconvolution once
+    per grid (_deconvolution), so repeated calls only spread and transform.
 
     A fraction enters without trig per term.  With x_n = 2 pi k_n +
     2 pi p_n / nf (whole turns k_n, fine-grid position p_n),
@@ -245,6 +246,7 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: f
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
     constant = coeffs[:, logs == 0.0].sum(axis=1)[:, None]
     rows, nf, wrap = coeffs.shape[0], _fine_length(count), _SPREAD_WIDTH // 2
+    scales = _deconvolution(count, tuple(fractions.tolist()))
     ends = step * float(np.min(logs, initial=0.0)), step * float(np.max(logs, initial=0.0))
     turns = int(_turns(ends[1], nf) - _turns(ends[0], nf)) + 1  # the ends take in turn 0
     if turns > 1:
@@ -252,14 +254,15 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: f
         for first, segments in _spread_rows(logs, coeffs, start, step, count, turns):
             grids += _ramp(column, 1, first, segments.shape[1]) @ segments  # whole turns
         grids *= _ramp(column, nf, 0, nf)
-        C, S = _transform(grids, count, column, constant[:, None])
+        C, S = _transform(grids, count, scales, constant[:, None])
         for g in range(fractions.size):
             yield C[:, g], S[:, g]
         return
     (_, fine), = _spread_rows(logs, coeffs, start, step, count, turns)
+    del coeffs  # spread: not held beside the fine grid
     hi = min(int(ends[1] * nf / (2.0 * math.pi)) + wrap + 2, nf + wrap)  # cells -w/2 .. hi - 1
     support = fine[:, :hi + wrap].copy() if fractions.size > 1 else None  # hold the support
-    for f in fractions:  # each fraction's transform overwrites the grid
+    for f, scale in zip(fractions, scales):  # each fraction's transform overwrites the grid
         if support is not None:
             fine[:, hi + wrap:nf + wrap] = 0.0
         if f:
@@ -273,7 +276,7 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: f
         fine[:, nf:nf + wrap] += fine[:, :wrap]  # the halo folds onto its images
         if hi > nf:
             fine[:, wrap:2 * wrap] += fine[:, nf + wrap:nf + 2 * wrap]
-        yield _transform(fine[:, wrap:wrap + nf], count, f, constant)
+        yield _transform(fine[:, wrap:wrap + nf], count, scale, constant)
 
 
 def _turns(x: float, nf: int) -> float:
@@ -337,18 +340,12 @@ def _strengths(coeffs: np.ndarray, logs: np.ndarray, mid: float) -> np.ndarray:
     return strengths.reshape(2 * coeffs.shape[0], logs.size)
 
 
-def _transform(fine: np.ndarray, count: int, f, constant: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(C, S) at modes j + f, j = -count//2 .., of the spread fine grids, transformed in place.
-
-    fine holds grids along its last axis; f is one fraction, or one per
-    grid of a (rows, fractions, nf) fine as a (fractions, 1) array.  The
-    modes are divided by the kernel's transform there, cached for f = 0
-    (_integer_modes) and computed after the FFT otherwise; constant is added to C.
-    """
+def _transform(fine: np.ndarray, count: int, scale, constant: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(C, S) at modes j + f, j = -count//2 .., of the spread fine grids (last axis), transformed
+    in place and divided by the kernel's transform there, scale: a _deconvolution row, or
+    its table for a (rows, fractions, nf) fine.  constant is added to C."""
     np.fft.ifft(fine, norm="forward", out=fine)
     nf, half = fine.shape[-1], count // 2
-    scale = (_kernel_transform(np.arange(count) - half + f, nf) if np.ndim(f) or f
-             else _integer_modes(count))
     out_c, out_s = np.empty(fine.shape[:-1] + (count,)), np.empty(fine.shape[:-1] + (count,))
     for out, part in ((out_c, fine.real), (out_s, fine.imag)):
         np.divide(part[..., nf - half:], scale[..., :half], out=out[..., :half])
@@ -425,29 +422,29 @@ def _fine_length(count: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _integer_modes(count: int) -> np.ndarray:
-    """The kernel's transform at the integer modes i - count//2 of count modes; read-only.
-
-    Only the plain grid (f = 0) reads it: the ramp path's fractions, such as
-    Gauss-Legendre nodes, never build it.
-    """
-    scale = _kernel_transform(np.arange(count) - count // 2, _fine_length(count))
-    scale.setflags(write=False)
-    return scale
+def _deconvolution(count: int, fractions: tuple) -> np.ndarray:
+    """The kernel's transform at modes i - count//2 + f, row g for f = fractions[g]; read-only,
+    built once per (count, fractions) and a row at a time, with no (fractions, count)
+    temporaries.  The plain grid's is the table of (0.0,)."""
+    table = np.empty((len(fractions), count))
+    for row, f in zip(table, fractions):
+        row[:] = _kernel_transform(np.arange(count) - count // 2 + f, _fine_length(count))
+    table.setflags(write=False)
+    return table
 
 
 def _chunks(interval: Interval, step: float, count: int, gap: float, what: str):
-    """Yield (first, start = interval.lo + first * step, length) per chunk of at most
-    _CHUNK_PANELS points of the grid interval.lo + i * step, i < count.  Evaluation
-    points gap apart within 4 ulp of interval.hi, which round onto each other,
-    raise a NumericalError first (what names count)."""
+    """An iterator of (first, start = interval.lo + first * step, length) per chunk of
+    at most _CHUNK_PANELS points of the grid interval.lo + i * step, i < count.
+    Evaluation points gap apart within 4 ulp of interval.hi, which round onto each
+    other, raise a NumericalError at once (what names count)."""
     ulps = 4.0 * math.ulp(interval.hi)
     if not gap > ulps:
         raise NumericalError(f"{count:.4g} {what} on [{interval.lo!r}, {interval.hi!r}] put "
                              f"neighbouring points {gap:.3g} apart near t = {interval.hi!r}, "
                              f"where 4 ulp are {ulps:.3g}: they would round onto each other", None)
-    for first in range(0, count, _CHUNK_PANELS):
-        yield first, interval.lo + first * step, min(_CHUNK_PANELS, count - first)
+    return ((first, interval.lo + first * step, min(_CHUNK_PANELS, count - first))
+            for first in range(0, count, _CHUNK_PANELS))
 
 
 def u_moment(table: WeightTable, j: int, t: float, part: Part | str = Part.COSINE) -> float:

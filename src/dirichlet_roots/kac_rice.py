@@ -152,11 +152,13 @@ def _assemble(spec: PolynomialSpec, table: WeightTable, t, p0, p1s, p2, proof: b
     # degenerate covariance (sine part close to a common zero of every term)
     # A/B and C^2 blow up and roundoff in the difference grows with
     # (M_2 + M_0 (A/B + C^2)) / (2B), not with an absolute epsilon.
-    err_scale = (table.m2 + table.m0 * (np.abs(A) / B + C * C)) / (2.0 * B) + 1.0
-    below = ratio < -_NEGATIVE_TOL * err_scale
-    if np.any(below):
-        raise NumericalError("A/B - C^2 fell below the Cauchy-Schwarz roundoff floor",
-                             spec, float(np.asarray(t)[below][0]))
+    negative = ratio < 0.0  # the floor is negative: only these ratios can fall below it
+    if np.any(negative):
+        a, b, c, r, at = (np.asarray(v)[negative] for v in (A, B, C, ratio, t))
+        err_scale = (table.m2 + table.m0 * (np.abs(a) / b + c * c)) / (2.0 * b) + 1.0
+        if np.any(below := r < -_NEGATIVE_TOL * err_scale):
+            raise NumericalError("A/B - C^2 fell below the Cauchy-Schwarz roundoff floor",
+                                 spec, float(at[below][0]))
     density = np.sqrt(np.maximum(ratio, 0.0)) / math.pi
     if not proof:
         return {"t": t, "A": A, "B": B, "C": C, "density": density}
@@ -191,19 +193,20 @@ def _direct_moments(table: WeightTable, t: float) -> tuple[float, float, float]:
 
 def _moment_streams(table: WeightTable, start: float, step: float, count: int,
                     fractions=(0.0,)):
-    """Yield P_0, Pt_1, P_2 at tau = 2t along t_i = start + (i + f)*step for each f in fractions.
+    """An iterator of P_0, Pt_1, P_2 at tau = 2t along t_i = start + (i + f)*step, f in fractions.
 
     The moment rows w_n^2 (log n)^j, j = 0, 2, 1, fill one (3, N) array,
     and one kernel call on the doubled grids tau_i = 2 t_i serves every
-    fraction: P_0 and P_2 are cosine sums, Pt_1 a sine sum.
+    fraction: P_0 and P_2 are cosine sums, Pt_1 a sine sum.  Nothing here
+    holds the rows once spread, or a fraction's sums while the next is made.
     """
     weights, logs = table.weights, table.logs
     rows = np.empty((3, logs.size))
     np.multiply(weights, weights, out=rows[0])
     np.multiply(rows[0], logs, out=rows[2])
     np.multiply(rows[2], logs, out=rows[1])
-    for c, s in oscillating_sums(logs, rows, 2.0 * start, 2.0 * step, count, fractions):
-        yield c[0], s[2], c[1]
+    return map(lambda cs: (cs[0][0], cs[1][2], cs[0][1]),
+               oscillating_sums(logs, rows, 2.0 * start, 2.0 * step, count, fractions))
 
 
 def breakdown_grid(spec: PolynomialSpec, table: WeightTable, start: float,
@@ -224,8 +227,10 @@ def _breakdown_streams(spec: PolynomialSpec, table: WeightTable, start: float, s
     fields and sums exist at a time.
     """
     _check_spec(spec, table)
-    for f, sums in zip(fractions, _moment_streams(table, start, step, count, fractions)):
-        yield _assemble(spec, table, start + step * (np.arange(count) + f), *sums, proof=proof)
+    sums = _moment_streams(table, start, step, count, fractions)
+    for f in fractions:
+        t = start + step * (np.arange(count) + f)
+        yield _assemble(spec, table, t, *next(sums), proof=proof)
 
 
 def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
@@ -326,8 +331,7 @@ def _panel_estimates(integrand, interval: Interval, n_panels: int, n: int):
     for i, rows in _node_streams(integrand, interval, n_panels, n):
         if i == 0:
             coeffs = np.zeros((len(transform),) + rows.shape)
-        for j in range(len(transform)):
-            coeffs[j] += transform[j, i] * rows
+        coeffs += np.multiply.outer(transform[:, i], rows)
         del rows
         if i == n - 1:
             head = np.maximum(abs(coeffs[1]), abs(coeffs[2]))

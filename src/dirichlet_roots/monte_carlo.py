@@ -44,6 +44,7 @@ __all__ = [
 
 # Grid values below this fraction of the coefficient L1 mass count as exact zeros.
 _GRID_ZERO_REL = 1e-13
+_MAX_GRID_POINTS = 2**32  # per trial; a step that asks for more is a usage error (README)
 
 # Trials per run_trials block, the rows of its kernel calls.  Fixed: the
 # kernel's tile width, so the last bits of a row's values, depends on the row
@@ -132,8 +133,12 @@ def _count_rows(table: WeightTable, x: np.ndarray, interval: Interval, step: flo
         raise ValueError(f"step must be positive and finite, and length / step finite, got {step}")
     m = max(1, math.ceil(interval.length / step - 1e-12))
     actual, sine, carry = interval.length / m, table.spec.part is Part.SINE, None
+    chunks = _chunks(interval, actual, m + 1, actual, "grid points")  # 4-ulp check first
+    if m + 1 > _MAX_GRID_POINTS:
+        raise ValueError(f"step {step!r} asks for {m + 1:,} grid points per trial, more than "
+                         f"the {_MAX_GRID_POINTS:,} allowed")
     coeffs, tol = x * table.weights, _GRID_ZERO_REL * (np.abs(x) @ table.weights)[:, None]
-    for first, start, count in _chunks(interval, actual, m + 1, actual, "grid points"):
+    for first, start, count in chunks:
         values = next(oscillating_sums(table.logs, coeffs, start, actual, count))[sine]
         if carry is not None:
             values, first = np.concatenate((carry, values), axis=1), first - 1

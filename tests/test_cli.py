@@ -227,6 +227,31 @@ def test_grid_points_within_four_ulp_exit_four(capsys, step):
     assert "they would round onto each other" in err
 
 
+def test_grid_beyond_the_point_bound_exits_two(capsys, monkeypatch):
+    # --step 1e-12 asks for 10^14 grid points per trial, which would run for
+    # years: a usage error names the count and the bound before the kernel
+    # is called once
+    from dirichlet_roots import monte_carlo
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("the grid kernel was called")
+
+    monkeypatch.setattr(monte_carlo, "oscillating_sums", kernel)
+    code, out, err = run_cli(["simulate", "--T", "100", "--trials", "2", "--step", "1e-12"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "100,000,000,000,001 grid points" in err and "4,294,967,296 allowed" in err
+
+
+def test_derivative_order_beyond_float_range_exits_two(cli_env):
+    # a k that no float holds once ended in an OverflowError traceback (exit 1)
+    proc = subprocess.run([sys.executable, "-m", "dirichlet_roots.cli", "expected", "--T", "50",
+                           "--k", "1" + "0" * 400], capture_output=True, text=True, env=cli_env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: derivative order k must be a nonnegative integer")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("k", [200, 400])
 @pytest.mark.parametrize("args", [
     ["expected", "--T", "500"],

@@ -53,6 +53,7 @@ _BAD_SPECS = [
     dict(T=float("nan")), dict(T=10.0, sigma=float("nan")), dict(T=10.0, sigma=float("inf")),
     dict(T=10.0, k=1.5), dict(T=10.0, part="tangent"),
     dict(T=float("inf")), dict(T=10.0, k=float("inf")), dict(T=10.0, k=float("nan")),
+    dict(T=10.0, k=10**400),  # no float holds it: once an OverflowError
 ]
 
 

@@ -20,9 +20,11 @@ from dirichlet_roots.core import CoefficientSample
 from dirichlet_roots.dirichlet_eval import (
     _SPREAD_WIDTH,
     _TILE_CELLS,
+    _TILE_POINTS,
     _cached_plan,
+    _deconvolution,
     _fine_length,
-    _integer_modes,
+    _kernel_transform,
     _ramp,
     _spread_kernel,
     _strengths,
@@ -615,16 +617,35 @@ def test_kernel_alternating_point_sets_match_fsum():
                 assert abs(S[r, i] - math.fsum(coeffs[r] * np.sin(t * logs))) < 1e-12 * mass
 
 
-def test_kernel_plan_memory_is_linear_in_terms():
+def test_kernel_plan_memory_is_linear_in_terms(monkeypatch):
     # the cached plan keeps O(terms) arrays; the terms x kernel-width weights
-    # are built per call, which keeps deterministic EK at large T in memory
-    logs = np.log(np.arange(1, 2001, dtype=np.float64))
-    next(oscillating_sums(logs, np.ones((3, 2000)), 4000.0, 0.01, 5000))
-    plan = _cached_plan(logs.tobytes(), 0.01, 5000, _TILE_CELLS)  # the call's tile
-    assert _cached_plan.cache_info().currsize == 1
-    arrays = [v for v in plan if isinstance(v, np.ndarray)]
-    assert len(arrays) == 3 and max(a.size for a in arrays) <= logs.size
-    assert len(plan.spans) <= logs.size
+    # are built per call, which keeps deterministic EK at large T in memory.
+    # A spread holds its fine grid, its kernel block and one terms x w array,
+    # the weights, computed in place: the scatter index is built per span
+    # (at most _TILE_POINTS x w), not for the whole block, which once held
+    # another 8 w bytes per term (1.9 times this bound at 40,000 terms)
+    plans = []
+    monkeypatch.setattr(dirichlet_eval, "_cached_plan",
+                        lambda *key: plans.append(_cached_plan(*key)) or plans[-1])
+    for terms in (2000, 40_000):
+        logs = np.log(np.arange(1, terms + 1, dtype=np.float64))
+        _cached_plan.cache_clear()
+        next(oscillating_sums(logs, np.ones((3, terms)), 4000.0, 0.01, 5000))
+        plan = plans.pop()
+        assert _cached_plan.cache_info().currsize == 1 and not plans
+        arrays = [v for v in plan if isinstance(v, np.ndarray)]
+        assert len(arrays) == 3 and max(a.size for a in arrays) <= logs.size
+        assert len(plan.spans) <= logs.size
+        w, nf, strengths = _SPREAD_WIDTH, _fine_length(5000), np.ones((6, plan.terms.size))
+        tracemalloc.start()
+        try:
+            fine = dirichlet_eval._spread(strengths, plan, nf, None, plan.spans)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = 8 * plan.widest * (plan.tile + w)
+        span = 8 * _TILE_POINTS * (3 * w + len(strengths))  # a span's index, numpy's copies
+        assert peak <= fine.nbytes + block + 8 * w * plan.terms.size + span + 65536
 
 
 @pytest.mark.parametrize("start,step,shifts", [
@@ -648,10 +669,11 @@ def test_kernel_rejects_non_finite_grids(start, step, shifts):
 
 @pytest.mark.parametrize("count", [1, 7, 33, 400, 4591, 2**18])
 def test_fine_grid_transform_matches_sampled_kernel_fft(count):
-    # the one deconvolution: the cached integer-mode table is the kernel
-    # polynomial at modes i - count//2, equal to the FFT of the kernel
-    # sampled on the fine grid (this test's oracle) to a few ulp
-    nf, scale = _fine_length(count), _integer_modes(count)
+    # the one deconvolution: the plain grid's cached table, of the one
+    # fraction 0, is the kernel polynomial at modes i - count//2, equal to
+    # the FFT of the kernel sampled on the fine grid (this test's oracle)
+    # to a few ulp
+    nf, (scale,) = _fine_length(count), _deconvolution(count, (0.0,))
     assert nf >= max(2 * count, 64) and scale.shape == (count,)
     wrap = _SPREAD_WIDTH // 2
     kernel = np.zeros(nf)
@@ -659,6 +681,21 @@ def test_fine_grid_transform_matches_sampled_kernel_fft(count):
     kernel[nf - wrap:] = kernel[wrap:0:-1]
     oracle = np.fft.rfft(kernel).real[np.abs(np.arange(count) - count // 2)]
     assert np.all(np.abs(scale - oracle) <= 16 * np.spacing(oracle))
+
+
+@pytest.mark.parametrize("count,fractions", [
+    (1, (0.0,)), (400, (0.0,)), (33, (0.0, 0.5, 1.0)), (1979, tuple((np.arange(10) + 0.5) / 10)),
+])
+def test_deconvolution_rows_are_the_kernel_transform(count, fractions):
+    # row g of the table is bitwise the kernel's transform at modes
+    # i - count//2 + fractions[g], built once per (count, fractions) and
+    # shared read-only
+    table = _deconvolution(count, fractions)
+    assert table.shape == (len(fractions), count) and not table.flags.writeable
+    for row, f in zip(table, fractions):
+        expected = _kernel_transform(np.arange(count) - count // 2 + f, _fine_length(count))
+        assert np.array_equal(row, expected)
+    assert _deconvolution(count, fractions) is table
 
 
 def test_grid_snapping_and_errors(two_term):

@@ -511,18 +511,35 @@ def test_one_spreading_pass_per_chunk(monkeypatch, chunk, spreads):
 
 
 def test_deterministic_ek_builds_no_integer_mode_table(monkeypatch):
-    # every EK chunk takes the ramp path, whose Gauss-Legendre fractions are
-    # never 0: the plain grid's integer-mode table is never built
+    # every EK chunk reads the deconvolution table of its Gauss-Legendre
+    # fractions, never 0: the plain grid's table, of (0.0,), is never built
     built = []
-    table = dirichlet_eval._integer_modes
-    monkeypatch.setattr(dirichlet_eval, "_integer_modes",
-                        lambda count: built.append(count) or table(count))
+    table = dirichlet_eval._deconvolution
+    monkeypatch.setattr(dirichlet_eval, "_deconvolution",
+                        lambda *key: built.append(key) or table(*key))
     monkeypatch.setattr(dirichlet_eval, "_CHUNK_PANELS", 1000)
     spec = make_spec(500.0, 0, 0.5)
     expected_count_deterministic(spec, experiment_interval(spec))
-    assert built == []
+    assert len(built) == 2 and all(0.0 not in fractions for _, fractions in built)
     breakdown_grid(spec, make_weight_table(spec), 500.0, 0.1, 50)
-    assert built == [50]
+    assert built[2:] == [(50, (0.0,))]
+
+
+def test_deterministic_pass_builds_its_tables_once(monkeypatch):
+    # 1800 panels in three full chunks of 600, whose 500 terms spread in
+    # three term blocks: the chunks share one deconvolution table and one
+    # plan per term block, each built at the first chunk and read at the
+    # next two
+    monkeypatch.setattr(dirichlet_eval, "_CHUNK_PANELS", 600)
+    monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 3 * 200)
+    dirichlet_eval._deconvolution.cache_clear()
+    dirichlet_eval._cached_plan.cache_clear()
+    spec = make_spec(500.0, 0, 0.5)
+    q = expected_count_deterministic(spec, Interval(500.0, 950.0), max_panel_width=0.25)
+    assert q.nodes_used == NODES_PER_PANEL * 1800
+    tables = dirichlet_eval._deconvolution.cache_info()
+    plans = dirichlet_eval._cached_plan.cache_info()
+    assert (tables.misses, tables.hits) == (1, 2) and (plans.misses, plans.hits) == (3, 6)
 
 
 def test_stream_term_blocks_match_one_block(monkeypatch):
