@@ -23,8 +23,8 @@ import numpy as np
 from .asymptotics import stieltjes_constant
 from .core import Interval, Part, PolynomialSpec
 from .dirichlet_eval import make_weight_table, oscillating_sums
-from .kac_rice import (NODES_PER_PANEL, _breakdown_streams, _gauss_legendre, _moment_streams,
-                       panel_width)
+from .kac_rice import (NODES_PER_PANEL, _breakdown_streams, _gauss_legendre, _map_rows,
+                       _moment_streams, panel_width)
 
 __all__ = [
     "StepReport",
@@ -76,8 +76,9 @@ def proof_step_integrals(spec: PolynomialSpec,
     interval = Interval(spec.T, 2.0 * spec.T)
     n_panels = max(1, math.ceil(interval.length / (0.5 * panel_width(spec))))
 
-    integrals = _gauss_legendre(lambda *grid: map(_pieces, _breakdown_streams(spec, table, *grid)),
-                                interval, n_panels, nodes_per_panel)
+    integrals = _gauss_legendre(
+        lambda *grid: _map_rows(_pieces, _breakdown_streams(spec, table, *grid)),
+        interval, n_panels, nodes_per_panel)
 
     L = math.log(spec.T)
     scale = stieltjes_constant(0) * spec.T / L
@@ -114,8 +115,9 @@ def l2_mean_value_check(coefficients, T: float) -> tuple[float, float, float]:
     lhs = int_0^T |sum_n a_n n^{it}|^2 dt by EK's rule: NODES_PER_PANEL
     Gauss-Legendre nodes on panels a half period of the fastest oscillation
     cos(t log n) wide, so every point lies in turn 0 and one spread serves
-    every node (oscillating_sums).  Real a_n spread one row, read as
-    C^2 + S^2.  main is T sum |a_n|^2 and the budget is sum n |a_n|^2.
+    every node pair (oscillating_sums).  Real a_n spread one row, and both
+    its parts are read: C^2 + S^2.  main is T sum |a_n|^2 and the budget is
+    sum n |a_n|^2.
     """
     a = np.asarray(coefficients, dtype=np.complex128)
     if a.ndim != 1 or a.size == 0 or not np.isfinite(a).all():
@@ -124,15 +126,18 @@ def l2_mean_value_check(coefficients, T: float) -> tuple[float, float, float]:
     if not 0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
     logs = np.log(np.arange(1, n + 1, dtype=np.float64))
-    rows = np.vstack([a.real, a.imag]) if a.imag.any() else a.real[None]
+    cos, sin = Part.COSINE, Part.SINE
+    if a.imag.any():  # F = (C_re - S_im) + i (S_re + C_im)
+        rows, parts = np.vstack([a.real, a.imag]), ((0, cos), (1, sin), (0, sin), (1, cos))
+    else:
+        rows, parts = a.real[None], ((0, cos), (0, sin))
     width = math.pi / math.log(max(n, 2))
 
-    def modulus_squared(sums):
-        c, s = sums  # complex a_n: F = (C_re - S_im) + i (S_re + C_im)
-        return (c[0] - s[1])**2 + (s[0] + c[1])**2 if len(c) == 2 else c[0]**2 + s[0]**2
+    def modulus_squared(s):
+        return (s[0] - s[1])**2 + (s[2] + s[3])**2 if len(s) == 4 else s[0]**2 + s[1]**2
 
-    lhs = float(_gauss_legendre(lambda *grid: map(modulus_squared,
-                                                  oscillating_sums(logs, rows, *grid)),
+    lhs = float(_gauss_legendre(lambda *grid: _map_rows(modulus_squared,
+                                                        oscillating_sums(logs, rows, parts, *grid)),
                                 Interval(0.0, T), max(1, math.ceil(T / width)),
                                 NODES_PER_PANEL))
     main = T * math.fsum(np.abs(a) ** 2)
@@ -154,7 +159,7 @@ def u_sup_monitor(spec: PolynomialSpec, interval: Interval,
         raise ValueError("use at least 1000 grid points for a meaningful supremum")
     table = make_weight_table(spec)
     step = interval.length / (gridpoints - 1)
-    p0, p1s, p2 = next(_moment_streams(table, interval.lo, step, gridpoints))
+    _, (p0, p1s, p2) = next(_moment_streams(table, interval.lo, step, gridpoints))
     sup_u = float(np.max(np.abs(p0 - table.weights[0] * table.weights[0])))
     sup_u1 = float(np.max(np.abs(p1s)))
     sup_u2 = float(np.max(np.abs(p2)))

@@ -8,10 +8,11 @@ Two evaluators, cross-checked in the tests:
 * grid kernel (oscillating_sums): rows of values on the uniform t-grids
   t_i = start + (i + f)*step for one or more fractions f, as a type-1
   nonuniform FFT (exponential-of-semicircle spreading onto a fine grid,
-  one FFT, kernel deconvolution), O(terms + grid log grid) per row and
+  FFTs, kernel deconvolution), O(terms + grid log grid) per row and
   fraction.  Each coefficient row gives the complex sums
-  sum_n c_n exp(i t log n), so one transform returns its cosine sums (the
-  real part) and its sine sums (the imaginary part).  Error below about
+  sum_n c_n exp(i t log n), whose real parts are its cosine sums and
+  imaginary parts its sine sums; a caller names the parts it reads, and
+  a mirror pair of fractions f, 1 - f takes one FFT per part.  Error below about
   3e-13 of the row's coefficient L1 mass, plus the eps |t| ||c_n log n||_2
   by which any evaluator's rounded phases t log n differ.  Every fraction
   enters by a ramp on the spread grid.  One spreading pass serves every
@@ -61,7 +62,11 @@ _TILE_BALANCE = 100_000
 _GROUP_ELEMS = 500_000  # strength entries (rows x terms) per term block: _spread_rows
 # Points per kernel call on a long grid (_chunks: Monte Carlo's grid points,
 # deterministic EK's panels), which bounds a chunk's memory at any T (README).
+# A grid of more points than _MAX_GRID_POINTS would run for days: a usage error.
 _CHUNK_PANELS = 2**17
+_MAX_GRID_POINTS = 2**32
+# Plans kept by _cached_plan: a call with more term blocks builds its plans uncached.
+_PLAN_SLOTS = 8
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,7 @@ class _Plan(NamedTuple):
     first: int          # the whole turn of cell 0; cells count on through the later turns
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=_PLAN_SLOTS)
 def _cached_plan(logs: bytes, step: float, count: int, tile: int) -> _Plan:
     """The _Plan of the points step * logs, for count modes, in tiles of tile cells.
 
@@ -140,7 +145,9 @@ def _cached_plan(logs: bytes, step: float, count: int, tile: int) -> _Plan:
     lies in cell (k - first) nf + floor(p): cells 0 .. nf - 1 where every
     point lies in turn 0, and one segment of nf cells per turn otherwise.
     Keyed by the content of logs, so every call on one point set (chunks,
-    trial blocks) shares one plan; each term block has its own, up to 8.
+    trial blocks) shares one plan; each term block has its own, up to
+    _PLAN_SLOTS, and _spread_rows bypasses the cache where a call has more
+    blocks, which would evict every plan before its next use.
     """
     logs = np.frombuffer(logs)
     nf, w = _fine_length(count), _SPREAD_WIDTH
@@ -197,14 +204,14 @@ def _spread(strengths: np.ndarray, plan: _Plan, nf: int, fine, spans: tuple,
     return fine
 
 
-def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: float,
+def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, parts, start: float, step: float,
                      count: int, fractions=(0.0,)):
-    """Yield rows of cosine and sine sums along t_i = start + (i + f)*step for each f in fractions.
+    """Yield (g, sums): the requested parts of the rows along t_i = start + (i + f_g)*step.
 
-    Yields, fraction by fraction, (C, S) with
-        C[r, i] = sum_n coeffs[r, n] * cos(t_i * logs[n])
-        S[r, i] = sum_n coeffs[r, n] * sin(t_i * logs[n]),
-    the real and imaginary parts of sum_n coeffs[r, n] * exp(i t_i logs[n]);
+    parts lists (row, part) requests, and sums[q] holds, for parts[q] = (r, part),
+        sum_n coeffs[r, n] * cos(t_i * logs[n])   (Part.COSINE)
+        sum_n coeffs[r, n] * sin(t_i * logs[n])   (Part.SINE),
+    the real or imaginary part of sum_n coeffs[r, n] * exp(i t_i logs[n]);
     the default, one zero fraction, is the plain grid.  Every fraction lies
     in [0, 1].  With t_i = mid + (j + f)*step, mid the grid's middle node,
     every row is a type-1 NUFFT: modes j + f of the points x_n = step*logs[n]
@@ -222,16 +229,18 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: f
     2 pi p_n / nf (whole turns k_n, fine-grid position p_n),
     exp(i f x_n) = exp(2 pi i f k_n) exp(2 pi i f p_n / nf) exactly; the
     second factor is the ramp exp(2 pi i f m / nf) over the fine cells m
-    (Dutt and Rokhlin, 1993).  Where every point lies in turn 0, one spread
-    serves every fraction, only the cells the points cover are kept between
-    fractions, and each is ramped, halo-folded and transformed in turn; the
-    generator holds no reference to what it yielded.  Otherwise the rows
-    are spread once onto one segment of nf cells per turn (_spread_rows),
-    each fraction's grid adds the segments up with the factors
-    exp(2 pi i f k) (one complex GEMM per group of turns for all
-    fractions), and one ramp multiply, one FFT and one deconvolution serve
-    every fraction: their (C, S) are views of two (rows, fractions, count)
-    arrays.
+    (Dutt and Rokhlin, 1993).  Where every point lies in turn 0, the plain
+    grid takes one FFT per row, and other fractions go in mirror pairs:
+    fractions g and n - 1 - g with f_g + f_(n-1-g) == 1, as Gauss-Legendre
+    node fractions come, share one FFT per request (_mirror_pairs), and
+    the sums arrive in pair order 0, n - 1, 1, n - 2, ... (a fraction
+    without a mirror alone).  The generator holds no reference to what it
+    yielded once the next pair is made.  Where the points span several
+    turns, the rows are spread once onto one segment of nf cells per turn
+    (_spread_rows), each fraction's grid adds the segments up with the
+    factors exp(2 pi i f k) (one complex GEMM per group of turns for all
+    fractions), and one ramp multiply, one FFT per row and one
+    deconvolution serve every fraction, yielded in order.
     """
     if count <= 0:
         raise ValueError("count must be positive")
@@ -244,9 +253,11 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: f
         raise ValueError(f"fractions must lie in [0, 1], got {fractions}")
     logs = np.asarray(logs, dtype=np.float64)
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
+    requests = [(int(r), Part(part) is Part.SINE) for r, part in parts]
+    if not requests or not all(0 <= r < coeffs.shape[0] for r, _ in requests):
+        raise ValueError(f"parts must name rows among the {coeffs.shape[0]} rows, got {parts}")
     constant = coeffs[:, logs == 0.0].sum(axis=1)[:, None]
     rows, nf, wrap = coeffs.shape[0], _fine_length(count), _SPREAD_WIDTH // 2
-    scales = _deconvolution(count, tuple(fractions.tolist()))
     ends = step * float(np.min(logs, initial=0.0)), step * float(np.max(logs, initial=0.0))
     turns = int(_turns(ends[1], nf) - _turns(ends[0], nf)) + 1  # the ends take in turn 0
     if turns > 1:
@@ -254,29 +265,118 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, start: float, step: f
         for first, segments in _spread_rows(logs, coeffs, start, step, count, turns):
             grids += _ramp(column, 1, first, segments.shape[1]) @ segments  # whole turns
         grids *= _ramp(column, nf, 0, nf)
-        C, S = _transform(grids, count, scales, constant[:, None])
+        sums = _transform(grids, count, _deconvolution(count, tuple(fractions.tolist())),
+                          constant[:, None], requests)
         for g in range(fractions.size):
-            yield C[:, g], S[:, g]
+            yield g, sums[:, g]
         return
     (_, fine), = _spread_rows(logs, coeffs, start, step, count, turns)
     del coeffs  # spread: not held beside the fine grid
     hi = min(int(ends[1] * nf / (2.0 * math.pi)) + wrap + 2, nf + wrap)  # cells -w/2 .. hi - 1
-    support = fine[:, :hi + wrap].copy() if fractions.size > 1 else None  # hold the support
-    for f, scale in zip(fractions, scales):  # each fraction's transform overwrites the grid
-        if support is not None:
-            fine[:, hi + wrap:nf + wrap] = 0.0
-        if f:
-            ramp = _ramp(f, nf, -wrap, hi + wrap)
-            for r in range(rows):  # by rows: numpy broadcasts over a contiguous block at half speed
-                np.multiply(fine[r, :hi + wrap] if support is None else support[r], ramp,
-                            out=fine[r, :hi + wrap])
-            del ramp  # not held beside the FFT's work buffer
-        elif support is not None:
-            fine[:, :hi + wrap] = support
+    if fractions.size == 1 and fractions[0] == 0.0:  # the plain grid
         fine[:, nf:nf + wrap] += fine[:, :wrap]  # the halo folds onto its images
         if hi > nf:
             fine[:, wrap:2 * wrap] += fine[:, nf + wrap:nf + 2 * wrap]
-        yield _transform(fine[:, wrap:wrap + nf], count, scale, constant)
+        yield 0, _transform(fine[:, wrap:wrap + nf], count, _deconvolution(count, (0.0,))[0],
+                            constant, requests)
+        return
+    re, im = (np.multiply(part[:, :hi + wrap], 0.5) for part in (fine.real, fine.imag))  # exact
+    grid = fine[:, :nf] if len(requests) <= rows else np.empty((len(requests), nf), complex)
+    del fine  # the spread lives on in its halved support
+    yield from _mirror_pairs(re, im, grid, count, fractions, constant, requests)
+
+
+def _mirror_pairs(re: np.ndarray, im: np.ndarray, grid: np.ndarray, count: int,
+                  fractions: np.ndarray, constant: np.ndarray, requests):
+    """Yield oscillating_sums' (g, sums) from a spread in turn 0, one FFT per node pair and request.
+
+    re and im hold the halves a and b of the real and imaginary parts of
+    each row's spread g = 2 (a + i b), on cells -w/2 .. hi - 1.  For a
+    cosine request the real array
+        u(m) = (a + b)(m) + (a - b)(-m)
+    over cells 1 - hi .. hi - 1, ramped by exp(2 pi i f m / nf), folded
+    onto the period and transformed, is Y = Re A + i Im B at the modes
+    nu = j + f, with A and B the ramped transforms of 2a and 2b.  As a and
+    b are real, A(-nu) and B(-nu) are their conjugates, so the cosine sums
+    Re A - Im B are Re Y - Im Y at nu and Re Y + Im Y at -nu =
+    (-j - 1) + (1 - f), the mirror fraction's mode (Cooley, Lewis and
+    Welch, 1970).  A sine request is the cosine request of -i g = b - i a,
+    whose reflected term changes sign.  Fractions g and n - 1 - g with
+    f_g + f_(n-1-g) == 1, as Gauss-Legendre node fractions come, make a
+    pair, and the pairs run in order 0, n - 1, 1, n - 2, ...; a fraction
+    without a mirror (the middle node of an odd rule) runs alone.  Modes
+    -c .. c - 1, c = count - count//2, serve both fractions of a pair: the
+    fraction reads them from c - count//2 on, and its mirror the first
+    count, reversed.
+
+    grid, of at least one row per request, holds every request's transform
+    at once; each fraction's sums are read from it when asked for, so the
+    generator holds no sums it has yielded, and a request's u and a pair's
+    ramp live until its FFT only.
+    """
+    nf, wrap, n = grid.shape[1], _SPREAD_WIDTH // 2, fractions.size
+    hi, h, c = re.shape[1] - wrap, count // 2, count - count // 2
+    jobs = []  # (g, mirror)
+    for g in range((n + 1) // 2):
+        mirror = n - 1 - g
+        paired = g == mirror or fractions[g] + fractions[mirror] == 1.0
+        jobs += [(g, mirror)] if paired else [(g, g), (mirror, mirror)]
+    steps, gaps = _fold_steps(1 - hi, 2 * hi - 1, nf)
+    offsets = [(k, float(constant[r, 0])) for k, (r, sine) in enumerate(requests)
+               if not sine and constant[r, 0]]
+    y = grid[:len(requests)]
+    low, up = y[:, nf - c:], y[:, :c]  # modes -c .. -1 and 0 .. c - 1
+    low_re, low_im, up_re, up_im = low.real, low.imag, up.real, up.imag
+
+    def read(op, first, scale):  # count sums from mode first - c on, reversed if first is None
+        sums = np.empty((len(requests), count))
+        out, first = (sums[:, ::-1], 0) if first is None else (sums, first)
+        op(low_re[:, first:], low_im[:, first:], out=out[:, :c - first])
+        op(up_re[:, :h + first], up_im[:, :h + first], out=out[:, c - first:])
+        out /= scale[first:first + count]
+        for k, offset in offsets:
+            sums[k] += offset
+        return sums
+
+    for (g, mirror), scale in zip(jobs, _deconvolution(
+            count, tuple(float(fractions[g]) for g, _ in jobs))):
+        ramp = _ramp(fractions[g], nf, 1 - hi, 2 * hi - 1)
+        for k, (r, sine) in enumerate(requests):
+            x, z, direct, reflect = ((im[r], re[r], np.subtract, np.add) if sine else
+                                     (re[r], im[r], np.add, np.subtract))
+            u = np.empty(2 * hi - 1)  # cell m at m + hi - 1
+            direct(x, z, out=u[hi - 1 - wrap:])
+            reflect(x[:2 * wrap:-1], z[:2 * wrap:-1], out=u[:hi - 1 - wrap])
+            u[hi - 1 - wrap:hi + wrap] += reflect(x[2 * wrap::-1], z[2 * wrap::-1])
+            for i, j, m, add in steps:
+                if add:
+                    y[k, j:j + m] += u[i:i + m] * ramp[i:i + m]
+                else:
+                    np.multiply(u[i:i + m], ramp[i:i + m], out=y[k, j:j + m])
+        del ramp, u  # not held beside the FFT's work buffer
+        for lo, top in gaps:
+            y[:, lo:top] = 0.0
+        np.fft.ifft(y, norm="forward", out=y)
+        yield g, read(np.subtract, c - h, scale)
+        if mirror != g:
+            yield mirror, read(np.add, None, scale)
+
+
+def _fold_steps(first: int, length: int, nf: int):
+    """How cells first .. first + length - 1 fold onto the period's cells 0 .. nf - 1.
+
+    Returns steps (i, k, n, add), each taking cells first + i .. first + i + n - 1
+    onto period cells k .. k + n - 1: written in the first nf cells, added
+    after them; and the (lo, hi) ranges of period cells that no cell reaches.
+    """
+    steps, i = [], 0
+    while i < length:
+        k = (first + i) % nf
+        n = min(nf - k, length - i, nf - i if i < nf else length)
+        steps.append((i, k, n, i >= nf))
+        i += n
+    lo, gap = (first + length) % nf, max(0, nf - length)
+    return steps, [(a, b) for a, b in ((lo, min(lo + gap, nf)), (0, lo + gap - nf)) if a < b]
 
 
 def _turns(x: float, nf: int) -> float:
@@ -312,9 +412,10 @@ def _spread_rows(logs, coeffs, start, step, count, turns):
     group = nf * max(1, min(turns, _GROUP_ELEMS // (2 * rows * nf)))  # cells per group of turns
     fine = None if turns == 1 else np.zeros(
         (rows, -(-(group + nf + tile + w // 2) // nf) * nf), dtype=np.complex128)
+    planner = _cached_plan if -(-logs.size // size) <= _PLAN_SLOTS else _cached_plan.__wrapped__
     for a in range(0, max(logs.size, 1), size):
         block = logs[a:a + size]
-        plan = _cached_plan(block.tobytes(), step, count, tile)
+        plan = planner(block.tobytes(), step, count, tile)
         strengths = _strengths(coeffs[:, a + plan.terms], block[plan.terms], mid)
         if turns == 1:
             fine = _spread(strengths, plan, nf, fine, plan.spans)
@@ -340,18 +441,33 @@ def _strengths(coeffs: np.ndarray, logs: np.ndarray, mid: float) -> np.ndarray:
     return strengths.reshape(2 * coeffs.shape[0], logs.size)
 
 
-def _transform(fine: np.ndarray, count: int, scale, constant: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(C, S) at modes j + f, j = -count//2 .., of the spread fine grids (last axis), transformed
-    in place and divided by the kernel's transform there, scale: a _deconvolution row, or
-    its table for a (rows, fractions, nf) fine.  constant is added to C."""
+def _transform(fine: np.ndarray, count: int, scale: np.ndarray, constant: np.ndarray,
+               requests) -> np.ndarray:
+    """The requested parts at modes j + f, j = -count//2 .., of the spread fine grids.
+
+    fine has rows on its first axis and modes on its last; it is transformed
+    in place and divided by the kernel's transform there, scale: a
+    _deconvolution row, or its table for a (rows, fractions, nf) fine.
+    requests lists (row, sine) pairs; constant[row] is added to a cosine part.
+    Requests of one part on consecutive rows are divided as one block.
+    """
     np.fft.ifft(fine, norm="forward", out=fine)
     nf, half = fine.shape[-1], count // 2
-    out_c, out_s = np.empty(fine.shape[:-1] + (count,)), np.empty(fine.shape[:-1] + (count,))
-    for out, part in ((out_c, fine.real), (out_s, fine.imag)):
-        np.divide(part[..., nf - half:], scale[..., :half], out=out[..., :half])
-        np.divide(part[..., :count - half], scale[..., half:], out=out[..., half:])
-    out_c += constant
-    return out_c, out_s
+    scale = scale[..., count - 2 * half:]  # modes -c .. c - 1 from -count//2
+    out = np.empty((len(requests),) + fine.shape[1:-1] + (count,))
+    runs = []  # [q, r, n, sine]: requests q .. q + n - 1 read rows r .. r + n - 1
+    for q, (r, sine) in enumerate(requests):
+        if runs and runs[-1][3] == sine and runs[-1][1] + runs[-1][2] == r:
+            runs[-1][2] += 1
+        else:
+            runs.append([q, r, 1, sine])
+    for q, r, n, sine in runs:
+        part, dst = (fine[r:r + n].imag if sine else fine[r:r + n].real), out[q:q + n]
+        np.divide(part[..., nf - half:], scale[..., :half], out=dst[..., :half])
+        np.divide(part[..., :count - half], scale[..., half:count], out=dst[..., half:])
+        if not sine:
+            dst += constant[r:r + n]
+    return out
 
 
 def _ramp(f, nf: int, first: int, length: int) -> np.ndarray:
@@ -423,12 +539,16 @@ def _fine_length(count: int) -> int:
 
 @lru_cache(maxsize=8)
 def _deconvolution(count: int, fractions: tuple) -> np.ndarray:
-    """The kernel's transform at modes i - count//2 + f, row g for f = fractions[g]; read-only,
-    built once per (count, fractions) and a row at a time, with no (fractions, count)
-    temporaries.  The plain grid's is the table of (0.0,)."""
-    table = np.empty((len(fractions), count))
+    """The kernel's transform at modes q - c + f, q < 2c, c = count - count//2, row g for
+    f = fractions[g]; read-only, built once per (count, fractions) and a row at a time.
+
+    A fraction's modes j + f, j = -count//2 .., are columns count - 2 (count//2) on;
+    a mirror pair's are all 2c columns (_mirror_pairs).  The plain grid's is the table of (0.0,).
+    """
+    c = count - count // 2
+    table = np.empty((len(fractions), 2 * c))
     for row, f in zip(table, fractions):
-        row[:] = _kernel_transform(np.arange(count) - count // 2 + f, _fine_length(count))
+        row[:] = _kernel_transform(np.arange(2 * c) - c + f, _fine_length(count))
     table.setflags(write=False)
     return table
 
@@ -437,12 +557,16 @@ def _chunks(interval: Interval, step: float, count: int, gap: float, what: str):
     """An iterator of (first, start = interval.lo + first * step, length) per chunk of
     at most _CHUNK_PANELS points of the grid interval.lo + i * step, i < count.
     Evaluation points gap apart within 4 ulp of interval.hi, which round onto each
-    other, raise a NumericalError at once (what names count)."""
+    other, raise a NumericalError at once (what names count), and then more than
+    _MAX_GRID_POINTS points a ValueError."""
     ulps = 4.0 * math.ulp(interval.hi)
     if not gap > ulps:
         raise NumericalError(f"{count:.4g} {what} on [{interval.lo!r}, {interval.hi!r}] put "
                              f"neighbouring points {gap:.3g} apart near t = {interval.hi!r}, "
                              f"where 4 ulp are {ulps:.3g}: they would round onto each other", None)
+    if count > _MAX_GRID_POINTS:
+        raise ValueError(f"{count:,} {what} on [{interval.lo!r}, {interval.hi!r}] are more "
+                         f"than the {_MAX_GRID_POINTS:,} allowed")
     return ((first, interval.lo + first * step, min(_CHUNK_PANELS, count - first))
             for first in range(0, count, _CHUNK_PANELS))
 

@@ -191,22 +191,27 @@ def _direct_moments(table: WeightTable, t: float) -> tuple[float, float, float]:
             u_moment(table, 2, tau, Part.COSINE))
 
 
+# The parts of the moment rows w_n^2, w_n^2 (log n)^2 and w_n^2 log n that the density reads
+_MOMENT_PARTS = ((0, Part.COSINE), (2, Part.SINE), (1, Part.COSINE))
+
+
 def _moment_streams(table: WeightTable, start: float, step: float, count: int,
                     fractions=(0.0,)):
-    """An iterator of P_0, Pt_1, P_2 at tau = 2t along t_i = start + (i + f)*step, f in fractions.
+    """Yield (g, (P_0, Pt_1, P_2)) at tau = 2t along t_i = start + (i + f_g)*step.
 
     The moment rows w_n^2 (log n)^j, j = 0, 2, 1, fill one (3, N) array,
     and one kernel call on the doubled grids tau_i = 2 t_i serves every
-    fraction: P_0 and P_2 are cosine sums, Pt_1 a sine sum.  Nothing here
-    holds the rows once spread, or a fraction's sums while the next is made.
+    fraction, in the kernel's order (pair order for node fractions): P_0
+    and P_2 are cosine sums, Pt_1 a sine sum, and only those are made.
+    Nothing here holds the rows once spread, or a fraction's sums while the
+    next is made.
     """
     weights, logs = table.weights, table.logs
     rows = np.empty((3, logs.size))
     np.multiply(weights, weights, out=rows[0])
     np.multiply(rows[0], logs, out=rows[2])
     np.multiply(rows[2], logs, out=rows[1])
-    return map(lambda cs: (cs[0][0], cs[1][2], cs[0][1]),
-               oscillating_sums(logs, rows, 2.0 * start, 2.0 * step, count, fractions))
+    return oscillating_sums(logs, rows, _MOMENT_PARTS, 2.0 * start, 2.0 * step, count, fractions)
 
 
 def breakdown_grid(spec: PolynomialSpec, table: WeightTable, start: float,
@@ -215,22 +220,31 @@ def breakdown_grid(spec: PolynomialSpec, table: WeightTable, start: float,
 
     _breakdown_streams' one fraction f = 0, from one grid-kernel call.
     """
-    return next(_breakdown_streams(spec, table, start, step, count, (0.0,)))
+    return next(_breakdown_streams(spec, table, start, step, count, (0.0,)))[1]
+
+
+def _map_rows(f, streams):
+    """(i, f(rows)) for each (i, rows) of streams; no name holds an item while the next is made."""
+    return map(lambda item: (item[0], f(item[1])), streams)
 
 
 def _breakdown_streams(spec: PolynomialSpec, table: WeightTable, start: float, step: float,
                        count: int, fractions, *, proof: bool = True):
-    """Yield breakdown_grid's fields along t_i = start + (i + f)*step for each f in fractions.
+    """An iterator of (g, breakdown_grid's fields) along t_i = start + (i + f_g)*step, in the
+    kernel's order.
 
     One kernel call for all fractions (_moment_streams), which spreads the
     moment rows once where every point lies in turn 0; one fraction's
-    fields and sums exist at a time.
+    fields, and one node pair's sums, exist at a time.
     """
     _check_spec(spec, table)
-    sums = _moment_streams(table, start, step, count, fractions)
-    for f in fractions:
-        t = start + step * (np.arange(count) + f)
-        yield _assemble(spec, table, t, *next(sums), proof=proof)
+
+    def fields(item):
+        g, sums = item
+        t = start + step * (np.arange(count) + fractions[g])
+        return g, _assemble(spec, table, t, *sums, proof=proof)
+
+    return map(fields, _moment_streams(table, start, step, count, fractions))
 
 
 def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
@@ -246,9 +260,11 @@ def _shifted_grids(spec: PolynomialSpec, table: WeightTable, interval: Interval,
     h = interval.length / m
     rng = np.random.Generator(np.random.PCG64(seed % 2**64))
     fractions = rng.random(STRATIFIED_REPLICATES)
-    sums = np.array(list(_moment_streams(table, interval.lo, h, m, fractions)))
+    streams = dict(_moment_streams(table, interval.lo, h, m, fractions))
+    sums = np.stack([streams[g] for g in range(fractions.size)], axis=1)
+    del streams  # the kernel's sums: not held beside the fields
     return _assemble(spec, table, interval.lo + h * fractions[:, None] + h * np.arange(m),
-                     *sums.swapaxes(0, 1), proof=False)
+                     *sums, proof=False)
 
 
 def panel_width(spec: PolynomialSpec) -> float:
@@ -276,12 +292,13 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _node_streams(integrand, interval: Interval, n_panels: int, n: int):
-    """Yield (node i, rows) for every chunk of n-node panels, node by node.
+    """Yield (node i, rows) for every chunk of n-node panels, n nodes per chunk.
 
     integrand(start, step, count, fractions) is called once per chunk, with
     the chunk's first panel edge, the panel width, the chunk's panel count
-    and the node fractions f_i = (xi_i + 1)/2; it yields, fraction by
-    fraction, rows along the grid start + (j + f_i)*step, j < count, which
+    and the node fractions f_i = (xi_i + 1)/2; it yields (i, rows) once per
+    node, in any order (the grid kernel's is pair order 0, n - 1, 1, n - 2,
+    ...), with rows along the grid start + (j + f_i)*step, j < count, which
     node i's abscissas across the chunk's panels form.  Panels run in the
     chunks of _chunks, after its 4-ulp check on the closest nodes (across a
     panel edge), so a chunk's kernel work and a stream's fields stay bounded
@@ -291,9 +308,7 @@ def _node_streams(integrand, interval: Interval, n_panels: int, n: int):
     h = interval.length / n_panels
     fractions = (_gauss_rule(n)[0] + 1.0) * 0.5
     for _, start, count in _chunks(interval, h, n_panels, 2.0 * fractions[0] * h, "panels"):
-        streams = integrand(start, h, count, fractions)
-        for i in range(n):
-            yield i, next(streams)
+        yield from integrand(start, h, count, fractions)
 
 
 def _gauss_legendre(integrand, interval: Interval, n_panels: int,
@@ -318,7 +333,8 @@ def _gauss_legendre(integrand, interval: Interval, n_panels: int,
 def _panel_estimates(integrand, interval: Interval, n_panels: int, n: int):
     """Yield each chunk's per-panel integrals, flags, tail estimates and roundoff floors.
 
-    A chunk's node streams (_node_streams) of a nonnegative density add up to
+    A chunk's n node streams (_node_streams, in pair order from the grid
+    kernel), of a nonnegative density, add up to
     each panel's Legendre rows c_j (_gauss_rule).  For panels of width h the
     integral is h c_0 and the roundoff floor eps n h c_0, about eps h sum_i f_i.
     A panel is flagged when its tail m = max(|c_{n-2}|, |c_{n-1}|) exceeds
@@ -327,13 +343,14 @@ def _panel_estimates(integrand, interval: Interval, n_panels: int, n: int):
     geometric extrapolation h m r^((n+1)/4) to order 2n of the decay
     r = m / max(|c_{n-6}|, |c_{n-5}|) over four orders, capped at 1.
     """
-    h, transform = interval.length / n_panels, _gauss_rule(n)[2]
+    h, transform, seen = interval.length / n_panels, _gauss_rule(n)[2], 0
     for i, rows in _node_streams(integrand, interval, n_panels, n):
-        if i == 0:
+        if seen == 0:
             coeffs = np.zeros((len(transform),) + rows.shape)
         coeffs += np.multiply.outer(transform[:, i], rows)
         del rows
-        if i == n - 1:
+        seen = (seen + 1) % n  # the chunk's last node closes it
+        if seen == 0:
             head = np.maximum(abs(coeffs[1]), abs(coeffs[2]))
             m = np.maximum(abs(coeffs[3]), abs(coeffs[4]))
             floor = np.finfo(float).eps * n * h * coeffs[0]
@@ -385,7 +402,7 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
     default (the proof steps keep 8 on quarter periods: step 6's |y| x^2
     has corners).  (The bound keeps step * log N of the
     doubled grid at most pi, so the spread leaves a gap in its periodic
-    grid and the kernel ramps one spread grid to every node fraction: see
+    grid and the kernel ramps one spread grid to every node pair: see
     dirichlet_eval.oscillating_sums.)  Each chunk's node values also
     give every panel's Legendre tail (_panel_estimates) at no extra kernel
     call; only scalars outlive a chunk.  A flagged panel, in practice one
@@ -400,7 +417,7 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
     panel's roundoff floor.  nodes_used is nodes_per_panel per panel plus
     the nodes _refine evaluates.  Memory stays bounded at any T: a chunk
     (_node_streams) spreads all N terms, in the kernel's term blocks, into
-    one fine grid, transformed once per node.  The stratified method is
+    one fine grid, transformed once per node pair.  The stratified method is
     the fast route at large T.
     """
     table = _integrable_table(spec)
@@ -414,14 +431,14 @@ def expected_count_deterministic(spec: PolynomialSpec, interval: Interval,
     h = interval.length / n_panels
 
     def density(start, step, count, fractions):
-        return map(operator.itemgetter("density"),
-                   _breakdown_streams(spec, table, start, step, count, fractions, proof=False))
+        fields = _breakdown_streams(spec, table, start, step, count, fractions, proof=False)
+        return _map_rows(operator.itemgetter("density"), fields)
 
     def direct(start, step, count, fractions):  # the density only: no Stieltjes constant
-        for f in fractions:
+        for i, f in enumerate(fractions):
             t = start + step * (np.arange(count) + f)
             sums = np.array([_direct_moments(table, x) for x in t]).T
-            yield _assemble(spec, table, t, *sums, proof=False)["density"]
+            yield i, _assemble(spec, table, t, *sums, proof=False)["density"]
 
     value = error = 0.0
     nodes, lo = nodes_per_panel * n_panels, 0  # lo: the chunk's first panel

@@ -44,7 +44,6 @@ __all__ = [
 
 # Grid values below this fraction of the coefficient L1 mass count as exact zeros.
 _GRID_ZERO_REL = 1e-13
-_MAX_GRID_POINTS = 2**32  # per trial; a step that asks for more is a usage error (README)
 
 # Trials per run_trials block, the rows of its kernel calls.  Fixed: the
 # kernel's tile width, so the last bits of a row's values, depends on the row
@@ -132,14 +131,12 @@ def _count_rows(table: WeightTable, x: np.ndarray, interval: Interval, step: flo
     if not (0 < step < math.inf and interval.length / step < math.inf):
         raise ValueError(f"step must be positive and finite, and length / step finite, got {step}")
     m = max(1, math.ceil(interval.length / step - 1e-12))
-    actual, sine, carry = interval.length / m, table.spec.part is Part.SINE, None
-    chunks = _chunks(interval, actual, m + 1, actual, "grid points")  # 4-ulp check first
-    if m + 1 > _MAX_GRID_POINTS:
-        raise ValueError(f"step {step!r} asks for {m + 1:,} grid points per trial, more than "
-                         f"the {_MAX_GRID_POINTS:,} allowed")
+    actual, carry = interval.length / m, None
+    chunks = _chunks(interval, actual, m + 1, actual, "grid points")  # checked before any work
     coeffs, tol = x * table.weights, _GRID_ZERO_REL * (np.abs(x) @ table.weights)[:, None]
+    parts = [(r, table.spec.part) for r in range(len(x))]
     for first, start, count in chunks:
-        values = next(oscillating_sums(table.logs, coeffs, start, actual, count))[sine]
+        values = next(oscillating_sums(table.logs, coeffs, parts, start, actual, count))[1]
         if carry is not None:
             values, first = np.concatenate((carry, values), axis=1), first - 1
         counts, zero, flips = _sign_events(values, tol)

@@ -243,6 +243,21 @@ def test_grid_beyond_the_point_bound_exits_two(capsys, monkeypatch):
     assert "100,000,000,000,001 grid points" in err and "4,294,967,296 allowed" in err
 
 
+def test_panels_beyond_the_point_bound_exit_two(capsys, monkeypatch):
+    # the L2 identity at T = 1e12 asks for 2.2e11 half-period panels, which
+    # would run for hours: the grid point bound that Monte Carlo's grid
+    # obeys names the count and the bound before the kernel is called once
+    from dirichlet_roots import diagnostics
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("the grid kernel was called")
+
+    monkeypatch.setattr(diagnostics, "oscillating_sums", kernel)
+    code, out, err = run_cli(["diagnostics", "--suite", "l2", "--T", "1e12"], capsys)
+    assert code == 2 and out == ""
+    assert "220,635,600,153 panels" in err and "4,294,967,296 allowed" in err
+
+
 def test_derivative_order_beyond_float_range_exits_two(cli_env):
     # a k that no float holds once ended in an OverflowError traceback (exit 1)
     proc = subprocess.run([sys.executable, "-m", "dirichlet_roots.cli", "expected", "--T", "50",

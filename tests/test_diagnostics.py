@@ -101,7 +101,7 @@ def test_proof_step_pieces_match_stacked_formula():
     # the pieces fill one array in place, with the stacked formula's
     # association in every product, so the steps stay bitwise equal
     spec = make_spec(1000.0, 0, 0.5)
-    br = next(_breakdown_streams(spec, make_weight_table(spec), 1000.0, 0.05, 4000, (0.3, 0.8)))
+    _, br = next(_breakdown_streams(spec, make_weight_table(spec), 1000.0, 0.05, 4000, (0.3, 0.8)))
     x, y, z = br["x"], br["y"], br["z"]
     stacked = np.vstack([x, y, x * y, z, x * x, np.abs(y) * x * x, x**4,
                          x * x * y * y, y * y * x**4])

@@ -30,10 +30,19 @@ from dirichlet_roots.dirichlet_eval import (
     _strengths,
     oscillating_sums,
 )
-from dirichlet_roots.kac_rice import _moment_streams
+from dirichlet_roots.kac_rice import _gauss_rule, _moment_streams
 from dirichlet_roots.monte_carlo import _count_rows
 
 from oracles import direct_power_sum
+
+
+def _both(logs, coeffs, *grid):
+    """The cosine and sine sums (C, S) of every row, per fraction in fraction order, from
+    one oscillating_sums call that requests both parts of every row."""
+    rows = np.atleast_2d(coeffs).shape[0]
+    parts = [(r, part) for part in ("cosine", "sine") for r in range(rows)]
+    sums = dict(oscillating_sums(logs, coeffs, parts, *grid))
+    return [(sums[g][:rows], sums[g][rows:]) for g in sorted(sums)]
 
 
 def _fixed_sample(spec, values):
@@ -173,7 +182,7 @@ def test_kernel_matches_fsum(T, start, step, count, n_rows, points):
     cos_table, sin_table = make_weight_table(cos_spec), make_weight_table(sin_spec)
     X = np.array([sample_coefficients(cos_spec, 5, r).values for r in range(n_rows)])
     rows = X * cos_table.weights
-    C, S = next(oscillating_sums(cos_table.logs, rows, start, step, count))
+    (C, S), = _both(cos_table.logs, rows, start, step, count)
     assert C.shape == S.shape == (n_rows, count)
     mass = np.abs(rows).sum(axis=1)
     for i in range(count) if points is None else points:
@@ -195,13 +204,13 @@ def test_kernel_exact_constant_and_zero_rows():
     logs = np.log(np.arange(1, 301, dtype=np.float64))
     for start, fractions in ((3.0, (0.0,)), (6e4, (0.0, 0.25, 1.0)), (6e4, (0.0, 0.4)),
                              (6e4 - 7.0, (0.0,)), (6e4 + 7e3, (0.0,))):
-        sums = list(oscillating_sums(np.zeros(1), rows, start, 0.7, 40, fractions))
+        sums = _both(np.zeros(1), rows, start, 0.7, 40, fractions)
         assert len(sums) == len(fractions)
         for C, S in sums:
             assert C.shape == S.shape == (3, 40)
             assert np.all(C == np.asarray(rows)) and np.all(S == 0.0)
         for step in (0.1, 3.0):
-            for C, S in oscillating_sums(logs, np.zeros((2, 300)), -5.0, step, 33, fractions):
+            for C, S in _both(logs, np.zeros((2, 300)), -5.0, step, 33, fractions):
                 assert C.shape == S.shape == (2, 33)
                 assert np.all(C == 0.0) and np.all(S == 0.0)
 
@@ -217,8 +226,8 @@ def test_kernel_zero_shift_is_unshifted_bitwise():
         phase = start * table.logs
         exact = np.vstack([X * np.cos(phase), X * np.sin(phase)])
         assert np.array_equal(_strengths(X, table.logs, start), exact)
-        plain = next(oscillating_sums(table.logs, X, start, 0.1, 300))
-        shifted = next(oscillating_sums(table.logs, X, start, 0.1, 300, np.array([0.0])))
+        plain, = _both(table.logs, X, start, 0.1, 300)
+        shifted, = _both(table.logs, X, start, 0.1, 300, np.array([0.0]))
         assert all(np.array_equal(a, b) for a, b in zip(plain, shifted))
 
 
@@ -245,8 +254,7 @@ def test_kernel_shifted_rows_match_fsum(T, start, step, count, shifts, nodes):
     sums = [None] * len(shifts)
     for w in np.unique(whole):
         at = np.flatnonzero(whole == w)
-        grids = oscillating_sums(logs, rows, start + w * step, step, count,
-                                 np.array(shifts)[at] / step - w)
+        grids = _both(logs, rows, start + w * step, step, count, np.array(shifts)[at] / step - w)
         for g, s in zip(at, grids, strict=True):
             sums[g] = s
     assert all(C.shape == S.shape == (4, count) for C, S in sums)
@@ -300,7 +308,7 @@ def test_wrapped_fractions_match_fsum(monkeypatch, case, block):
     logs, rows, start, step, count, fractions = _wrapped_case(case)
     if block:
         monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", block * len(rows) * _SPREAD_WIDTH)
-    sums = list(oscillating_sums(logs, rows, start, step, count, fractions))
+    sums = _both(logs, rows, start, step, count, fractions)
     assert len(sums) == len(fractions)
     eps = np.finfo(np.float64).eps
     for r, row in enumerate(rows):
@@ -318,9 +326,9 @@ def test_wrapped_fractions_match_fsum(monkeypatch, case, block):
 def ramps(monkeypatch):
     """The argument tuples of every _ramp call: grid ramps, and turn tables (one cell per turn).
 
-    Where every point lies in turn 0, each fraction takes its own grid ramp;
-    otherwise one grid ramp and one turn table per group of turns serve
-    every fraction."""
+    Where every point lies in turn 0, each mirror pair of fractions takes
+    one grid ramp; otherwise one grid ramp and one turn table per group of
+    turns serve every fraction."""
     calls, ramp = [], dirichlet_eval._ramp
     monkeypatch.setattr(dirichlet_eval, "_ramp", lambda *args: calls.append(args) or ramp(*args))
     return calls
@@ -336,7 +344,8 @@ def _ramp_kinds(calls):
 def test_streams_match_fsum_at_gauss_legendre_fractions(ramps, T):
     # both halves of every row at the 8 node fractions (xi + 1)/2, on EK's
     # doubled grid (step * log T = pi/2), against the fsum evaluators; every
-    # point lies in turn 0, so one spread serves every fraction's ramp
+    # point lies in turn 0, so one spread serves every fraction, and each
+    # mirror pair f, 1 - f one ramp
     spec, sin_spec = make_spec(T, 0, 0.5, "cosine"), make_spec(T, 0, 0.5, "sine")
     table, sin_table = make_weight_table(spec), make_weight_table(sin_spec)
     X = sample_coefficients(spec, 3, 0).values
@@ -344,10 +353,11 @@ def test_streams_match_fsum_at_gauss_legendre_fractions(ramps, T):
     rows = np.vstack([X * table.weights, sq, sq * logs * logs])
     start, step, count = 2.0 * T, math.pi / (2.0 * math.log(T)), 700
     fractions = (np.polynomial.legendre.leggauss(8)[0] + 1.0) / 2.0
-    streams = oscillating_sums(logs, rows, start, step, count, fractions)
+    streams = _both(logs, rows, start, step, count, fractions)
+    assert len(streams) == 8
     for f, (C, S) in zip(fractions, streams):
         assert C.shape == S.shape == (3, count)
-        for i in (0, 1, 349, 699):
+        for i in (0, 1, count // 2, count - 1):
             t = start + (i + f) * step
             cs = [(eval_polynomial(_fixed_sample(spec, X), table, t),
                    eval_polynomial(_fixed_sample(sin_spec, X), sin_table, t))]
@@ -357,7 +367,55 @@ def test_streams_match_fsum_at_gauss_legendre_fractions(ramps, T):
                 mass = math.fsum(np.abs(rows[r]))
                 assert abs(C[r, i] - c) < 1e-12 * mass
                 assert abs(S[r, i] - s) < 1e-12 * mass
-    assert _ramp_kinds(ramps) == (8, 0)
+    assert _ramp_kinds(ramps) == (4, 0)
+
+
+def _check_mirror_pairs(n, count, reach):
+    """oscillating_sums at n Gauss-Legendre node fractions, count modes and a support of
+    the named reach, against fsum; the node order it yields."""
+    rng = np.random.default_rng(n * count)
+    nf = _fine_length(count)
+    logs = np.log(np.arange(1, 201, dtype=np.float64))
+    coeffs = rng.standard_normal((3, 200)) / np.sqrt(np.arange(1, 201))
+    cells = {"cell 0": 5.0, "quarter": nf / 4.0, "past half": 0.8 * nf}[reach]
+    start, step = 300.0, cells * 2.0 * math.pi / (nf * logs[-1])
+    fractions = (_gauss_rule(n)[0] + 1.0) / 2.0
+    parts = [(1, "cosine"), (0, "sine"), (1, "sine"), (2, "cosine")]
+    streams = list(oscillating_sums(logs, coeffs, parts, start, step, count, fractions))
+    for g, sums in streams:
+        assert sums.shape == (len(parts), count)
+        for i in (0, 1, count // 2, count - 1):
+            t = start + (i + fractions[g]) * step
+            for q, (r, part) in enumerate(parts):
+                trig = np.cos if part == "cosine" else np.sin
+                exact = math.fsum(coeffs[r] * trig(t * logs))
+                assert abs(sums[q, i] - exact) < 1e-12 * math.fsum(np.abs(coeffs[r]))
+    return [g for g, _ in streams]
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+@pytest.mark.parametrize("count", [64, 65])
+@pytest.mark.parametrize("reach", ["cell 0", "quarter", "past half"])
+def test_mirror_pairs_match_fsum(ramps, n, count, reach):
+    # the pair transform: one ramp and one FFT of one row per request serve
+    # node fractions f and 1 - f, which arrive in pair order 0, n - 1, 1,
+    # n - 2, ... (the middle node of n = 9 alone).  The mirror reads modes
+    # -j - 1 + (1 - f), whose index offset depends on the parity of count.
+    # Requests mix both parts of one row, a sine part alone and a cosine
+    # part of a row with a constant term.  Supports of a few cells about
+    # cell 0, where the reflected support overlaps the direct one on cells
+    # -w/2 .. w/2; of a quarter period (EK's doubled grid); and reaching
+    # past nf/2, where the reflection folds over the period's other half
+    order = _check_mirror_pairs(n, count, reach)
+    assert order == [i for g in range((n + 1) // 2) for i in dict.fromkeys((g, n - 1 - g))]
+    assert _ramp_kinds(ramps) == ((n + 1) // 2, 0)
+
+
+def test_kernel_rejects_parts_outside_its_rows():
+    logs = np.log(np.arange(1, 51, dtype=np.float64))
+    for parts in ([], [(1, "cosine")], [(-1, "sine")]):
+        with pytest.raises(ValueError, match="parts must name rows among the 1 rows"):
+            next(oscillating_sums(logs, np.ones((1, 50)), parts, 1.0, 0.1, 20))
 
 
 def test_streams_short_chunk_at_quarter_period():
@@ -368,7 +426,7 @@ def test_streams_short_chunk_at_quarter_period():
     start, step = 400.0, math.pi / (2.0 * logs[-1])
     fractions = (0.02, 0.5, 0.98)
     mass = math.fsum(np.abs(coeffs[0]))
-    for f, (C, S) in zip(fractions, oscillating_sums(logs, coeffs, start, step, 3, fractions)):
+    for f, (C, S) in zip(fractions, _both(logs, coeffs, start, step, 3, fractions)):
         for i in range(3):
             t = start + (i + f) * step
             assert abs(C[0, i] - math.fsum(coeffs[0] * np.cos(t * logs))) < 1e-12 * mass
@@ -376,7 +434,7 @@ def test_streams_short_chunk_at_quarter_period():
 
 
 def _check_fractions_against_fsum(logs, coeffs, start, step, count, fractions):
-    sums = list(oscillating_sums(logs, coeffs, start, step, count, fractions))
+    sums = _both(logs, coeffs, start, step, count, fractions)
     assert len(sums) == len(fractions)
     for f, (C, S) in zip(fractions, sums):
         for i in sorted({0, count // 2, count - 1}):
@@ -394,12 +452,13 @@ def test_streams_on_wrapping_spreads_match_fsum(ramps, scale, count):
     # floor of 5 modes: one spread serves the three fractions' ramps.  At
     # 3 pi the points span turns 0 and 1, and negative logs (log(n / 7),
     # n < 7) turns -1 and 0: the turns' segments then fold in by one turn
-    # table and one ramp for all fractions.  All match fsum.
+    # table and one ramp for all fractions.  All match fsum.  In turn 0 the
+    # mirror pair 0.125, 0.875 shares one ramp and 0.5 takes its own
     logs = np.log(np.arange(1, 301, dtype=np.float64))
     coeffs = np.random.default_rng(6).standard_normal((2, 300)) / np.sqrt(np.arange(1, 301))
     step, fractions = scale * math.pi / logs[-1], (0.125, 0.5, 0.875)
     _check_fractions_against_fsum(logs, coeffs, 10.0, step, count, fractions)
-    assert _ramp_kinds(ramps) == ((3, 0) if scale <= 1.0 else (1, 1))
+    assert _ramp_kinds(ramps) == ((2, 0) if scale <= 1.0 else (1, 1))
     ramps.clear()
     _check_fractions_against_fsum(logs - math.log(7.0), coeffs, 10.0, step, count, fractions)
     assert _ramp_kinds(ramps) == (1, 1)
@@ -411,14 +470,15 @@ def test_streams_one_cell_past_the_gap_take_angle_addition(ramps, count):
     # side of nf - w - 1, where the kept support first reaches the images
     # nf - w/2 .. nf - 1 of the halo cells -w/2 .. -1, and half a cell
     # below nf, where it runs into the halo past cell nf, every point lies
-    # in turn 0 and one spread serves every fraction.  Half a cell past nf
+    # in turn 0 and one spread serves every fraction, with one ramp per
+    # mirror pair (0.125 and 0.875; 0.5 alone).  Half a cell past nf
     # the last point starts turn 1, and the two turns' segments fold in by
     # one turn table for all fractions.  All match fsum.
     logs = np.log(np.arange(1, 301, dtype=np.float64))
     coeffs = np.random.default_rng(6).standard_normal((2, 300)) / np.sqrt(np.arange(1, 301))
     nf, fractions = _fine_length(count), (0.125, 0.5, 0.875)
-    for reach, kinds in ((nf - _SPREAD_WIDTH - 1.5, (3, 0)), (nf - _SPREAD_WIDTH - 0.5, (3, 0)),
-                         (nf - 0.5, (3, 0)), (nf + 0.5, (1, 1))):
+    for reach, kinds in ((nf - _SPREAD_WIDTH - 1.5, (2, 0)), (nf - _SPREAD_WIDTH - 0.5, (2, 0)),
+                         (nf - 0.5, (2, 0)), (nf + 0.5, (1, 1))):
         ramps.clear()
         step = reach * 2.0 * math.pi / (nf * logs[-1])
         _check_fractions_against_fsum(logs, coeffs, 10.0, step, count, fractions)
@@ -435,7 +495,7 @@ def test_fractions_outside_unit_interval_are_rejected(ramps):
     for fractions in ((0.5, -3.25, 40.0), (1.0 + 2.0**-52,), (-1e-300, 0.5)):
         before = _cached_plan.cache_info()
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            next(oscillating_sums(logs, coeffs, 400.0, step, 50, fractions))
+            next(oscillating_sums(logs, coeffs, [(0, "cosine")], 400.0, step, 50, fractions))
         after = _cached_plan.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
     assert not ramps
@@ -470,7 +530,7 @@ def test_turn_blocks_span_a_bounded_number_of_turns(monkeypatch, turn_groups, ca
     nf, fractions = _fine_length(count), (0.0, 0.3, 1.0)
     monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 2 * 2 * len(coeffs) * nf)
     start, step = 50.0, 20.0
-    sums = list(oscillating_sums(logs, coeffs, start, step, count, fractions))
+    sums = _both(logs, coeffs, start, step, count, fractions)
     assert len(sums) == len(fractions)
     firsts = sorted({first for first, _ in turn_groups})
     assert len(turn_groups) >= 5 and len(firsts) >= 5
@@ -503,11 +563,11 @@ def test_turn_blocks_share_one_transform(monkeypatch, turn_groups):
     monkeypatch.setattr(dirichlet_eval, "_spread", lambda *a: spreads.append(a) or spread(*a))
     monkeypatch.setattr(dirichlet_eval, "_transform",
                         lambda *a: transforms.append(a[0].shape) or transform(*a))
-    one = list(oscillating_sums(logs, *args))
+    one = _both(logs, *args)
     assert len(spreads) == len(turn_groups) == 1
     assert transforms == [(3, 25, _fine_length(16))]
     monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 200 * 3 * _SPREAD_WIDTH)
-    three = list(oscillating_sums(logs, *args))
+    three = _both(logs, *args)
     assert len(spreads) == len(turn_groups) >= 1 + 4 and len(transforms) == 2
     assert all(a[0].shape[1] <= 200 for a in spreads[1:])
     mass = np.abs(moments).sum(axis=1)
@@ -528,12 +588,13 @@ def test_ramp_rows_equal_one_fraction_ramps():
 
 
 @pytest.mark.parametrize("path", ["ramp", "mc"])
-def test_term_blocks_share_one_transform_per_fraction(monkeypatch, path):
+def test_term_blocks_share_one_transform_per_pair(monkeypatch, path):
     # _GROUP_ELEMS // rows terms per spreading block: 600 terms run as 1
     # block and as 3, which add into one fine grid.  The sums agree within
-    # 1e-13 of each row's L1 mass, and _transform runs once per fraction:
-    # on Gauss-Legendre fractions on EK's doubled grid (turn 0, "ramp") and
-    # on an 8-row MC block's plain grid
+    # 1e-13 of each row's L1 mass, and one FFT of one row per request
+    # serves a mirror pair of Gauss-Legendre fractions on EK's doubled grid
+    # (turn 0, "ramp": 5 pairs, 3 requests), and the plain grid of an 8-row
+    # MC block (one fraction, each row's one part)
     spec = make_spec(600.0, 0, 0.5)
     table = make_weight_table(spec)
     sq, logs = table.squared_weights, table.logs
@@ -541,28 +602,25 @@ def test_term_blocks_share_one_transform_per_fraction(monkeypatch, path):
     if path == "ramp":
         fractions = (np.polynomial.legendre.leggauss(10)[0] + 1.0) / 2.0
         args, rows = (moments, 1200.0, math.pi / (2.0 * logs[-1]), 300, fractions), 3
+        parts, ffts = [(0, "cosine"), (1, "cosine"), (2, "sine")], [(3, _fine_length(300))] * 5
     else:
         X = np.array([sample_coefficients(spec, 5, r).values for r in range(8)])
         args, rows = (X * table.weights, 600.0, 0.05, 2001, (0.0,)), 8
-    spreads, transforms = [], []
-    spread, transform = dirichlet_eval._spread, dirichlet_eval._transform
+        parts, ffts = [(r, "sine") for r in range(8)], [(8, _fine_length(2001))]
+    spreads, shapes = [], []
+    spread, ifft = dirichlet_eval._spread, np.fft.ifft
     monkeypatch.setattr(dirichlet_eval, "_spread",
                         lambda *a: spreads.append(a[1].tile) or spread(*a))
-    monkeypatch.setattr(dirichlet_eval, "_transform",
-                        lambda *a: transforms.append(a[2]) or transform(*a))
-    one = list(oscillating_sums(logs, *args))
-    assert len(spreads) == 1
-    calls = len(transforms)
-    assert calls == len(args[-1])
+    monkeypatch.setattr(np.fft, "ifft", lambda x, **kw: shapes.append(x.shape) or ifft(x, **kw))
+    one = [sums for _, sums in sorted(oscillating_sums(logs, args[0], parts, *args[1:]))]
+    assert len(spreads) == 1 and shapes == ffts
     monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 200 * rows)
-    three = list(oscillating_sums(logs, *args))
+    three = [sums for _, sums in sorted(oscillating_sums(logs, args[0], parts, *args[1:]))]
     assert len(spreads) == 4 and len(set(spreads[1:])) == 1  # one tile for every block
-    assert len(transforms) == 2 * calls
-    mass = np.abs(args[0]).sum(axis=1)
-    for (C1, S1), (C3, S3) in zip(one, three, strict=True):
-        for a, b in ((C1, C3), (S1, S3)):
-            err = np.abs(a - b).reshape(-1, len(mass), a.shape[-1]).max(axis=(0, 2))
-            assert np.all(err <= 1e-13 * mass)
+    assert shapes == 2 * ffts
+    mass = np.abs(args[0]).sum(axis=1)[[r for r, _ in parts]]
+    for a, b in zip(one, three, strict=True):
+        assert np.all(np.abs(a - b).max(axis=1) <= 1e-13 * mass)
 
 
 def test_moment_sums_row_mapping_on_shifted_grids():
@@ -573,10 +631,10 @@ def test_moment_sums_row_mapping_on_shifted_grids():
     table = make_weight_table(make_spec(700.0, 1, 0.5))
     step = 0.3
     for start, fractions in ((1400.0, (0.0, 0.5)), (1400.0 - 8 * step, (0.5,))):
-        streams = list(_moment_streams(table, start / 2, step / 2, 100, fractions))
+        streams = dict(_moment_streams(table, start / 2, step / 2, 100, fractions))
         assert len(streams) == len(fractions)
         for g, f in enumerate(fractions):
-            assert all(rows.shape == (100,) for rows in streams[g])
+            assert streams[g].shape == (3, 100)
             for j, part in enumerate(("cosine", "sine", "cosine")):
                 mass = math.fsum(table.squared_weights * table.logs**j)
                 for i in (0, 63, 99):
@@ -591,12 +649,35 @@ def test_kernel_plan_reuse_is_bitwise():
     table = make_weight_table(spec)
     X = np.array([sample_coefficients(spec, 4, r).values for r in range(3)]) * table.weights
     args = (X, 1000.0, 0.05, 400)
-    first = next(oscillating_sums(table.logs, *args))
-    warm = next(oscillating_sums(table.logs, *args))
-    next(oscillating_sums(table.logs[::-1].copy(), *args))
-    cold = next(oscillating_sums(table.logs, *args))
+    first, = _both(table.logs, *args)
+    warm, = _both(table.logs, *args)
+    _both(table.logs[::-1].copy(), *args)
+    cold, = _both(table.logs, *args)
     for got in (warm, cold):
         assert all(np.array_equal(a, b) for a, b in zip(first, got))
+
+
+def test_calls_with_more_term_blocks_than_plan_slots_build_them_uncached(monkeypatch):
+    # a call with more term blocks than _cached_plan keeps would evict
+    # every plan before its next use: it builds its plans uncached and
+    # leaves the cache as it was.  A call of at most _PLAN_SLOTS blocks
+    # caches its plans and finds them on the next call
+    logs = np.log(np.arange(1, 1001, dtype=np.float64))
+    coeffs = np.random.default_rng(9).standard_normal((3, 1000)) / np.sqrt(np.arange(1, 1001))
+    args = (logs, coeffs, [(0, "cosine"), (2, "sine")], 400.0, 0.01, 300)
+    _cached_plan.cache_clear()
+    monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 3 * 100)  # 10 blocks
+    many = next(oscillating_sums(*args))[1]
+    info = _cached_plan.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    assert 1000 // 125 == dirichlet_eval._PLAN_SLOTS
+    monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 3 * 125)  # 8 blocks
+    few = next(oscillating_sums(*args))[1]
+    next(oscillating_sums(*args))
+    info = _cached_plan.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (8, 8, 8)
+    mass = np.abs(coeffs[[0, 2]]).sum(axis=1)[:, None]
+    assert np.all(np.abs(many - few) <= 1e-13 * mass)
 
 
 def test_kernel_alternating_point_sets_match_fsum():
@@ -608,7 +689,7 @@ def test_kernel_alternating_point_sets_match_fsum():
     coeffs = rng.standard_normal((2, 300)) / np.sqrt(np.arange(1, 301))
     start, step, count = 600.0, 0.05, 300
     for logs in (low, high, low, high):
-        C, S = next(oscillating_sums(logs, coeffs, start, step, count))
+        (C, S), = _both(logs, coeffs, start, step, count)
         for r in range(2):
             mass = math.fsum(np.abs(coeffs[r]))
             for i in (0, 149, 299):
@@ -630,7 +711,7 @@ def test_kernel_plan_memory_is_linear_in_terms(monkeypatch):
     for terms in (2000, 40_000):
         logs = np.log(np.arange(1, terms + 1, dtype=np.float64))
         _cached_plan.cache_clear()
-        next(oscillating_sums(logs, np.ones((3, terms)), 4000.0, 0.01, 5000))
+        next(oscillating_sums(logs, np.ones((3, terms)), [(0, "cosine")], 4000.0, 0.01, 5000))
         plan = plans.pop()
         assert _cached_plan.cache_info().currsize == 1 and not plans
         arrays = [v for v in plan if isinstance(v, np.ndarray)]
@@ -662,7 +743,8 @@ def test_kernel_rejects_non_finite_grids(start, step, shifts):
     logs = np.log(np.arange(1, 51, dtype=np.float64))
     before = _cached_plan.cache_info()
     with pytest.raises(ValueError, match="finite"):
-        next(oscillating_sums(logs, np.ones((1, 50)), start, step, 20, np.array(shifts)))
+        next(oscillating_sums(logs, np.ones((1, 50)), [(0, "sine")], start, step, 20,
+                              np.array(shifts)))
     after = _cached_plan.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
@@ -670,16 +752,16 @@ def test_kernel_rejects_non_finite_grids(start, step, shifts):
 @pytest.mark.parametrize("count", [1, 7, 33, 400, 4591, 2**18])
 def test_fine_grid_transform_matches_sampled_kernel_fft(count):
     # the one deconvolution: the plain grid's cached table, of the one
-    # fraction 0, is the kernel polynomial at modes i - count//2, equal to
-    # the FFT of the kernel sampled on the fine grid (this test's oracle)
-    # to a few ulp
-    nf, (scale,) = _fine_length(count), _deconvolution(count, (0.0,))
-    assert nf >= max(2 * count, 64) and scale.shape == (count,)
+    # fraction 0, is the kernel polynomial at modes i - c, c = count -
+    # count//2, equal to the FFT of the kernel sampled on the fine grid (this
+    # test's oracle) to a few ulp
+    nf, (scale,), c = _fine_length(count), _deconvolution(count, (0.0,)), count - count // 2
+    assert nf >= max(2 * count, 64) and scale.shape == (2 * c,)
     wrap = _SPREAD_WIDTH // 2
     kernel = np.zeros(nf)
     kernel[:wrap + 1] = _spread_kernel(np.arange(wrap + 1.0))
     kernel[nf - wrap:] = kernel[wrap:0:-1]
-    oracle = np.fft.rfft(kernel).real[np.abs(np.arange(count) - count // 2)]
+    oracle = np.fft.rfft(kernel).real[np.abs(np.arange(2 * c) - c)]
     assert np.all(np.abs(scale - oracle) <= 16 * np.spacing(oracle))
 
 
@@ -688,12 +770,13 @@ def test_fine_grid_transform_matches_sampled_kernel_fft(count):
 ])
 def test_deconvolution_rows_are_the_kernel_transform(count, fractions):
     # row g of the table is bitwise the kernel's transform at modes
-    # i - count//2 + fractions[g], built once per (count, fractions) and
+    # i - c + fractions[g], i < 2c, c = count - count//2: the modes of a
+    # fraction and of its mirror.  Built once per (count, fractions) and
     # shared read-only
-    table = _deconvolution(count, fractions)
-    assert table.shape == (len(fractions), count) and not table.flags.writeable
+    table, c = _deconvolution(count, fractions), count - count // 2
+    assert table.shape == (len(fractions), 2 * c) and not table.flags.writeable
     for row, f in zip(table, fractions):
-        expected = _kernel_transform(np.arange(count) - count // 2 + f, _fine_length(count))
+        expected = _kernel_transform(np.arange(2 * c) - c + f, _fine_length(count))
         assert np.array_equal(row, expected)
     assert _deconvolution(count, fractions) is table
 

@@ -230,8 +230,8 @@ def test_gauss_legendre_rows_closed_form(monkeypatch):
 
     def cosines(start, step, count, fractions):
         counts.append(count)
-        return (np.cos(np.outer(omegas, start + step * (np.arange(count) + f)))
-                for f in fractions)
+        return ((i, np.cos(np.outer(omegas, start + step * (np.arange(count) + fractions[i]))))
+                for i in _pair_order(len(fractions)))
 
     got = _gauss_legendre(cosines, iv, n_panels=40, nodes_per_panel=8)
     assert got.shape == (4,)
@@ -245,11 +245,25 @@ def test_gauss_legendre_rows_closed_form(monkeypatch):
     assert counts == [7] * 5 + [5]
 
 
+def _pair_order(n):
+    """The grid kernel's node order 0, n - 1, 1, n - 2, ...: each Gauss-Legendre pair in turn."""
+    return [i for g in range((n + 1) // 2) for i in dict.fromkeys((g, n - 1 - g))]
+
+
 def _streams(fn):
-    """A _node_streams integrand from a function of the abscissas."""
+    """A _node_streams integrand from a function of the abscissas, in the kernel's node order."""
     def integrand(start, step, count, fractions):
-        return (fn(start + step * (np.arange(count) + f)) for f in fractions)
+        return ((i, fn(start + step * (np.arange(count) + fractions[i])))
+                for i in _pair_order(len(fractions)))
     return integrand
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_gauss_fractions_are_exact_mirror_pairs(n):
+    # the grid kernel pairs node fractions f and 1 - f by exact equality,
+    # f_i + f_(n-1-i) == 1.0: one FFT serves both nodes of a pair
+    f = (_gauss_rule(n)[0] + 1.0) * 0.5
+    assert all(f[i] + f[n - 1 - i] == 1.0 for i in range(n))
 
 
 def _chunks(integrand, iv, n_panels, n):
@@ -292,16 +306,17 @@ def test_kink_flags_its_panel_only(monkeypatch, chunk):
 
 def test_streams_release_each_call_rows(monkeypatch):
     # no name holds a call's rows while the next call is computed, in the
-    # plain integrals and in EK's Legendre rows alike
+    # plain integrals and in EK's Legendre rows alike; the nodes arrive in
+    # the kernel's pair order
     monkeypatch.setattr(dirichlet_eval, "_CHUNK_PANELS", 5)
     alive = []
 
     def integrand(start, step, count, fractions):
-        for f in fractions:
+        for i in _pair_order(len(fractions)):
             assert all(ref() is None for ref in alive)
-            rows = np.cos(start + step * (np.arange(count) + f)) + 2.0
+            rows = np.cos(start + step * (np.arange(count) + fractions[i])) + 2.0
             alive.append(weakref.ref(rows))
-            yield rows
+            yield i, rows
             del rows
 
     _gauss_legendre(integrand, Interval(0.0, 5.0), 12, NODES_PER_PANEL)
@@ -335,8 +350,8 @@ def test_chunks_release_their_arrays(monkeypatch):
 def test_moment_rows_take_one_array(monkeypatch):
     # the moment rows w_n^2 (log n)^j fill one (3, N) array: one N-length
     # temporary beside it would add a third to the peak
-    def zeros(logs, coeffs, start, step, count, fractions):
-        yield np.zeros((3, count)), np.zeros((3, count))
+    def zeros(logs, coeffs, parts, start, step, count, fractions):
+        yield 0, np.zeros((len(parts), count))
 
     monkeypatch.setattr(kac_rice, "oscillating_sums", zeros)
     table = make_weight_table(make_spec(2e5, 0, 0.5))
@@ -623,18 +638,31 @@ def test_expected_count_near_predicted_scale(ek_cache):
     assert abs(q.value - pred.total) < 1.0 * 1000.0 / math.log(1000.0)
 
 
+def test_panels_beyond_the_point_bound_are_a_usage_error(monkeypatch):
+    # 1e10 panels of resolvable width: a ValueError naming the count and
+    # the bound, before the integrand runs once
+    def integrand(*args):
+        raise AssertionError("the integrand was called")
+
+    monkeypatch.setattr(kac_rice, "_breakdown_streams", integrand)
+    spec = make_spec(100.0)
+    with pytest.raises(ValueError, match="10,000,000,000 panels on .* 4,294,967,296 allowed"):
+        expected_count_deterministic(spec, Interval(100.0, 200.0), max_panel_width=1e-8)
+
+
 @pytest.mark.parametrize("ulps,resolved", [(5.0, True), (3.0, False)])
 def test_node_streams_reject_nodes_within_four_ulp(ulps, resolved):
     # panels so narrow that neighbouring nodes (here across a panel edge,
     # the closest pair) lie within 4 ulp of interval.hi raise before the
-    # integrand runs; at 5 ulp the first chunk is evaluated
-    iv, calls = Interval(0.0, 1e6), []
+    # integrand runs; at 5 ulp the first chunk is evaluated.  The interval
+    # is short enough that 5 ulp panels stay within the grid point bound
+    iv, calls = Interval(1e6 - 10.0, 1e6), []
     f = (_gauss_rule(10)[0] + 1.0) / 2.0
     n_panels = math.floor(iv.length * 2.0 * f[0] / (ulps * math.ulp(iv.hi)))
 
     def integrand(start, step, count, fractions):
         calls.append(count)
-        return (np.zeros(count) for _ in fractions)
+        return ((i, np.zeros(count)) for i in range(len(fractions)))
 
     streams = _node_streams(integrand, iv, n_panels, 10)
     if resolved:

@@ -146,8 +146,8 @@ def test_chunk_carry_matches_sign_pattern_oracle(monkeypatch):
     x = np.array([[1.0, 0.0]])  # L1 mass 1: grid zeros below 1e-13
 
     def kernel_on(values):  # oscillating_sums on the grid 0, 1, ..., values.size - 1
-        return lambda logs, coeffs, start, step, count: iter(
-            [(values[None, int(start):int(start) + count],) * 2])
+        return lambda logs, coeffs, parts, start, step, count: iter(
+            [(0, values[None, int(start):int(start) + count])])
 
     rng = np.random.default_rng(8)
     patterns = [np.array([1.0, -1.0, 0.0, 1.0, 2.0, -3.0, 0.0, 0.0, 5.0, -1.0])]
