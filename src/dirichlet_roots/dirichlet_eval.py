@@ -9,18 +9,12 @@ Two evaluators, cross-checked in the tests:
   t_i = start + (i + f)*step for one or more fractions f, as a type-1
   nonuniform FFT (exponential-of-semicircle spreading onto a fine grid,
   FFTs, kernel deconvolution), O(terms + grid log grid) per row and
-  fraction.  Each coefficient row gives the complex sums
-  sum_n c_n exp(i t log n), whose real parts are its cosine sums and
-  imaginary parts its sine sums; a caller names the parts it reads, and
-  a mirror pair of fractions f, 1 - f takes one FFT per part.  Error below about
-  3e-13 of the row's coefficient L1 mass, plus the eps |t| ||c_n log n||_2
-  by which any evaluator's rounded phases t log n differ.  Every fraction
-  enters by a ramp on the spread grid.  One spreading pass serves every
-  fraction: where all points lie in turn 0 (Gauss-Legendre node streams)
-  as it is, and where they span several turns (stratified EK) as one
-  segment per turn, which each fraction's grid adds up with its factor of
-  whole turns.  As in FINUFFT's plan interface, the point layout and the
-  deconvolution factors are built once per point set and grid, and cached.
+  fraction.  A row's complex sums sum_n c_n exp(i t log n) hold its cosine
+  sums (real parts) and sine sums (imaginary parts); a caller names the
+  parts it reads.  Error below about 3e-13 of the row's coefficient L1
+  mass, plus the eps |t| ||c_n log n||_2 by which any evaluator's rounded
+  phases t log n differ.  One spreading pass serves every fraction, and
+  point layouts and deconvolution factors are cached, as in FINUFFT.
 """
 
 from __future__ import annotations
@@ -49,14 +43,13 @@ __all__ = [
 # fine cells with shape beta = 2.30 * width, on a fine grid of at least
 # twice as many cells as output modes.  Width 16 keeps the error at the
 # 1e-13 level of the row's L1 mass (width 12: about 5e-11).  Spreading
-# runs one GEMM per tile of cells, about sqrt(_TILE_BALANCE * cells /
-# (rows * points)) cells wide: that balances the fixed cost of a GEMM call
-# against the work of its dense kernel block, which grows with
-# rows * points * (tile + width).  A tile covers at most _TILE_CELLS cells
-# and _TILE_POINTS points, which bounds the block's memory.
+# runs one GEMM per span of cell-sorted points, whose dense kernel block
+# has points x (cells spanned + width) entries: a span takes points while
+# that product stays within _TILE_BALANCE // rows, and at most
+# _TILE_POINTS of them, which balances the fixed cost of a GEMM call
+# against the work of its block wherever the points are dense or sparse.
 _SPREAD_WIDTH = 16
 _SPREAD_BETA = 2.30 * _SPREAD_WIDTH
-_TILE_CELLS = 256
 _TILE_POINTS = 4096
 _TILE_BALANCE = 100_000
 _GROUP_ELEMS = 500_000  # strength entries (rows x terms) per term block: _spread_rows
@@ -131,23 +124,26 @@ class _Plan(NamedTuple):
     terms: np.ndarray   # indices n with logs[n] != 0, sorted by fine cell
     frac: np.ndarray    # each point's position in its fine cell
     offset: np.ndarray  # its first entry in its span's kernel block, row-major
-    tile: int           # fine cells per tile
-    spans: tuple        # (a, b, f): points a .. b - 1, one GEMM onto buffer column f on
-    widest: int         # points in the largest span
+    spans: tuple        # (a, b, f, width): points a .. b - 1, one GEMM onto width columns from f
+    block: int          # entries of the largest span's kernel block
     first: int          # the whole turn of cell 0; cells count on through the later turns
 
 
 @lru_cache(maxsize=_PLAN_SLOTS)
-def _cached_plan(logs: bytes, step: float, count: int, tile: int) -> _Plan:
-    """The _Plan of the points step * logs, for count modes, in tiles of tile cells.
+def _cached_plan(logs: bytes, step: float, count: int, budget: int) -> _Plan:
+    """The _Plan of the points step * logs, for count modes, in spans of at most budget entries.
 
     A point x = 2 pi k + 2 pi p / nf (whole turns k, fine-grid position p)
     lies in cell (k - first) nf + floor(p): cells 0 .. nf - 1 where every
     point lies in turn 0, and one segment of nf cells per turn otherwise.
-    Keyed by the content of logs, so every call on one point set (chunks,
-    trial blocks) shares one plan; each term block has its own, up to
-    _PLAN_SLOTS, and _spread_rows bypasses the cache where a call has more
-    blocks, which would evict every plan before its next use.
+    A span starts at its first point's cell c and takes the cell-sorted
+    points that follow while points x width stays within budget (one
+    always, _TILE_POINTS at most), width = its last point's cell - c + w:
+    its kernel block's columns, cells c + 1 - w/2 on.  Keyed by the content
+    of logs, so every call on one point set (chunks, trial blocks) shares
+    one plan; each term block has its own, up to _PLAN_SLOTS, and
+    _spread_rows bypasses the cache where a call has more blocks, which
+    would evict every plan before its next use.
     """
     logs = np.frombuffer(logs)
     nf, w = _fine_length(count), _SPREAD_WIDTH
@@ -161,17 +157,21 @@ def _cached_plan(logs: bytes, step: float, count: int, tile: int) -> _Plan:
     cell, frac = cell[terms], frac[terms]
     first = int(cell[0]) // nf if cell.size else 0
     cell -= first * nf
-    offset, spans = cell % tile, []
-    runs = np.flatnonzero(np.diff(cell // tile)) + 1
-    for lo, hi in zip(np.r_[0, runs], np.r_[runs, cell.size]):
-        for a in range(lo, hi, _TILE_POINTS):
-            b = min(hi, a + _TILE_POINTS)
-            offset[a:b] += (tile + w) * np.arange(b - a)
-            spans.append((int(a), int(b), int(cell[a] // tile * tile) + 1))
+    limit, starts, a = max(1, min(_TILE_POINTS, budget // w)), [], 0  # a width is at least w
+    while a < cell.size:  # points x width through each next point: nondecreasing
+        window = cell[a:a + limit]
+        starts.append(a)
+        a += max(1, int(np.searchsorted(np.arange(1, window.size + 1) * (window - window[0] + w),
+                                        budget, side="right")))
+    bounds = np.array(starts + [a])
+    starts, counts = bounds[:-1], np.diff(bounds)
+    widths = cell[bounds[1:] - 1] - cell[starts] + w
+    lead = np.repeat(starts, counts)
+    offset = cell - cell[lead] + np.repeat(widths, counts) * (np.arange(cell.size) - lead)
     for arr in (terms, frac, offset):
         arr.setflags(write=False)  # shared by every caller of the cache
-    return _Plan(terms, frac, offset, tile, tuple(spans),
-                 max((b - a for a, b, _ in spans), default=0), first)
+    spans = zip(starts.tolist(), bounds[1:].tolist(), (cell[starts] + 1).tolist(), widths.tolist())
+    return _Plan(terms, frac, offset, tuple(spans), int(np.max(counts * widths, initial=0)), first)
 
 
 def _spread(strengths: np.ndarray, plan: _Plan, nf: int, fine, spans: tuple,
@@ -181,26 +181,26 @@ def _spread(strengths: np.ndarray, plan: _Plan, nf: int, fine, spans: tuple,
     strengths holds the real parts of the point strengths over their
     imaginary parts (2 * rows real rows, points in plan order); fine is
     complex with rows rows and holds fine cell m at m + w/2 - shift (the
-    new grid: nf + tile + w columns, shift 0).  A point at cell + frac
-    covers fine cells cell + 1 - w/2 + k, k < w, and each span is one dense
-    GEMM: strengths times a (points x (tile + w)) kernel block.  One zeroed
-    block serves every span: its entries are set before the GEMM and zeroed
-    after it.  Kernel weights exist for the spans' points only, scatter indices per span.
+    new grid: cells -w/2 .. nf + w/2 - 1 of turn 0, shift 0).  A point at
+    cell + frac covers fine cells cell + 1 - w/2 + k, k < w, and each span
+    is one GEMM of strengths and its dense (points x width) kernel block,
+    set in one zeroed array the size of the plan's largest and zeroed after.
+    Kernel weights exist for the spans' points only, scatter indices per span.
     """
     lo, hi = (spans[0][0], spans[-1][1]) if spans else (0, 0)
-    rows, w, tile = strengths.shape[0] // 2, _SPREAD_WIDTH, plan.tile
-    block = np.zeros(plan.widest * (tile + w))
+    rows, w = strengths.shape[0] // 2, _SPREAD_WIDTH
+    block = np.zeros(plan.block)
     values = _spread_kernel(plan.frac[lo:hi, None] + (w // 2 - 1 - np.arange(w)))
     if fine is None:  # made after the block and the weights: README, "Cost at large T"
-        fine = np.zeros((rows, nf + tile + w), dtype=np.complex128)
+        fine = np.zeros((rows, nf + w), dtype=np.complex128)
     re, im = fine.real, fine.imag
-    for a, b, f in spans:
+    for a, b, f, width in spans:
         flat = plan.offset[a:b, None] + np.arange(w)
         block[flat] = values[a - lo:b - lo]
-        spread = strengths[:, a:b] @ block[:(b - a) * (tile + w)].reshape(b - a, tile + w)
+        spread = strengths[:, a:b] @ block[:(b - a) * width].reshape(b - a, width)
         block[flat] = 0.0
-        re[:, f - shift:f - shift + tile + w] += spread[:rows]
-        im[:, f - shift:f - shift + tile + w] += spread[rows:]
+        re[:, f - shift:f - shift + width] += spread[:rows]
+        im[:, f - shift:f - shift + width] += spread[rows:]
     return fine
 
 
@@ -221,26 +221,22 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, parts, start: float, 
     terms with logs[n] = 0 are constant and are added exactly.  The error
     stays below about 3e-13 of each row's L1 mass plus the phase rounding
     eps |t| ||coeffs[r] logs||_2 that any evaluator of t * logs[n] shares.
-    The points' sort and tiling are planned once per term block and grid
+    The points' sort and spans are planned once per term block and grid
     (_cached_plan, keyed by the content of logs) and the deconvolution once
     per grid (_deconvolution), so repeated calls only spread and transform.
 
-    A fraction enters without trig per term.  With x_n = 2 pi k_n +
-    2 pi p_n / nf (whole turns k_n, fine-grid position p_n),
-    exp(i f x_n) = exp(2 pi i f k_n) exp(2 pi i f p_n / nf) exactly; the
-    second factor is the ramp exp(2 pi i f m / nf) over the fine cells m
-    (Dutt and Rokhlin, 1993).  Where every point lies in turn 0, the plain
-    grid takes one FFT per row, and other fractions go in mirror pairs:
-    fractions g and n - 1 - g with f_g + f_(n-1-g) == 1, as Gauss-Legendre
-    node fractions come, share one FFT per request (_mirror_pairs), and
-    the sums arrive in pair order 0, n - 1, 1, n - 2, ... (a fraction
-    without a mirror alone).  The generator holds no reference to what it
-    yielded once the next pair is made.  Where the points span several
-    turns, the rows are spread once onto one segment of nf cells per turn
-    (_spread_rows), each fraction's grid adds the segments up with the
-    factors exp(2 pi i f k) (one complex GEMM per group of turns for all
-    fractions), and one ramp multiply, one FFT per row and one
-    deconvolution serve every fraction, yielded in order.
+    A fraction enters without trig per term: as the ramp exp(2 pi i f m /
+    nf) over the fine cells m, and as exp(2 pi i f k) per whole turn k of
+    the points (Dutt and Rokhlin, 1993; README, "Notes on accuracy").
+    Where every point lies in turn 0, the plain grid takes one FFT per row,
+    and fractions in mirror pairs, f_g + f_(n-1-g) == 1 as Gauss-Legendre
+    node fractions come, one FFT per pair and request (_mirror_pairs), in
+    pair order 0, n - 1, 1, n - 2, ... (the middle node of an odd rule
+    alone); the generator holds no reference to what it yielded once the
+    next pair is made.  Otherwise the rows are spread once onto one segment
+    of nf cells per turn (_spread_rows), and one turn table per group of
+    turns, one ramp, one FFT per row and one deconvolution serve every
+    fraction, yielded in order.
     """
     if count <= 0:
         raise ValueError("count must be positive")
@@ -257,20 +253,23 @@ def oscillating_sums(logs: np.ndarray, coeffs: np.ndarray, parts, start: float, 
     if not requests or not all(0 <= r < coeffs.shape[0] for r, _ in requests):
         raise ValueError(f"parts must name rows among the {coeffs.shape[0]} rows, got {parts}")
     constant = coeffs[:, logs == 0.0].sum(axis=1)[:, None]
-    rows, nf, wrap = coeffs.shape[0], _fine_length(count), _SPREAD_WIDTH // 2
+    rows, nf, wrap, n = coeffs.shape[0], _fine_length(count), _SPREAD_WIDTH // 2, fractions.size
     ends = step * float(np.min(logs, initial=0.0)), step * float(np.max(logs, initial=0.0))
     turns = int(_turns(ends[1], nf) - _turns(ends[0], nf)) + 1  # the ends take in turn 0
-    if turns > 1:
-        column, grids = fractions[:, None], np.zeros((rows, fractions.size, nf), dtype=np.complex128)
+    if turns > 1 or not np.all(fractions[:n // 2] + fractions[::-1][:n // 2] == 1.0):
+        column, grids = fractions[:, None], None
         for first, segments in _spread_rows(logs, coeffs, start, step, count, turns):
-            grids += _ramp(column, 1, first, segments.shape[1]) @ segments  # whole turns
+            turned = _ramp(column, 1, first, segments.shape[1]) @ segments  # whole turns
+            grids = turned if grids is None else np.add(grids, turned, out=grids)
+            del turned  # not held beside the next group's
+        grids = np.zeros((rows, n, nf), complex) if grids is None else grids  # no log n != 0
         grids *= _ramp(column, nf, 0, nf)
         sums = _transform(grids, count, _deconvolution(count, tuple(fractions.tolist())),
                           constant[:, None], requests)
-        for g in range(fractions.size):
+        for g in range(n):
             yield g, sums[:, g]
         return
-    (_, fine), = _spread_rows(logs, coeffs, start, step, count, turns)
+    (_, fine), = _spread_rows(logs, coeffs, start, step, count, 0)
     del coeffs  # spread: not held beside the fine grid
     hi = min(int(ends[1] * nf / (2.0 * math.pi)) + wrap + 2, nf + wrap)  # cells -w/2 .. hi - 1
     if fractions.size == 1 and fractions[0] == 0.0:  # the plain grid
@@ -291,23 +290,17 @@ def _mirror_pairs(re: np.ndarray, im: np.ndarray, grid: np.ndarray, count: int,
     """Yield oscillating_sums' (g, sums) from a spread in turn 0, one FFT per node pair and request.
 
     re and im hold the halves a and b of the real and imaginary parts of
-    each row's spread g = 2 (a + i b), on cells -w/2 .. hi - 1.  For a
-    cosine request the real array
-        u(m) = (a + b)(m) + (a - b)(-m)
-    over cells 1 - hi .. hi - 1, ramped by exp(2 pi i f m / nf), folded
-    onto the period and transformed, is Y = Re A + i Im B at the modes
-    nu = j + f, with A and B the ramped transforms of 2a and 2b.  As a and
-    b are real, A(-nu) and B(-nu) are their conjugates, so the cosine sums
-    Re A - Im B are Re Y - Im Y at nu and Re Y + Im Y at -nu =
-    (-j - 1) + (1 - f), the mirror fraction's mode (Cooley, Lewis and
-    Welch, 1970).  A sine request is the cosine request of -i g = b - i a,
-    whose reflected term changes sign.  Fractions g and n - 1 - g with
-    f_g + f_(n-1-g) == 1, as Gauss-Legendre node fractions come, make a
-    pair, and the pairs run in order 0, n - 1, 1, n - 2, ...; a fraction
-    without a mirror (the middle node of an odd rule) runs alone.  Modes
-    -c .. c - 1, c = count - count//2, serve both fractions of a pair: the
-    fraction reads them from c - count//2 on, and its mirror the first
-    count, reversed.
+    each row's spread g = 2 (a + i b), on cells -w/2 .. hi - 1.  A cosine
+    request's real array u(m) = (a + b)(m) + (a - b)(-m), ramped, folded
+    onto the period and transformed, gives fraction g's sums at modes j +
+    f_g and those of its mirror n - 1 - g at -j - 1 + (1 - f_g), the
+    half-length trick of Cooley, Lewis and Welch (README, "Notes on
+    accuracy"); a sine request is the cosine request of -i g = b - i a.  Fractions g and n - 1 - g
+    make a pair (f_g + f_(n-1-g) == 1, as oscillating_sums checks), and the
+    pairs run in order 0, n - 1, 1, n - 2, ...; the middle node of an odd
+    rule runs alone.  Modes -c .. c - 1, c = count - count//2, serve both
+    fractions of a pair: the fraction reads them from c - count//2 on, and
+    its mirror the first count, reversed.
 
     grid, of at least one row per request, holds every request's transform
     at once; each fraction's sums are read from it when asked for, so the
@@ -316,11 +309,7 @@ def _mirror_pairs(re: np.ndarray, im: np.ndarray, grid: np.ndarray, count: int,
     """
     nf, wrap, n = grid.shape[1], _SPREAD_WIDTH // 2, fractions.size
     hi, h, c = re.shape[1] - wrap, count // 2, count - count // 2
-    jobs = []  # (g, mirror)
-    for g in range((n + 1) // 2):
-        mirror = n - 1 - g
-        paired = g == mirror or fractions[g] + fractions[mirror] == 1.0
-        jobs += [(g, mirror)] if paired else [(g, g), (mirror, mirror)]
+    jobs = [(g, n - 1 - g) for g in range((n + 1) // 2)]  # (g, mirror)
     steps, gaps = _fold_steps(1 - hi, 2 * hi - 1, nf)
     offsets = [(k, float(constant[r, 0])) for k, (r, sine) in enumerate(requests)
                if not sine and constant[r, 0]]
@@ -338,8 +327,8 @@ def _mirror_pairs(re: np.ndarray, im: np.ndarray, grid: np.ndarray, count: int,
             sums[k] += offset
         return sums
 
-    for (g, mirror), scale in zip(jobs, _deconvolution(
-            count, tuple(float(fractions[g]) for g, _ in jobs))):
+    table = _deconvolution(count, tuple(fractions[:len(jobs)].tolist()))
+    for (g, mirror), scale in zip(jobs, table):
         ramp = _ramp(fractions[g], nf, 1 - hi, 2 * hi - 1)
         for k, (r, sine) in enumerate(requests):
             x, z, direct, reflect = ((im[r], re[r], np.subtract, np.add) if sine else
@@ -391,43 +380,44 @@ def _spread_rows(logs, coeffs, start, step, count, turns):
     """Yield (first turn, grid) pairs: oscillating_sums' rows, spread but not folded.
 
     The strengths are coeffs * exp(i mid logs), mid = start + (count // 2)
-    * step (_strengths).  Terms run in blocks, each with its own plan,
-    strengths and kernel weights, alive only while it is spread.  Where the
-    points lie in turn 0 (turns == 1), blocks of at most _GROUP_ELEMS //
-    rows terms add into one grid of signed cells -w/2 .. nf + w/2 - 1,
-    yielded once.  Otherwise the kernel weights count too (_GROUP_ELEMS //
-    (rows * w) terms), and a block's spans run in groups of at most
-    _GROUP_ELEMS // (2 * rows * nf) turns, each spread into one reused
-    buffer and yielded as (rows, segments, nf) before the next: segment j
-    holds cells 0 .. nf - 1 of turn first + j, halos included.  One tile,
-    from min(block size, nonzero terms) and their nf * turns cells, serves
-    every block.
+    * step.  Terms run in blocks, each with its own plan (spans of at most
+    _TILE_BALANCE // rows kernel-block entries), strengths and kernel
+    weights, alive only while it is spread.  With turns == 0 (every point
+    in turn 0), blocks of _GROUP_ELEMS // rows terms add into one grid of
+    signed cells -w/2 .. nf + w/2 - 1, yielded once.  Otherwise, over that
+    many turns, blocks of _GROUP_ELEMS // (rows * w) terms (kernel weights
+    count) spread their spans in groups of _GROUP_ELEMS // (2 * rows * nf)
+    turns by first cell into one reused buffer, sized by the widest group,
+    each yielded as (rows, segments, nf) before the next: segment j holds
+    cells 0 .. nf - 1 of turn first + j, halos included.
     """
     rows, w = coeffs.shape[0], _SPREAD_WIDTH
     nf, mid = _fine_length(count), start + count // 2 * step
-    size = max(1, _GROUP_ELEMS // (rows * (1 if turns == 1 else w)))
-    points = min(size, int(np.count_nonzero(logs)))
-    tile = max(1, min(_TILE_CELLS,
-                      math.isqrt(_TILE_BALANCE * nf * turns // (rows * points + 1))))
+    size = max(1, _GROUP_ELEMS // (rows * (1 if turns == 0 else w)))
     group = nf * max(1, min(turns, _GROUP_ELEMS // (2 * rows * nf)))  # cells per group of turns
-    fine = None if turns == 1 else np.zeros(
-        (rows, -(-(group + nf + tile + w // 2) // nf) * nf), dtype=np.complex128)
+    fine, budget = None, max(1, _TILE_BALANCE // rows)
     planner = _cached_plan if -(-logs.size // size) <= _PLAN_SLOTS else _cached_plan.__wrapped__
     for a in range(0, max(logs.size, 1), size):
         block = logs[a:a + size]
-        plan = planner(block.tobytes(), step, count, tile)
+        plan = planner(block.tobytes(), step, count, budget)
+        groups = []  # (g, spans, shift, columns used): column 0 is cell g * group - nf
+        for g, spans in itertools.groupby(plan.spans if turns else (),
+                                          lambda span: (span[2] - 1) // group):
+            spans, shift = tuple(spans), g * group - nf + w // 2
+            groups.append((g, spans, shift, -(-(spans[-1][2] - shift + spans[-1][3]) // nf) * nf))
+        used = max((u for *_, u in groups), default=0)
+        if used > (0 if fine is None else fine.shape[1]):  # before the strengths: README
+            fine = np.zeros((rows, used), dtype=np.complex128)
         strengths = _strengths(coeffs[:, a + plan.terms], block[plan.terms], mid)
-        if turns == 1:
+        if turns == 0:
             fine = _spread(strengths, plan, nf, fine, plan.spans)
         else:
-            for g, spans in itertools.groupby(plan.spans, lambda span: (span[2] - 1) // group):
-                spans, shift = tuple(spans), g * group - nf + w // 2  # column 0: a turn before
+            for g, spans, shift, used in groups:
                 _spread(strengths, plan, nf, fine, spans, shift)
-                used = -(-(spans[-1][2] - shift + tile + w) // nf) * nf
                 yield plan.first + g * group // nf - 1, fine[:, :used].reshape(rows, -1, nf)
                 fine[:, :used] = 0.0
         del strengths  # not held beside the next block's
-    if turns == 1:
+    if turns == 0:
         yield 0, fine
 
 
@@ -492,9 +482,10 @@ def _kernel_transform(modes: np.ndarray, nf: int) -> np.ndarray:
     coefficients (_kernel_poly), summed by Horner's rule with no
     cancellation for the modes |mode| <= nf/4 that the kernel reads (x >= 0);
     at integer modes it is the FFT of the sampled kernel to within 16 ulp.
+    It overwrites modes, a float array, and allocates one array of its size.
     """
     poly = _kernel_poly()
-    x = np.cos((2.0 * math.pi / nf) * modes)
+    x = np.cos(np.multiply(modes, 2.0 * math.pi / nf, out=modes), out=modes)
     total = np.full(x.shape, poly[-1])
     for c in poly[-2::-1]:
         total *= x
@@ -505,13 +496,8 @@ def _kernel_transform(modes: np.ndarray, nf: int) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _kernel_poly() -> np.ndarray:
     """Monomial coefficients, lowest order first, of sum_u phi(u) cos(u theta),
-    u = -w/2 .. w/2, as a polynomial in x = cos(theta); read-only.
-
-    The Chebyshev series phi(0) + 2 sum_u phi(u) T_u(x) is converted by the
-    recurrence T_(u+1) = 2x T_u - T_(u-1) in Clenshaw's backward form
-    (high <- low + 2x high, low <- a_u - high), the operations of numpy's
-    cheb2poly, without loading numpy.polynomial.
-    """
+    u = -w/2 .. w/2, as a polynomial in x = cos(theta); read-only.  numpy's
+    cheb2poly of phi(0) + 2 sum_u phi(u) T_u(x), without loading numpy.polynomial (README)."""
     phi = _spread_kernel(np.arange(_SPREAD_WIDTH // 2 + 1.0))
     phi[1:] *= 2.0
     low, high = np.zeros((2, phi.size))
@@ -540,15 +526,18 @@ def _fine_length(count: int) -> int:
 @lru_cache(maxsize=8)
 def _deconvolution(count: int, fractions: tuple) -> np.ndarray:
     """The kernel's transform at modes q - c + f, q < 2c, c = count - count//2, row g for
-    f = fractions[g]; read-only, built once per (count, fractions) and a row at a time.
+    f = fractions[g]; read-only, built once per (count, fractions).
 
     A fraction's modes j + f, j = -count//2 .., are columns count - 2 (count//2) on;
     a mirror pair's are all 2c columns (_mirror_pairs).  The plain grid's is the table of (0.0,).
+    Rows are filled in blocks of at most 2^14 entries (a longer row alone), whose temporaries
+    glibc's malloc keeps on its heap: larger ones, freed, raised the peak RSS (README).
     """
-    c = count - count // 2
-    table = np.empty((len(fractions), 2 * c))
-    for row, f in zip(table, fractions):
-        row[:] = _kernel_transform(np.arange(2 * c) - c + f, _fine_length(count))
+    c, nf = count - count // 2, _fine_length(count)
+    table, rows = np.empty((len(fractions), 2 * c)), max(1, 2**14 // (2 * c))
+    for g in range(0, len(fractions), rows):
+        table[g:g + rows] = _kernel_transform(np.add.outer(fractions[g:g + rows],
+                                                           np.arange(2 * c) - c), nf)
     table.setflags(write=False)
     return table
 

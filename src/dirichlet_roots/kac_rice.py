@@ -108,8 +108,9 @@ def _check_spec(spec: PolynomialSpec, table: WeightTable | None = None) -> None:
         raise ValueError("the weight table was built for another spec")
 
 
-def _integrable_table(spec: PolynomialSpec) -> WeightTable:
-    """The spec's WeightTable, after _check_spec, rejecting a lone oscillating term.
+def _integrable_table(spec: PolynomialSpec, step: float | None = None) -> WeightTable:
+    """The spec's WeightTable, after _check_spec, rejecting a lone oscillating term and,
+    given a stratified grid step, spikes narrower than that step.
 
     Where the n = 1 term vanishes (sine, or cosine with k >= 1) and the
     other terms' squared weights add up to at most eps times the largest,
@@ -117,6 +118,10 @@ def _integrable_table(spec: PolynomialSpec) -> WeightTable:
     with no other term (2 <= T < 3) the density, zero between them, does
     not count them, and with others that small (large k at small T) its
     mass sits in spikes narrower than the rounding of the covariance B.
+    Where they add up to r < 1 times the largest, term n, a realization's
+    zero near a zero of term n lies within about sqrt(r) / log n of it: the
+    density's mass sits in spikes about 2 sqrt(r) / log n wide, which every
+    replicate grid of a coarser step misses alike.
     """
     _check_spec(spec)
     table = make_weight_table(spec)
@@ -124,11 +129,17 @@ def _integrable_table(spec: PolynomialSpec) -> WeightTable:
         return table
     oscillating = table.squared_weights[1:]
     m = int(np.argmax(oscillating))
-    if np.sum(oscillating) - oscillating[m] <= np.finfo(float).eps * oscillating[m]:
+    rest = np.sum(oscillating) - oscillating[m]
+    if rest <= np.finfo(float).eps * oscillating[m]:
         lattice = "j pi" if spec.part is Part.SINE else "(j + 1/2) pi"
         others = " to within rounding" if spec.n_terms > 2 else ""
         raise NumericalError(f"only the n = {m + 2} term oscillates{others}: every realization "
                              f"vanishes on the fixed lattice t = {lattice} / log {m + 2}", spec)
+    width = 2.0 * math.sqrt(rest / oscillating[m]) / math.log(m + 2)
+    if step is not None and rest < oscillating[m] and width < step:
+        raise NumericalError(f"the density's mass sits in spikes about {width:.3g} wide at the "
+                             f"zeros of the n = {m + 2} term, narrower than the stratified grid "
+                             f"step {step:.3g}: every replicate grid misses them alike", spec)
     return table
 
 
@@ -469,9 +480,9 @@ def expected_count_stratified(spec: PolynomialSpec, interval: Interval,
     not an upper bound.  nodes_used is strata rounded up to a multiple of
     25; abs_error_estimate repeats stderr.
     """
-    table = _integrable_table(spec)
     if strata < 100:
         raise ValueError("use at least 100 strata")
+    table = _integrable_table(spec, interval.length / -(-strata // STRATIFIED_REPLICATES))
     density = _shifted_grids(spec, table, interval, strata, seed)["density"]
     replicates = interval.length * np.mean(density, axis=1)
     value = float(np.mean(replicates))

@@ -46,7 +46,7 @@ __all__ = [
 _GRID_ZERO_REL = 1e-13
 
 # Trials per run_trials block, the rows of its kernel calls.  Fixed: the
-# kernel's tile width, so the last bits of a row's values, depends on the row
+# kernel's spans, so the last bits of a row's values, depend on the row
 # count.  16 rows ran the mc_trials benchmark 7-11% faster, but their fine
 # grids put its peak RSS 5.4-6.0% above one call per trial (8 rows: 3.8%).
 _BLOCK_TRIALS = 8

@@ -141,6 +141,12 @@ def test_numerical_error_exit_four(capsys):
     # only the n = 2 term oscillates: every realization vanishes on j pi / log 2
     code, out, err = run_cli(["expected", "--T", "2.5", "--part", "sine"], capsys)
     assert code == 4 and out == "" and "lattice" in err
+    # a stratified grid far coarser than the density's spikes (sine k = 30
+    # at T = 3.5) once printed 0.0342 +- 0.0210 with exit 0: the count is
+    # about 1
+    code, out, err = run_cli(["expected", "--T", "3.5", "--k", "30", "--part", "sine",
+                              "--method", "stratified"], capsys)
+    assert code == 4 and out == "" and "spikes" in err and "grid step" in err
     from dirichlet_roots.cli import build_parser
 
     assert "4 numerical error" in build_parser().epilog

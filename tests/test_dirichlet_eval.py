@@ -19,7 +19,7 @@ from dirichlet_roots import dirichlet_eval
 from dirichlet_roots.core import CoefficientSample
 from dirichlet_roots.dirichlet_eval import (
     _SPREAD_WIDTH,
-    _TILE_CELLS,
+    _TILE_BALANCE,
     _TILE_POINTS,
     _cached_plan,
     _deconvolution,
@@ -519,24 +519,29 @@ def turn_groups(monkeypatch):
 def test_turn_blocks_span_a_bounded_number_of_turns(monkeypatch, turn_groups, case, count):
     # with a budget of two turns' cells per complex row, 600 terms over
     # about 20 turns (log(n / 300): turns -19 .. 2) run in term blocks of
-    # 4 nf / w terms, each spread in groups of two turns plus their halos,
-    # whose segments fold in with their own turns' factors.  Fractions 0
-    # and 1 (the same grid shifted a step) and 0.3 match fsum within 1e-12
-    # of each row's L1 mass on every mode checked, also on 5 modes (nf = 64
-    # < tile)
+    # 4 nf / w terms, each spread in groups of two turns by their spans'
+    # first cells, plus the turn before and the turns the group's last span
+    # reaches; their segments fold in with their own turns' factors.
+    # Fractions 0 and 1 (the same grid shifted a step) and 0.3 match fsum
+    # within 1e-12 of each row's L1 mass on every mode checked, also on 5
+    # modes (nf = 64)
     n = np.arange(1, 601, dtype=np.float64)
     logs = np.log(n / 300.0) if case == "negative" else np.log(n)
     coeffs = np.random.default_rng(12).standard_normal((2, 600)) / np.sqrt(n)
     nf, fractions = _fine_length(count), (0.0, 0.3, 1.0)
     monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 2 * 2 * len(coeffs) * nf)
+    widths, spread = [], dirichlet_eval._spread
+    monkeypatch.setattr(dirichlet_eval, "_spread",
+                        lambda *a: widths.append(a[4][-1][3]) or spread(*a))
     start, step = 50.0, 20.0
     sums = _both(logs, coeffs, start, step, count, fractions)
     assert len(sums) == len(fractions)
     firsts = sorted({first for first, _ in turn_groups})
     assert len(turn_groups) >= 5 and len(firsts) >= 5
     assert (firsts[0] < -1) == (case == "negative")
-    tail = -(-(_TILE_CELLS + _SPREAD_WIDTH) // nf)  # the last span's tile and halo
-    assert all(segments <= 2 + 1 + tail for _, segments in turn_groups)
+    assert len(widths) == len(turn_groups)
+    for (_, segments), width in zip(turn_groups, widths):
+        assert segments <= 2 + 1 + -(-width // nf)  # the last span's block and halo
     for f, (C, S) in zip(fractions, sums):
         assert C.shape == S.shape == (2, count)
         for i in sorted({0, count // 2, count - 1}):
@@ -576,6 +581,68 @@ def test_turn_blocks_share_one_transform(monkeypatch, turn_groups):
             assert np.all(np.abs(a - b).max(axis=1) <= 1e-13 * mass)
 
 
+@pytest.mark.parametrize("budget", [1, 16, 200, 33_333])
+def test_plan_spans_cover_every_term_once_in_cell_order(budget):
+    # a span starts at its first point's cell c and takes the cell-sorted
+    # points after it while points x width stays within the budget (one
+    # point at least, at most _TILE_POINTS), width = (its last point's cell
+    # - c) + w, and no point more would fit.  The spans run over every
+    # nonzero term once, in cell order (zero and negative logs included),
+    # and a point's offset is its cell's column in its row of the block
+    logs = np.log(np.arange(1, 3001, dtype=np.float64) / 40.0)
+    step, count, w = 20.0, 400, _SPREAD_WIDTH
+    plan = _cached_plan.__wrapped__(logs.tobytes(), step, count, budget)
+    assert sorted(plan.terms.tolist()) == np.flatnonzero(logs).tolist()
+    assert np.all(np.diff(step * logs[plan.terms]) >= 0.0)
+    cells = np.empty(plan.terms.size, dtype=np.intp)
+    assert plan.spans[0][0] == 0 and plan.spans[-1][1] == plan.terms.size
+    for (a, b, f, width), following in zip(plan.spans, plan.spans[1:] + ((None,),)):
+        assert following[0] in (b, None) and 1 <= b - a <= _TILE_POINTS
+        cells[a:b] = f - 1 + plan.offset[a:b] - width * np.arange(b - a)
+        assert cells[a] == f - 1 and width == cells[b - 1] - cells[a] + w
+        assert b - a == 1 or (b - a) * width <= budget
+        assert plan.block >= (b - a) * width
+    assert np.all(np.diff(cells) >= 0)
+    for a, b, _, _ in plan.spans[:-1]:  # the next point would break the budget
+        assert b - a == _TILE_POINTS or (b - a + 1) * (cells[b] - cells[a] + w) > budget
+
+
+@pytest.mark.parametrize("balance", [3, 3_000, _TILE_BALANCE])
+@pytest.mark.parametrize("reach", [0.9, 3.0])
+def test_span_budgets_match_fsum(monkeypatch, balance, reach):
+    # one point per span (a budget of 1 on two rows), a narrow budget and
+    # the default give sums within 1e-12 of each row's L1 mass of fsum:
+    # on turn 0 with a mirror pair and a middle node, with fractions that
+    # have no mirror, and on spreads over three turns
+    monkeypatch.setattr(dirichlet_eval, "_TILE_BALANCE", balance)
+    logs = np.log(np.arange(1, 301, dtype=np.float64))
+    coeffs = np.random.default_rng(6).standard_normal((2, 300)) / np.sqrt(np.arange(1, 301))
+    step = reach * math.pi / logs[-1]
+    for fractions in ((0.125, 0.5, 0.875), (0.1, 0.3, 0.7)):
+        _check_fractions_against_fsum(logs, coeffs, 10.0, step, 64, fractions)
+
+
+@pytest.mark.parametrize("fractions", [(0.1, 0.3, 0.7), (0.0, 0.5),
+                                       tuple(np.random.default_rng(4).random(25).tolist())])
+def test_unpaired_fractions_in_turn_0_take_the_batch(monkeypatch, ramps, fractions):
+    # fractions that are not all mirror pairs, as stratified EK's random
+    # replicate offsets at small T, where every point lies in turn 0: one
+    # spread, one turn table and one grid ramp for every fraction, and one
+    # FFT of all rows and fractions; the sums come in fraction order and
+    # match fsum
+    logs = np.log(np.arange(1, 301, dtype=np.float64))
+    coeffs = np.random.default_rng(6).standard_normal((2, 300)) / np.sqrt(np.arange(1, 301))
+    shapes, ifft = [], np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda x, **kw: shapes.append(x.shape) or ifft(x, **kw))
+    step, count = 0.9 * math.pi / logs[-1], 100
+    _check_fractions_against_fsum(logs, coeffs, 10.0, step, count, fractions)
+    assert _ramp_kinds(ramps) == (1, 1)
+    assert shapes == [(2, len(fractions), _fine_length(count))]
+    parts = [(0, "cosine")]
+    assert [g for g, _ in oscillating_sums(logs, coeffs, parts, 10.0, step, count,
+                                           fractions)] == list(range(len(fractions)))
+
+
 def test_ramp_rows_equal_one_fraction_ramps():
     # the multi-turn path takes every fraction's grid ramp, and each group's
     # turn table, in one call: row g is fraction g's own ramp bit for bit
@@ -610,13 +677,16 @@ def test_term_blocks_share_one_transform_per_pair(monkeypatch, path):
     spreads, shapes = [], []
     spread, ifft = dirichlet_eval._spread, np.fft.ifft
     monkeypatch.setattr(dirichlet_eval, "_spread",
-                        lambda *a: spreads.append(a[1].tile) or spread(*a))
+                        lambda *a: spreads.append(a[1]) or spread(*a))
     monkeypatch.setattr(np.fft, "ifft", lambda x, **kw: shapes.append(x.shape) or ifft(x, **kw))
     one = [sums for _, sums in sorted(oscillating_sums(logs, args[0], parts, *args[1:]))]
     assert len(spreads) == 1 and shapes == ffts
     monkeypatch.setattr(dirichlet_eval, "_GROUP_ELEMS", 200 * rows)
     three = [sums for _, sums in sorted(oscillating_sums(logs, args[0], parts, *args[1:]))]
-    assert len(spreads) == 4 and len(set(spreads[1:])) == 1  # one tile for every block
+    assert len(spreads) == 4 and [p.terms.size for p in spreads[1:]] == [199, 200, 200]
+    for plan in spreads:  # every block's spans within the budget of its rows
+        assert all(b - a == 1 or (b - a) * width <= _TILE_BALANCE // rows
+                   for a, b, _, width in plan.spans)
     assert shapes == 2 * ffts
     mass = np.abs(args[0]).sum(axis=1)[[r for r, _ in parts]]
     for a, b in zip(one, three, strict=True):
@@ -724,7 +794,7 @@ def test_kernel_plan_memory_is_linear_in_terms(monkeypatch):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        block = 8 * plan.widest * (plan.tile + w)
+        block = 8 * plan.block
         span = 8 * _TILE_POINTS * (3 * w + len(strengths))  # a span's index, numpy's copies
         assert peak <= fine.nbytes + block + 8 * w * plan.terms.size + span + 65536
 
@@ -767,17 +837,23 @@ def test_fine_grid_transform_matches_sampled_kernel_fft(count):
 
 @pytest.mark.parametrize("count,fractions", [
     (1, (0.0,)), (400, (0.0,)), (33, (0.0, 0.5, 1.0)), (1979, tuple((np.arange(10) + 0.5) / 10)),
+    (400, tuple(np.random.default_rng(7).random(25).tolist())),
+    (2**17, tuple(((_gauss_rule(10)[0][:5] + 1.0) / 2.0).tolist())),
 ])
 def test_deconvolution_rows_are_the_kernel_transform(count, fractions):
     # row g of the table is bitwise the kernel's transform at modes
     # i - c + fractions[g], i < 2c, c = count - count//2: the modes of a
-    # fraction and of its mirror.  Built once per (count, fractions) and
-    # shared read-only
+    # fraction and of its mirror.  The table, built in one pass over its
+    # 2-D modes, equals the row-at-a-time build bit for bit, also for
+    # stratified EK's 25 random fractions and deterministic EK's 5 node
+    # pairs on a full chunk.  Built once per (count, fractions) and shared
+    # read-only
     table, c = _deconvolution(count, fractions), count - count // 2
     assert table.shape == (len(fractions), 2 * c) and not table.flags.writeable
-    for row, f in zip(table, fractions):
-        expected = _kernel_transform(np.arange(2 * c) - c + f, _fine_length(count))
-        assert np.array_equal(row, expected)
+    rows = np.empty_like(table)
+    for row, f in zip(rows, fractions):
+        row[:] = _kernel_transform(np.arange(2 * c) - c + f, _fine_length(count))
+    assert np.array_equal(table, rows)
     assert _deconvolution(count, fractions) is table
 
 

@@ -120,6 +120,32 @@ def test_single_oscillating_term_rejected():
         assert breakdown_at(spec, 1.0).density >= 0.0
 
 
+def test_stratified_rejects_spikes_narrower_than_its_grid_step(monkeypatch):
+    # sine k = 30 at T = 3.5: the n = 2 term's squared weight is 1.5e-12 of
+    # the n = 3 term's, so a realization's zero lies within about 1.1e-6 of
+    # a zero of sin(t log 3): the density's mass, about 1, sits in a spike
+    # 2.2e-6 wide, far narrower than the grid step 0.00875 of 10,000
+    # strata, which every replicate grid missed alike (0.0342 +- 0.0210).
+    # It is a NumericalError naming both, raised before the kernel runs.
+    # At k = 13 (spikes 0.0056 wide) 10,000 strata are too few and 40,000
+    # (step 0.0022) enough: the value lies within 4 stderr of deterministic
+    # EK's
+    monkeypatch.setattr(kac_rice, "_shifted_grids", None)
+    spec = make_spec(3.5, 30, 0.5, "sine")
+    iv = experiment_interval(spec)
+    with pytest.raises(NumericalError, match=r"spikes about 2\.23e-06 wide at the zeros of the "
+                       r"n = 3 term, narrower than the stratified grid step 0\.00875") as exc:
+        expected_count_stratified(spec, iv, 10_000, seed=1)
+    assert (exc.value.spec, exc.value.t) == (spec, None)
+    spec = make_spec(3.5, 13, 0.5, "sine")
+    with pytest.raises(NumericalError, match=r"spikes about 0\.0056 wide .* step 0\.00875"):
+        expected_count_stratified(spec, iv, 10_000, seed=1)
+    monkeypatch.undo()
+    det = expected_count_deterministic(spec, iv)
+    st = expected_count_stratified(spec, iv, 40_000, seed=1)
+    assert abs(st.value - det.value) <= 4.0 * st.stderr
+
+
 def test_numerical_errors_are_classified():
     # a sine model whose every term vanishes at t: B = 0 there
     spec = make_spec(2.5, 0, 0.5, "sine")

@@ -297,8 +297,8 @@ def test_run_trials_blocks_run_in_this_process(monkeypatch):
 
 def test_run_trials_blocks_do_not_depend_on_trial_count(monkeypatch):
     # trials run in fixed blocks of 8 indices with a short last block padded
-    # by zero rows; at 8x the default step the kernel's tile width depends on
-    # the row count, so an unpadded block would round differently
+    # by zero rows; at 8x the default step the kernel's spans depend on the
+    # row count, so an unpadded block would round differently
     shapes = []
 
     def recorded(logs, coeffs, *args):
